@@ -32,10 +32,9 @@ from .limb_sim import (CycleResult, JointDef, LimbSpec, LimbState, Link,
                        forward_kinematics, limb_from_document, sweep_cycle)
 from .gait_sim import (GaitSpec, SpeedCurve, body_speed, gait_from_document,
                        speed_curve)
-from .geometry import (Primitive, SolidRecipe, TriangleMesh,
-                       build_extensional_features, build_flexional_features,
-                       build_flexure_solid, export_stl, extensional_recipe,
-                       flexional_recipe, flexure_recipe, regular_polygon_area)
+from .geometry import (Primitive, SolidRecipe, TriangleMesh, export_stl,
+                       extensional_recipe, flexional_recipe, flexure_recipe,
+                       regular_polygon_area)
 
 __all__ = [
     "__version__",
@@ -68,7 +67,6 @@ __all__ = [
     "gait_from_document",
     # geometry
     "TriangleMesh", "Primitive", "SolidRecipe", "flexure_recipe",
-    "flexional_recipe", "extensional_recipe", "build_flexure_solid",
-    "build_flexional_features", "build_extensional_features", "export_stl",
+    "flexional_recipe", "extensional_recipe", "export_stl",
     "regular_polygon_area",
 ]

@@ -26,20 +26,19 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import (DesignDoc, Material, MATERIAL_KINDS, parse_design,
+from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
+                   Material, parse_design, parse_materials, to_document,
                    validate_process)
 from .errors import DesignError, FlexokitError
 from .gait_sim import gait_from_document, speed_curve
 from .geometry import (SolidRecipe, export_stl, extensional_recipe,
                        flexional_recipe, flexure_recipe)
-from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
-                           extensional_inverse, extensional_jam_angle,
-                           flexional_inverse, flexional_jam_angle)
+from .joint_limits import (_flexional_residual, extensional_inverse,
+                           extensional_jam_angle, flexional_inverse,
+                           flexional_jam_angle)
 from .limb_sim import limb_from_document, sweep_cycle
 from .stiffness import (homogenized_EI, solve_feature_height,
                         solve_width_ratio, tip_stiffness_exact)
-
-MM = 1e-3
 
 # Reference jamming-feature dimensions used when no document supplies them
 # (the same values the bundled sample documents use).
@@ -51,17 +50,23 @@ _EXTENSIONAL_DEFAULTS = {"diagonal_mm": 7.0, "base_width_mm": 5.4,
 
 _SWEEP_ALIASES = {
     "flexional": {"h": "stem_height_mm", "r": "head_radius_mm",
-                  "D": "spacing_mm", "stem_height_mm": "stem_height_mm",
-                  "head_radius_mm": "head_radius_mm",
-                  "spacing_mm": "spacing_mm"},
+                  "D": "spacing_mm"},
     "extensional": {"L": "diagonal_mm", "b": "base_width_mm",
                     "r": "tip_radius_mm", "h": "mount_height_mm",
-                    "gamma": "incline_deg", "diagonal_mm": "diagonal_mm",
-                    "base_width_mm": "base_width_mm",
-                    "tip_radius_mm": "tip_radius_mm",
-                    "mount_height_mm": "mount_height_mm",
-                    "incline_deg": "incline_deg"},
+                    "gamma": "incline_deg"},
 }
+
+# Limit dimension flags, (dest, help); the flag is --dest with dashes.
+_LIMIT_FLAGS = (
+    ("spacing_mm", "flexional feature spacing D (mm)"),
+    ("head_radius_mm", "flexional head radius r (mm)"),
+    ("stem_height_mm", "flexional stem height h (mm)"),
+    ("diagonal_mm", "extensional standoff diagonal L (mm)"),
+    ("base_width_mm", "extensional base width b (mm)"),
+    ("tip_radius_mm", "extensional tip radius r (mm)"),
+    ("mount_height_mm", "extensional mount standoff height h (mm)"),
+    ("incline_deg", "extensional feature incline gamma (degrees)"),
+)
 
 
 # --------------------------------------------------------------------------
@@ -100,28 +105,10 @@ def _load_overrides() -> Optional[dict[str, Material]]:
     if not location:
         return None
     try:
-        raw = json.loads(Path(location).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(location).read_text("utf-8")
+    except OSError as exc:
         raise DesignError(f"cannot read materials override {location}: {exc}")
-    if not isinstance(raw, dict):
-        raise DesignError("materials override must be a JSON object")
-    table = {}
-    for name, body in raw.items():
-        if not isinstance(body, dict):
-            raise DesignError(f"materials override {name!r} must be an object")
-        unknown = set(body) - {"youngs_modulus_gpa", "kind", "nozzle_temp_c"}
-        if unknown:
-            raise DesignError(
-                f"materials override {name!r}: unknown keys {sorted(unknown)}")
-        kind = body.get("kind", "filament")
-        if kind not in MATERIAL_KINDS:
-            raise DesignError(f"materials override {name!r}: bad kind {kind!r}")
-        table[name] = Material(
-            name=name,
-            youngs_modulus_gpa=float(body["youngs_modulus_gpa"]),
-            kind=kind,
-            nozzle_temp_c=body.get("nozzle_temp_c"))
-    return table
+    return parse_materials(text)
 
 
 def _load_document(path: str) -> DesignDoc:
@@ -181,10 +168,10 @@ def _cmd_validate(args) -> int:
         report = validate_process(doc.process)
         entries = [dataclasses.asdict(e) for e in report.entries]
         text = report.to_text()
-        has_warnings, has_errors = report.has_warnings, report.has_errors
+        has_warnings = report.has_warnings
     else:
         entries, text = [], "no process section; schema checks only\n"
-        has_warnings = has_errors = False
+        has_warnings = False
     payload = {
         "document": os.path.basename(args.input),
         "schema_version": doc.schema_version,
@@ -194,8 +181,6 @@ def _cmd_validate(args) -> int:
     _write_json(out, payload)
     sys.stdout.write(text)
     _note(out)
-    if has_errors:
-        return 2
     if has_warnings and args.strict:
         return 1
     return 0
@@ -243,11 +228,9 @@ def _cmd_predict_stiffness(args) -> int:
     return 0
 
 
-def _limit_params(args) -> dict[str, float]:
-    if args.extensional:
-        params = dict(_EXTENSIONAL_DEFAULTS)
-    else:
-        params = dict(_FLEXIONAL_DEFAULTS)
+def _limit_params(args, kind: str) -> dict[str, float]:
+    params = dict(_FLEXIONAL_DEFAULTS if kind == "flexional"
+                  else _EXTENSIONAL_DEFAULTS)
     for field in params:
         flag = getattr(args, field, None)
         if flag is not None:
@@ -258,21 +241,11 @@ def _limit_params(args) -> dict[str, float]:
 def _limit_solution(kind: str, params: dict[str, float]) -> dict:
     """Forward jam angle plus the residual of the defining relation."""
     if kind == "flexional":
-        spec = FlexionalLimitSpec(
-            spacing=params["spacing_mm"] * MM,
-            head_radius=params["head_radius_mm"] * MM,
-            stem_height=params["stem_height_mm"] * MM)
+        spec = FlexionalLimitEntry(**params).spec
         angle = flexional_jam_angle(spec)
-        residual = (angle * (spec.stem_height
-                             + spec.head_radius / math.sin(angle / 2))
-                    - spec.spacing)
+        residual = _flexional_residual(angle, spec)
     else:
-        spec = ExtensionalLimitSpec(
-            diagonal=params["diagonal_mm"] * MM,
-            base_width=params["base_width_mm"] * MM,
-            tip_radius=params["tip_radius_mm"] * MM,
-            mount_height=params["mount_height_mm"] * MM,
-            incline=math.radians(params["incline_deg"]))
+        spec = ExtensionalLimitEntry(**params).spec
         angle = extensional_jam_angle(spec)
         residual = (angle * (spec.tip_height + spec.mount_height)
                     - spec.rest_gap)
@@ -281,28 +254,33 @@ def _limit_solution(kind: str, params: dict[str, float]) -> dict:
             "inputs": {"kind": kind, **params}}
 
 
+def _invert_limit(kind: str, params: dict[str, float],
+                  angle: float) -> tuple[str, dict]:
+    """Solve the free dimension for a jam angle (radians) into ``params``;
+    returns its key and the forward solution at the solved geometry."""
+    if kind == "flexional":
+        key = "stem_height_mm"
+        solved_m = flexional_inverse(angle, params["head_radius_mm"] * MM,
+                                     params["spacing_mm"] * MM)
+    else:
+        key = "diagonal_mm"
+        solved_m = extensional_inverse(
+            angle, params["base_width_mm"] * MM,
+            params["tip_radius_mm"] * MM, params["mount_height_mm"] * MM,
+            math.radians(params["incline_deg"]))
+    params[key] = solved_m / MM
+    return key, _limit_solution(kind, params)
+
+
 def _cmd_solve_limit(args) -> int:
     kind = "extensional" if args.extensional else "flexional"
-    params = _limit_params(args)
+    params = _limit_params(args, kind)
     directory = _out_dir(args)
 
     if args.target_angle_deg is not None:
-        target = math.radians(args.target_angle_deg)
-        if kind == "flexional":
-            solved_m = flexional_inverse(target,
-                                         params["head_radius_mm"] * MM,
-                                         params["spacing_mm"] * MM)
-            params["stem_height_mm"] = solved_m / MM
-            solved_key = "stem_height_mm"
-        else:
-            solved_m = extensional_inverse(
-                target, params["base_width_mm"] * MM,
-                params["tip_radius_mm"] * MM, params["mount_height_mm"] * MM,
-                math.radians(params["incline_deg"]))
-            params["diagonal_mm"] = solved_m / MM
-            solved_key = "diagonal_mm"
-        payload = _limit_solution(kind, params)
-        payload["solved"] = {solved_key: solved_m / MM}
+        solved_key, payload = _invert_limit(
+            kind, params, math.radians(args.target_angle_deg))
+        payload["solved"] = {solved_key: params[solved_key]}
         out = directory / "solve_limit.json"
         _write_json(out, payload)
         _note(out)
@@ -375,29 +353,13 @@ def _cmd_design(args) -> int:
 
     if args.angle_deg is None:
         raise DesignError(f"--target {args.target} needs --angle-deg")
-    angle = math.radians(args.angle_deg)
-    if args.target == "stem_height":
-        args.flexional, args.extensional = True, False
-        params = _limit_params(args)
-        solved_m = flexional_inverse(angle, params["head_radius_mm"] * MM,
-                                     params["spacing_mm"] * MM)
-        params["stem_height_mm"] = solved_m / MM
-        check = _limit_solution("flexional", params)
-        payload = {"target": "stem_height", "angle_deg": args.angle_deg,
-                   "stem_height_mm": solved_m / MM,
-                   "residual": check["residual"], "inputs": check["inputs"]}
-    else:
-        args.flexional, args.extensional = False, True
-        params = _limit_params(args)
-        solved_m = extensional_inverse(
-            angle, params["base_width_mm"] * MM,
-            params["tip_radius_mm"] * MM, params["mount_height_mm"] * MM,
-            math.radians(params["incline_deg"]))
-        params["diagonal_mm"] = solved_m / MM
-        check = _limit_solution("extensional", params)
-        payload = {"target": "diagonal", "angle_deg": args.angle_deg,
-                   "diagonal_mm": solved_m / MM,
-                   "residual": check["residual"], "inputs": check["inputs"]}
+    kind = "flexional" if args.target == "stem_height" else "extensional"
+    params = _limit_params(args, kind)
+    solved_key, check = _invert_limit(kind, params,
+                                      math.radians(args.angle_deg))
+    payload = {"target": args.target, "angle_deg": args.angle_deg,
+               solved_key: params[solved_key],
+               "residual": check["residual"], "inputs": check["inputs"]}
     _write_json(out, payload)
     _note(out)
     return 0
@@ -461,20 +423,12 @@ def _cmd_simulate_gait(args) -> int:
 
 def _recipe_for_part(doc: DesignDoc, part) -> tuple[SolidRecipe, object]:
     if part.kind == "flexure":
-        if part.ref not in doc.flexures:
-            raise DesignError(f"export references unknown flexure {part.ref!r}")
         flex = doc.flexures[part.ref]
         return flexure_recipe(flex), flex
     if part.kind == "flexional":
-        if part.ref not in doc.flexional_limits:
-            raise DesignError(
-                f"export references unknown flexional limit {part.ref!r}")
         entry = doc.flexional_limits[part.ref]
         return flexional_recipe(entry.spec, count=part.count,
                                 facets=part.facets), entry
-    if part.ref not in doc.extensional_limits:
-        raise DesignError(
-            f"export references unknown extensional limit {part.ref!r}")
     entry = doc.extensional_limits[part.ref]
     width = part.width_mm * MM if part.width_mm is not None else None
     return extensional_recipe(entry.spec, count=part.count,
@@ -498,16 +452,7 @@ def _cmd_export_geometry(args) -> int:
         print("no export parts declared; nothing to do")
         return 0
     directory = _out_dir(args)
-    process = None
-    if doc.process is not None:
-        process = {
-            "bed_temp_c": doc.process.bed_temp_c,
-            "z_offset_mm": doc.process.z_offset_mm,
-            "material": doc.process.material.name,
-            "pc_thickness_mm": doc.process.pc_thickness_mm,
-        }
-        if doc.process.nozzle_temp_c is not None:
-            process["nozzle_temp_c"] = doc.process.nozzle_temp_c
+    process = to_document(doc.process) if doc.process is not None else None
     for part in parts:
         recipe, source = _recipe_for_part(doc, part)
         mesh = recipe.mesh()
@@ -549,29 +494,11 @@ def _add_common(parser, input_required=True):
                         help="curve/sweep output format (default csv)")
 
 
-def _add_limit_flags(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--flexional", action="store_true",
-                       help="mushroom-pillar limit (flexion cap)")
-    group.add_argument("--extensional", action="store_true",
-                       help="angled-standoff limit (extension cap)")
-    parser.add_argument("--spacing-mm", type=float, dest="spacing_mm",
-                        help="flexional feature spacing D (mm)")
-    parser.add_argument("--head-radius-mm", type=float, dest="head_radius_mm",
-                        help="flexional head radius r (mm)")
-    parser.add_argument("--stem-height-mm", type=float, dest="stem_height_mm",
-                        help="flexional stem height h (mm)")
-    parser.add_argument("--diagonal-mm", type=float, dest="diagonal_mm",
-                        help="extensional standoff diagonal L (mm)")
-    parser.add_argument("--base-width-mm", type=float, dest="base_width_mm",
-                        help="extensional base width b (mm)")
-    parser.add_argument("--tip-radius-mm", type=float, dest="tip_radius_mm",
-                        help="extensional tip radius r (mm)")
-    parser.add_argument("--mount-height-mm", type=float,
-                        dest="mount_height_mm",
-                        help="extensional mount standoff height h (mm)")
-    parser.add_argument("--incline-deg", type=float, dest="incline_deg",
-                        help="extensional feature incline gamma (degrees)")
+def _add_limit_flags(parser, skip=()):
+    for dest, text in _LIMIT_FLAGS:
+        if dest not in skip:
+            parser.add_argument("--" + dest.replace("_", "-"), type=float,
+                                dest=dest, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -614,6 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "solve_limit.json, or solve_limit.csv in --sweep mode. "
                     "--target-angle-deg inverts for the free dimension.")
     _add_common(p, input_required=False)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--flexional", action="store_true",
+                       help="mushroom-pillar limit (flexion cap)")
+    group.add_argument("--extensional", action="store_true",
+                       help="angled-standoff limit (extension cap)")
     _add_limit_flags(p)
     p.add_argument("--sweep", help="name=start:stop:step over a feature "
                                    "dimension, e.g. L=6.5:7.5:0.25")
@@ -638,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-deg", type=float,
                    help="target jam angle in degrees")
     p.add_argument("--flexure", help="template flexure name")
-    _add_limit_flags_optional(p)
+    # the kind follows from --target; skip the dimension it solves for
+    _add_limit_flags(p, skip=("stem_height_mm", "diagonal_mm"))
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser(
@@ -683,24 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_geometry)
 
     return parser
-
-
-def _add_limit_flags_optional(parser):
-    # design angle targets reuse the limit dimension flags without the
-    # mutually exclusive kind switch (the --target choice implies it)
-    parser.add_argument("--spacing-mm", type=float, dest="spacing_mm",
-                        help="flexional feature spacing D (mm)")
-    parser.add_argument("--head-radius-mm", type=float, dest="head_radius_mm",
-                        help="flexional head radius r (mm)")
-    parser.add_argument("--base-width-mm", type=float, dest="base_width_mm",
-                        help="extensional base width b (mm)")
-    parser.add_argument("--tip-radius-mm", type=float, dest="tip_radius_mm",
-                        help="extensional tip radius r (mm)")
-    parser.add_argument("--mount-height-mm", type=float,
-                        dest="mount_height_mm",
-                        help="extensional mount standoff height h (mm)")
-    parser.add_argument("--incline-deg", type=float, dest="incline_deg",
-                        help="extensional feature incline gamma (degrees)")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -8,12 +8,12 @@ SI values (meters, pascals, radians) are exposed through properties and are
 what every downstream module consumes.
 """
 
-from __future__ import annotations
-
+import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
 from .errors import DanglingReferenceError, DesignError
 from .joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
@@ -136,7 +136,7 @@ class FlexureSpec:
     name: str
     length_mm: float
     width_mm: float
-    base: LaminateStack
+    base: LaminateStack = field(metadata={"key": "base_layers"})
     ribs: Optional[RibPattern] = None
     rib_material: Optional[Material] = None
 
@@ -226,7 +226,7 @@ class ExtensionalLimitEntry:
 class LinkEntry:
     """Rigid link between joints of a limb."""
 
-    length_mm: float
+    length_mm: float = field(metadata={"key": "link_mm"})
 
     def __post_init__(self):
         if self.length_mm < 0:
@@ -344,70 +344,54 @@ class DesignDoc:
 
 
 # --------------------------------------------------------------------------
-# Parsing
+# The document schema
+#
+# The dataclasses above are the schema. A field is a document key (its own
+# name, or the "key" in its metadata); float, int, str and Material fields,
+# optionally Optional, are scalars read and written generically, and a field
+# without a default is required. A field called ``name`` holds the key its
+# entry is filed under, so it is never a document key. Other fields are
+# structural: the code below builds them by hand. This module does not
+# postpone annotations, so a field's type is the annotated object itself.
 
-_TOP_KEYS = {"schema_version", "comment", "materials", "flexures",
-             "flexional_limits", "extensional_limits", "limbs", "gait",
-             "process", "export"}
-
-
-def _check_keys(obj: Mapping, allowed: set, path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise DesignError(f"unknown key(s) {sorted(unknown)}", path)
-
-
-def _obj(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise DesignError("expected a JSON object", path)
-    return value
+# annotation -> (accepted JSON value types, diagnostic noun and article)
+_SCALAR_TYPES = {float: (frozenset((int, float)), "number", "a"),
+                 int: (frozenset((int,)), "integer", "an"),
+                 str: (frozenset((str,)), "string", "a"),
+                 Material: (frozenset((str,)), "string", "a")}
 
 
-def _num(obj: Mapping, key: str, path: str, required: bool = True,
-         default: Optional[float] = None) -> Optional[float]:
-    if key not in obj:
-        if required:
-            raise DesignError("missing required number", f"{path}.{key}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DesignError("expected a number", f"{path}.{key}")
-    return float(v)
+class _Schema(NamedTuple):
+    keys: frozenset   # document keys
+    scalars: tuple    # (field, key, type, accepted types, missing message,
+                      #  wrong-type message, default or MISSING)
+    order: tuple      # (field, key, writer or None) of every field in
+                      # declaration order
 
 
-def _int(obj: Mapping, key: str, path: str, required: bool = True,
-         default: Optional[int] = None) -> Optional[int]:
-    if key not in obj:
-        if required:
-            raise DesignError("missing required integer", f"{path}.{key}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DesignError("expected an integer", f"{path}.{key}")
-    return v
-
-
-def _str(obj: Mapping, key: str, path: str, required: bool = True,
-         default: Optional[str] = None) -> Optional[str]:
-    if key not in obj:
-        if required:
-            raise DesignError("missing required string", f"{path}.{key}")
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        raise DesignError("expected a string", f"{path}.{key}")
-    return v
-
-
-def _wrap(path: str, build, *args, **kwargs):
-    # Re-anchor invariant violations from dataclass constructors at the
-    # document field that caused them.
-    try:
-        return build(*args, **kwargs)
-    except DesignError as exc:
-        if exc.path:
-            raise
-        raise DesignError(str(exc), path) from None
+@functools.cache
+def _schema(cls) -> _Schema:
+    scalars, order = [], []
+    for f in fields(cls):
+        if f.name == "name":
+            continue
+        key = f.metadata.get("key", f.name)
+        tp = f.type
+        args = get_args(tp)
+        if type(None) in args:
+            tp = args[0]
+        if tp is Material:
+            write = operator.attrgetter("name")
+        else:
+            write = to_document if is_dataclass(tp) else None
+        order.append((f.name, key, write))
+        if tp in _SCALAR_TYPES:
+            accepts, noun, article = _SCALAR_TYPES[tp]
+            scalars.append((f.name, key, tp, accepts,
+                            f"missing required {noun}",
+                            f"expected {article} {noun}", f.default))
+    return _Schema(frozenset(k for _, k, _ in order), tuple(scalars),
+                   tuple(order))
 
 
 class _MaterialTable:
@@ -431,21 +415,112 @@ class _MaterialTable:
         return out
 
 
-def _parse_material(name: str, raw: Any, path: str) -> Material:
-    obj = _obj(raw, path)
-    _check_keys(obj, {"youngs_modulus_gpa", "kind", "nozzle_temp_c"}, path)
-    return _wrap(path, Material, name,
-                 _num(obj, "youngs_modulus_gpa", path),
-                 _str(obj, "kind", path),
-                 _num(obj, "nozzle_temp_c", path, required=False))
+def _obj(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise DesignError("expected a JSON object", path)
+    return value
 
 
-def _parse_flexure(name: str, raw: Any, path: str,
-                   table: _MaterialTable) -> FlexureSpec:
-    obj = _obj(raw, path)
-    _check_keys(obj, {"length_mm", "width_mm", "base_layers", "ribs",
-                      "rib_material"}, path)
-    raw_layers = obj.get("base_layers")
+def _scalars(cls, raw: Any, path: str,
+             table: Optional[_MaterialTable] = None) -> dict:
+    """Check ``raw``'s keys against ``cls`` and read its scalar fields."""
+    keys, scalars, _ = _schema(cls)
+    if not isinstance(raw, dict):
+        raise DesignError("expected a JSON object", path)
+    if not keys.issuperset(raw):
+        raise DesignError(f"unknown key(s) {sorted(raw.keys() - keys)}", path)
+    values = {}
+    for name, key, tp, accepts, missing, expected, default in scalars:
+        if key not in raw:
+            if default is MISSING:
+                raise DesignError(missing, f"{path}.{key}")
+            values[name] = default
+            continue
+        v = raw[key]
+        if type(v) not in accepts:  # JSON values only: bool is no number
+            raise DesignError(expected, f"{path}.{key}")
+        if tp is float:
+            v = float(v)
+        elif tp is Material:
+            v = table.resolve(v, f"{path}.{key}")
+        values[name] = v
+    return values
+
+
+def _build(cls, path: str, values: dict):
+    # Re-anchor invariant violations from dataclass constructors at the
+    # document field that caused them.
+    try:
+        return cls(**values)
+    except DesignError as exc:
+        if exc.path:
+            raise
+        raise DesignError(str(exc), path) from None
+
+
+def _read(cls, raw: Any, path: str, table: Optional[_MaterialTable] = None):
+    """Build ``cls``, all of whose fields are scalars, from ``raw``."""
+    return _build(cls, path, _scalars(cls, raw, path, table))
+
+
+def to_document(entry, **given) -> dict:
+    """Document object of a schema dataclass, the inverse of reading it.
+
+    Fields come out in declaration order, ``None`` and ``""`` are left out,
+    materials are written by name and nested entries recursively; ``given``
+    supplies the document form of other structural fields.
+    """
+    out = {}
+    for name, key, write in _schema(type(entry)).order:
+        if name in given:
+            v = given[name]
+        else:
+            v = getattr(entry, name)
+            if write is not None and v is not None:
+                v = write(v)
+        if v is None or v == "":
+            continue
+        out[key] = v
+    return out
+
+
+# --------------------------------------------------------------------------
+# Parsing
+
+def _json(text: str, path: str = "") -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DesignError(
+            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}",
+            path) from None
+
+
+def _section(raw: Any, path: str, read) -> dict:
+    """A name -> entry section; ``read(name, raw, path)`` builds each entry."""
+    return {name: read(name, body, f"{path}.{name}")
+            for name, body in _obj(raw, path).items()}
+
+
+def _materials(raw: Any, path: str) -> dict[str, Material]:
+    return _section(raw, path, lambda name, body, p: _build(
+        Material, p, dict(_scalars(Material, body, p), name=name)))
+
+
+def parse_materials(text: str) -> dict[str, Material]:
+    """Parse a FLEXOKIT_MATERIALS override file.
+
+    The file is a JSON object of the same form as a document's materials
+    section; diagnostics are anchored at ``FLEXOKIT_MATERIALS.<name>``.
+    """
+    path = "FLEXOKIT_MATERIALS"
+    return _materials(_json(text, path), path)
+
+
+def _flexure(name: str, raw: Any, path: str,
+             table: _MaterialTable) -> FlexureSpec:
+    scalars = _scalars(FlexureSpec, raw, path, table)
+    raw_layers = raw.get("base_layers")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise DesignError("expected a non-empty list of [material, thickness_mm]",
                           f"{path}.base_layers")
@@ -458,72 +533,84 @@ def _parse_flexure(name: str, raw: Any, path: str,
                 or not isinstance(pair[1], (int, float))):
             raise DesignError("expected [material, thickness_mm]", lp)
         layers.append((table.resolve(pair[0], lp), float(pair[1])))
-    base = _wrap(f"{path}.base_layers", LaminateStack, tuple(layers))
-
-    ribs = None
-    if "ribs" in obj:
-        rp = f"{path}.ribs"
-        robj = _obj(obj["ribs"], rp)
-        _check_keys(robj, {"period_mm", "width_ratio", "feature_height_mm"}, rp)
-        ribs = _wrap(rp, RibPattern,
-                     _num(robj, "period_mm", rp),
-                     _num(robj, "width_ratio", rp),
-                     _num(robj, "feature_height_mm", rp))
-
-    rib_material = None
-    if "rib_material" in obj:
-        rib_material = table.resolve(_str(obj, "rib_material", path),
-                                     f"{path}.rib_material")
-    return _wrap(path, FlexureSpec, name, _num(obj, "length_mm", path),
-                 _num(obj, "width_mm", path), base, ribs, rib_material)
+    base = _build(LaminateStack, f"{path}.base_layers",
+                  {"layers": tuple(layers)})
+    ribs = (_read(RibPattern, raw["ribs"], f"{path}.ribs")
+            if "ribs" in raw else None)
+    return _build(FlexureSpec, path,
+                  dict(scalars, name=name, base=base, ribs=ribs))
 
 
-def _parse_joint(raw: Any, path: str, doc_flexures: dict,
-                 flexional: dict, extensional: dict) -> JointEntry:
-    obj = _obj(raw, path)
-    _check_keys(obj, {"flexure", "joint_length_mm", "routing_offset_mm",
-                      "sense", "flexional_limit", "extensional_limit",
-                      "jam_angle_deg", "torsional_stiffness_nm_per_rad",
-                      "comment"}, path)
-    flexure = _str(obj, "flexure", path)
-    if flexure not in doc_flexures:
-        raise DanglingReferenceError(flexure, f"{path}.flexure")
-    for key, pool in (("flexional_limit", flexional),
-                      ("extensional_limit", extensional)):
-        if key in obj and _str(obj, key, path) not in pool:
-            raise DanglingReferenceError(obj[key], f"{path}.{key}")
-    return _wrap(path, JointEntry, flexure,
-                 _num(obj, "joint_length_mm", path),
-                 _num(obj, "routing_offset_mm", path),
-                 _int(obj, "sense", path, required=False, default=1),
-                 _str(obj, "flexional_limit", path, required=False),
-                 _str(obj, "extensional_limit", path, required=False),
-                 _num(obj, "jam_angle_deg", path, required=False),
-                 _num(obj, "torsional_stiffness_nm_per_rad", path,
-                      required=False),
-                 _str(obj, "comment", path, required=False, default=""))
+def _limit(cls, raw: Any, path: str):
+    entry = _read(cls, raw, path)
+    entry.spec  # the geometry must be constructible
+    return entry
 
 
-def _parse_limb(raw: Any, path: str, doc_flexures: dict, flexional: dict,
-                extensional: dict) -> LimbEntry:
-    obj = _obj(raw, path)
-    _check_keys(obj, {"segments", "comment"}, path)
-    raw_segments = obj.get("segments")
+def _joint(raw: Any, path: str, flexures: dict, flexional: dict,
+           extensional: dict) -> JointEntry:
+    joint = _read(JointEntry, raw, path)
+    for key, ref, pool in (("flexure", joint.flexure, flexures),
+                           ("flexional_limit", joint.flexional_limit, flexional),
+                           ("extensional_limit", joint.extensional_limit,
+                            extensional)):
+        if ref is not None and ref not in pool:
+            raise DanglingReferenceError(ref, f"{path}.{key}")
+    return joint
+
+
+def _limb(raw: Any, path: str, *pools: dict) -> LimbEntry:
+    scalars = _scalars(LimbEntry, raw, path)
+    raw_segments = raw.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
         raise DesignError("expected a non-empty segment list", f"{path}.segments")
+    link_keys = _schema(LinkEntry).keys
     segments = []
     for i, seg in enumerate(raw_segments):
         sp = f"{path}.segments[{i}]"
         sobj = _obj(seg, sp)
-        if set(sobj) == {"link_mm"}:
-            segments.append(_wrap(sp, LinkEntry, _num(sobj, "link_mm", sp)))
+        if sobj.keys() == link_keys:
+            segments.append(_read(LinkEntry, sobj, sp))
         elif set(sobj) == {"joint"}:
-            segments.append(_parse_joint(sobj["joint"], f"{sp}.joint",
-                                         doc_flexures, flexional, extensional))
+            segments.append(_joint(sobj["joint"], f"{sp}.joint", *pools))
         else:
             raise DesignError('expected {"link_mm": ...} or {"joint": {...}}', sp)
-    return _wrap(path, LimbEntry, tuple(segments),
-                 _str(obj, "comment", path, required=False, default=""))
+    return _build(LimbEntry, path, dict(scalars, segments=tuple(segments)))
+
+
+def _gait(raw: Any, limbs: dict) -> GaitEntry:
+    values = _scalars(GaitEntry, raw, "gait")
+    for key in ("pair_a", "pair_b"):
+        v = raw.get(key)
+        if (not isinstance(v, list) or len(v) != 2
+                or not all(isinstance(s, str) for s in v)):
+            raise DesignError("expected a pair of limb names", f"gait.{key}")
+        for s in v:
+            if s not in limbs:
+                raise DanglingReferenceError(s, f"gait.{key}")
+        values[key] = tuple(v)
+    freqs = raw.get("frequencies_hz", [])
+    if (not isinstance(freqs, list)
+            or not all(isinstance(f, (int, float)) and not isinstance(f, bool)
+                       for f in freqs)):
+        raise DesignError("expected a list of numbers", "gait.frequencies_hz")
+    values["frequencies_hz"] = tuple(float(f) for f in freqs)
+    return _build(GaitEntry, "gait", values)
+
+
+def _export(raw: Any, pools: dict[str, dict]) -> ExportOptions:
+    values = _scalars(ExportOptions, raw, "export")
+    raw_parts = raw.get("parts", [])
+    if not isinstance(raw_parts, list):
+        raise DesignError("expected a list of parts", "export.parts")
+    parts = []
+    for i, rp in enumerate(raw_parts):
+        pp = f"export.parts[{i}]"
+        part = _read(ExportPart, rp, pp)
+        if part.ref not in pools[part.kind]:
+            raise DanglingReferenceError(part.ref, f"{pp}.ref")
+        parts.append(part)
+    return _build(ExportOptions, "export", dict(values, parts=tuple(parts)))
 
 
 def parse_design(document_text: str,
@@ -536,232 +623,62 @@ def parse_design(document_text: str,
     undefined names. ``materials_override`` shadows both the document's
     materials and the built-in defaults (the FLEXOKIT_MATERIALS hook).
     """
-    try:
-        root = json.loads(document_text)
-    except json.JSONDecodeError as exc:
-        raise DesignError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    root = _obj(root, "$")
-    _check_keys(root, _TOP_KEYS, "$")
-    version = _int(root, "schema_version", "$")
+    root = _json(document_text)
+    scalars = _scalars(DesignDoc, root, "$")
+    version = scalars["schema_version"]
     if version != SCHEMA_VERSION:
         raise DesignError(f"unknown schema_version {version}; "
                           f"this build reads version {SCHEMA_VERSION}",
                           "$.schema_version")
-
-    declared = {}
-    for name, raw in _obj(root.get("materials", {}), "materials").items():
-        declared[name] = _parse_material(name, raw, f"materials.{name}")
-    table = _MaterialTable(declared, materials_override)
-
-    flexures = {}
-    for name, raw in _obj(root.get("flexures", {}), "flexures").items():
-        flexures[name] = _parse_flexure(name, raw, f"flexures.{name}", table)
-
-    flexional = {}
-    for name, raw in _obj(root.get("flexional_limits", {}),
-                          "flexional_limits").items():
-        path = f"flexional_limits.{name}"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"spacing_mm", "head_radius_mm", "stem_height_mm",
-                          "comment"}, path)
-        entry = _wrap(path, FlexionalLimitEntry,
-                      _num(obj, "spacing_mm", path),
-                      _num(obj, "head_radius_mm", path),
-                      _num(obj, "stem_height_mm", path),
-                      _str(obj, "comment", path, required=False, default=""))
-        _wrap(path, lambda e: e.spec, entry)  # geometry must be constructible
-        flexional[name] = entry
-
-    extensional = {}
-    for name, raw in _obj(root.get("extensional_limits", {}),
-                          "extensional_limits").items():
-        path = f"extensional_limits.{name}"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"diagonal_mm", "base_width_mm", "tip_radius_mm",
-                          "mount_height_mm", "incline_deg", "comment"}, path)
-        entry = _wrap(path, ExtensionalLimitEntry,
-                      _num(obj, "diagonal_mm", path),
-                      _num(obj, "base_width_mm", path),
-                      _num(obj, "tip_radius_mm", path),
-                      _num(obj, "mount_height_mm", path),
-                      _num(obj, "incline_deg", path),
-                      _str(obj, "comment", path, required=False, default=""))
-        _wrap(path, lambda e: e.spec, entry)
-        extensional[name] = entry
-
-    limbs = {}
-    for name, raw in _obj(root.get("limbs", {}), "limbs").items():
-        limbs[name] = _parse_limb(raw, f"limbs.{name}", flexures,
-                                  flexional, extensional)
-
-    gait = None
-    if "gait" in root:
-        obj = _obj(root["gait"], "gait")
-        _check_keys(obj, {"pair_a", "pair_b", "frequencies_hz"}, "gait")
-        pairs = []
-        for key in ("pair_a", "pair_b"):
-            v = obj.get(key)
-            if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(s, str) for s in v)):
-                raise DesignError("expected a pair of limb names", f"gait.{key}")
-            for s in v:
-                if s not in limbs:
-                    raise DanglingReferenceError(s, f"gait.{key}")
-            pairs.append(tuple(v))
-        freqs = obj.get("frequencies_hz", [])
-        if (not isinstance(freqs, list)
-                or not all(isinstance(f, (int, float)) and not isinstance(f, bool)
-                           for f in freqs)):
-            raise DesignError("expected a list of numbers", "gait.frequencies_hz")
-        gait = _wrap("gait", GaitEntry, pairs[0], pairs[1],
-                     tuple(float(f) for f in freqs))
-
-    process = None
-    if "process" in root:
-        obj = _obj(root["process"], "process")
-        _check_keys(obj, {"bed_temp_c", "z_offset_mm", "material",
-                          "pc_thickness_mm", "nozzle_temp_c"}, "process")
-        material = table.resolve(_str(obj, "material", "process"),
-                                 "process.material")
-        process = _wrap("process", PrintProcessConfig,
-                        _num(obj, "bed_temp_c", "process"),
-                        _num(obj, "z_offset_mm", "process"),
-                        material,
-                        _num(obj, "pc_thickness_mm", "process"),
-                        _num(obj, "nozzle_temp_c", "process", required=False))
-
-    export = ExportOptions()
-    if "export" in root:
-        obj = _obj(root["export"], "export")
-        _check_keys(obj, {"parts"}, "export")
-        raw_parts = obj.get("parts", [])
-        if not isinstance(raw_parts, list):
-            raise DesignError("expected a list of parts", "export.parts")
-        parts = []
-        pools = {"flexure": flexures, "flexional": flexional,
-                 "extensional": extensional}
-        for i, rp in enumerate(raw_parts):
-            pp = f"export.parts[{i}]"
-            pobj = _obj(rp, pp)
-            _check_keys(pobj, {"kind", "ref", "file", "count", "facets",
-                               "width_mm"}, pp)
-            part = _wrap(pp, ExportPart,
-                         _str(pobj, "kind", pp), _str(pobj, "ref", pp),
-                         _str(pobj, "file", pp),
-                         _int(pobj, "count", pp, required=False, default=2),
-                         _int(pobj, "facets", pp, required=False, default=16),
-                         _num(pobj, "width_mm", pp, required=False))
-            if part.ref not in pools[part.kind]:
-                raise DanglingReferenceError(part.ref, f"{pp}.ref")
-            parts.append(part)
-        export = ExportOptions(tuple(parts))
-
-    return DesignDoc(schema_version=version, materials=table.merged(),
-                     flexures=flexures, flexional_limits=flexional,
-                     extensional_limits=extensional, limbs=limbs, gait=gait,
-                     process=process, export=export,
-                     comment=_str(root, "comment", "$", required=False,
-                                  default=""))
+    table = _MaterialTable(_materials(root.get("materials", {}), "materials"),
+                           materials_override)
+    flexures = _section(root.get("flexures", {}), "flexures",
+                        lambda name, raw, path: _flexure(name, raw, path, table))
+    flexional = _section(root.get("flexional_limits", {}), "flexional_limits",
+                         lambda name, raw, path:
+                         _limit(FlexionalLimitEntry, raw, path))
+    extensional = _section(root.get("extensional_limits", {}),
+                           "extensional_limits", lambda name, raw, path:
+                           _limit(ExtensionalLimitEntry, raw, path))
+    limbs = _section(root.get("limbs", {}), "limbs", lambda name, raw, path:
+                     _limb(raw, path, flexures, flexional, extensional))
+    return DesignDoc(
+        materials=table.merged(), flexures=flexures,
+        flexional_limits=flexional, extensional_limits=extensional,
+        limbs=limbs,
+        gait=_gait(root["gait"], limbs) if "gait" in root else None,
+        process=(_read(PrintProcessConfig, root["process"], "process", table)
+                 if "process" in root else None),
+        export=_export(root.get("export", {}),
+                       {"flexure": flexures, "flexional": flexional,
+                        "extensional": extensional}),
+        **scalars)
 
 
 # --------------------------------------------------------------------------
 # Serialization (inverse of parse_design, document units preserved)
 
-def _material_dict(m: Material) -> dict:
-    out: dict[str, Any] = {"youngs_modulus_gpa": m.youngs_modulus_gpa,
-                           "kind": m.kind}
-    if m.nozzle_temp_c is not None:
-        out["nozzle_temp_c"] = m.nozzle_temp_c
-    return out
-
-
-def _joint_dict(j: JointEntry) -> dict:
-    out: dict[str, Any] = {"flexure": j.flexure,
-                           "joint_length_mm": j.joint_length_mm,
-                           "routing_offset_mm": j.routing_offset_mm,
-                           "sense": j.sense}
-    if j.flexional_limit is not None:
-        out["flexional_limit"] = j.flexional_limit
-    if j.extensional_limit is not None:
-        out["extensional_limit"] = j.extensional_limit
-    if j.jam_angle_deg is not None:
-        out["jam_angle_deg"] = j.jam_angle_deg
-    if j.torsional_stiffness_nm_per_rad is not None:
-        out["torsional_stiffness_nm_per_rad"] = j.torsional_stiffness_nm_per_rad
-    if j.comment:
-        out["comment"] = j.comment
-    return {"joint": out}
-
-
 def serialize_design(doc: DesignDoc) -> str:
     """Emit a document that parses back to an identical DesignDoc."""
-    root: dict[str, Any] = {"schema_version": doc.schema_version}
-    if doc.comment:
-        root["comment"] = doc.comment
-    root["materials"] = {name: _material_dict(m)
-                         for name, m in sorted(doc.materials.items())}
-    if doc.flexures:
-        flexures = {}
-        for name, f in doc.flexures.items():
-            entry: dict[str, Any] = {
-                "length_mm": f.length_mm, "width_mm": f.width_mm,
-                "base_layers": [[m.name, t] for m, t in f.base.layers]}
-            if f.ribs is not None:
-                entry["ribs"] = {"period_mm": f.ribs.period_mm,
-                                 "width_ratio": f.ribs.width_ratio,
-                                 "feature_height_mm": f.ribs.feature_height_mm}
-            if f.rib_material is not None:
-                entry["rib_material"] = f.rib_material.name
-            flexures[name] = entry
-        root["flexures"] = flexures
-    if doc.flexional_limits:
-        root["flexional_limits"] = {
-            name: {"spacing_mm": e.spacing_mm,
-                   "head_radius_mm": e.head_radius_mm,
-                   "stem_height_mm": e.stem_height_mm,
-                   **({"comment": e.comment} if e.comment else {})}
-            for name, e in doc.flexional_limits.items()}
-    if doc.extensional_limits:
-        root["extensional_limits"] = {
-            name: {"diagonal_mm": e.diagonal_mm,
-                   "base_width_mm": e.base_width_mm,
-                   "tip_radius_mm": e.tip_radius_mm,
-                   "mount_height_mm": e.mount_height_mm,
-                   "incline_deg": e.incline_deg,
-                   **({"comment": e.comment} if e.comment else {})}
-            for name, e in doc.extensional_limits.items()}
-    if doc.limbs:
-        limbs = {}
-        for name, limb in doc.limbs.items():
-            segs = [({"link_mm": s.length_mm} if isinstance(s, LinkEntry)
-                     else _joint_dict(s)) for s in limb.segments]
-            limbs[name] = {"segments": segs,
-                           **({"comment": limb.comment} if limb.comment else {})}
-        root["limbs"] = limbs
-    if doc.gait is not None:
-        root["gait"] = {"pair_a": list(doc.gait.pair_a),
-                        "pair_b": list(doc.gait.pair_b),
-                        "frequencies_hz": list(doc.gait.frequencies_hz)}
-    if doc.process is not None:
-        p = doc.process
-        entry = {"bed_temp_c": p.bed_temp_c, "z_offset_mm": p.z_offset_mm,
-                 "material": p.material.name,
-                 "pc_thickness_mm": p.pc_thickness_mm}
-        if p.nozzle_temp_c is not None:
-            entry["nozzle_temp_c"] = p.nozzle_temp_c
-        root["process"] = entry
-    if doc.export.parts:
-        parts = []
-        for part in doc.export.parts:
-            d: dict[str, Any] = {"kind": part.kind, "ref": part.ref,
-                                 "file": part.file, "count": part.count,
-                                 "facets": part.facets}
-            if part.width_mm is not None:
-                d["width_mm"] = part.width_mm
-            parts.append(d)
-        root["export"] = {"parts": parts}
+    sections = {
+        "materials": {name: to_document(m)
+                      for name, m in sorted(doc.materials.items())},
+        "flexures": {name: to_document(f, base=[[m.name, t]
+                                                for m, t in f.base.layers])
+                     for name, f in doc.flexures.items()},
+        "flexional_limits": {name: to_document(e)
+                             for name, e in doc.flexional_limits.items()},
+        "extensional_limits": {name: to_document(e)
+                               for name, e in doc.extensional_limits.items()},
+        "limbs": {name: to_document(limb, segments=[
+                      to_document(s) if isinstance(s, LinkEntry)
+                      else {"joint": to_document(s)} for s in limb.segments])
+                  for name, limb in doc.limbs.items()},
+        "export": doc.export.parts and to_document(
+            doc.export, parts=[to_document(p) for p in doc.export.parts]),
+    }
+    # empty sections are left out
+    root = to_document(doc, **{k: v or None for k, v in sections.items()})
     return json.dumps(root, indent=2) + "\n"
 
 
@@ -783,7 +700,7 @@ VALIDATION_CODES = {
 
 @dataclass(frozen=True)
 class ValidationEntry:
-    level: str  # "ok" | "warning" | "error"
+    level: str  # "ok" | "warning"
     code: str
     message: str
     value: Optional[float] = None
@@ -796,10 +713,6 @@ class ValidationReport:
     @property
     def has_warnings(self) -> bool:
         return any(e.level == "warning" for e in self.entries)
-
-    @property
-    def has_errors(self) -> bool:
-        return any(e.level == "error" for e in self.entries)
 
     def to_json(self) -> list:
         return [{"level": e.level, "code": e.code, "message": e.message,

@@ -328,29 +328,6 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
     return SolidRecipe("extensional_limit", tuple(prims))
 
 
-def build_flexure_solid(flex: FlexureSpec) -> TriangleMesh:
-    """Printable mesh of a ribbed flexure (validated, mm)."""
-    mesh = flexure_recipe(flex).mesh()
-    mesh.validate()
-    return mesh
-
-
-def build_flexional_features(spec: FlexionalLimitSpec, count: int = 2,
-                             facets: int = 16, **kwargs) -> TriangleMesh:
-    """Printable mesh of a flexional (mushroom) limit pair or row."""
-    mesh = flexional_recipe(spec, count, facets, **kwargs).mesh()
-    mesh.validate()
-    return mesh
-
-
-def build_extensional_features(spec: ExtensionalLimitSpec, count: int = 2,
-                               width: Optional[float] = None) -> TriangleMesh:
-    """Printable mesh of an extensional (standoff) limit pair or row."""
-    mesh = extensional_recipe(spec, count, width).mesh()
-    mesh.validate()
-    return mesh
-
-
 # --------------------------------------------------------------------------
 # Binary STL
 

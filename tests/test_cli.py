@@ -314,6 +314,32 @@ def test_materials_override_changes_predictions(tmp_path, monkeypatch):
     monkeypatch.setenv("FLEXOKIT_MATERIALS", str(tmp_path / "absent.json"))
     assert run(["predict-stiffness", "-i", bundled_path("sample_flexure.json"),
                 "-o", tmp_path / "broken"]) == 2
+    override.write_text('{"PLA": {')
+    assert run(["predict-stiffness", "-i", bundled_path("sample_flexure.json"),
+                "-o", tmp_path / "broken"]) == 2
+
+
+@pytest.mark.parametrize("body", [
+    {"kind": "filament"},
+    {"youngs_modulus_gpa": 3.5, "kind": "filament", "nozzle_temp_c": "hot"},
+    {"youngs_modulus_gpa": True, "kind": "filament", "nozzle_temp_c": 215.0},
+    {"youngs_modulus_gpa": 3.5, "nozzle_temp_c": 215.0},
+    {"name": "PLA", "youngs_modulus_gpa": 3.5, "kind": "filament",
+     "nozzle_temp_c": 215.0},
+], ids=["no_modulus", "string_nozzle", "bool_modulus", "no_kind", "name_key"])
+def test_malformed_materials_override_exits_2(tmp_path, monkeypatch, capsys,
+                                              body):
+    override = tmp_path / "materials.json"
+    override.write_text(json.dumps({"PLA": body}))
+    monkeypatch.setenv("FLEXOKIT_MATERIALS", str(override))
+    assert run(["validate", "-i", bundled_path("sample_flexure.json"),
+                "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "DesignError"
+    assert diagnostic["message"].startswith("FLEXOKIT_MATERIALS.PLA")
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- whole program

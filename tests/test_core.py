@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,8 @@ from conftest import bundled_text
 from flexokit.core import (ADHESIVE_BASELINE_N_PER_CM, DEFAULT_MATERIALS,
                            GaitEntry, JointEntry, LaminateStack, Material,
                            PrintProcessConfig, VALIDATION_CODES,
-                           parse_design, serialize_design, validate_process)
+                           parse_design, parse_materials, serialize_design,
+                           validate_process)
 from flexokit.errors import DanglingReferenceError, DesignError
 
 BUNDLED = ("sample_flexure.json", "hind_leg.json", "quadruped.json")
@@ -116,6 +119,54 @@ def test_dangling_references_are_named():
         parse_design(json.dumps(bad_export))
 
 
+def test_name_comes_from_the_section_key_not_the_body():
+    material = {"name": "X", "youngs_modulus_gpa": 1.0, "kind": "base_film"}
+    with pytest.raises(DesignError, match=r"materials\.X.*'name'"):
+        parse_design(json.dumps({"schema_version": 1,
+                                 "materials": {"X": material}}))
+    with pytest.raises(DesignError, match=r"^FLEXOKIT_MATERIALS\.X.*'name'"):
+        parse_materials(json.dumps({"X": material}))
+    flexure = {"name": "f", "length_mm": 10, "width_mm": 10,
+               "base_layers": [["PLA", 0.2]]}
+    with pytest.raises(DesignError, match=r"flexures\.f.*'name'"):
+        parse_design(json.dumps({"schema_version": 1,
+                                 "flexures": {"f": flexure}}))
+
+
+def test_scalar_diagnostics_name_the_field_and_type():
+    def error(flexure):
+        with pytest.raises(DesignError) as info:
+            parse_design(json.dumps({"schema_version": 1,
+                                     "flexures": {"f": flexure}}))
+        return str(info.value)
+
+    layers = [["PLA", 0.2]]
+    assert error({"width_mm": 10, "base_layers": layers}) == \
+        "flexures.f.length_mm: missing required number"
+    assert error({"length_mm": True, "width_mm": 10,
+                  "base_layers": layers}) == \
+        "flexures.f.length_mm: expected a number"
+    assert error({"length_mm": 10, "width_mm": 10, "base_layers": layers,
+                  "rib_material": 3}) == \
+        "flexures.f.rib_material: expected a string"
+    with pytest.raises(DesignError, match=r"^\$\.schema_version: expected "
+                                          r"an integer$"):
+        parse_design('{"schema_version": 1.0}')
+
+
+def test_readme_joint_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        "utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    examples = [json.loads(b) for b in blocks if b.startswith('{"joint"')]
+    assert len(examples) == 1
+    doc = json.loads(bundled_text("hind_leg.json"))
+    segments = doc["limbs"]["hind_leg"]["segments"]
+    segments[3] = examples[0]
+    joint = parse_design(json.dumps(doc)).limbs["hind_leg"].joints[1]
+    assert joint == JointEntry(**examples[0]["joint"])
+
+
 def test_limb_segments_must_be_links_or_joints():
     text = json.dumps({
         "schema_version": 1,
@@ -180,7 +231,7 @@ def test_recommended_settings_validate_clean_with_peak_band():
     report = validate_process(_config())
     assert codes(report) == ["bed_temp_peak_band", "z_offset_ok",
                              "nozzle_temp_ok", "adhesion_reference"]
-    assert not report.has_warnings and not report.has_errors
+    assert not report.has_warnings
     assert all(e.level == "ok" for e in report.entries)
 
 
@@ -233,6 +284,7 @@ def test_every_report_carries_the_adhesion_baseline():
         assert entry.code == "adhesion_reference"
         assert entry.value == ADHESIVE_BASELINE_N_PER_CM == 11.2
         assert set(codes(report)) <= set(VALIDATION_CODES)
+        assert {e.level for e in report.entries} <= {"ok", "warning"}
 
 
 def test_report_renderings():

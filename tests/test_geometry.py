@@ -9,9 +9,8 @@ import pytest
 from helpers import read_stl
 from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
 from flexokit.errors import AlwaysJammedError, GeometryError
-from flexokit.geometry import (Primitive, TriangleMesh, build_extensional_features,
-                               build_flexional_features, build_flexure_solid,
-                               export_stl, extensional_recipe, flexional_recipe,
+from flexokit.geometry import (Primitive, TriangleMesh, export_stl,
+                               extensional_recipe, flexional_recipe,
                                flexure_recipe, regular_polygon_area)
 from flexokit.joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
@@ -47,7 +46,8 @@ def test_plain_plate_is_a_single_box():
 def test_film_layer_is_never_meshed():
     with_film = FlexureSpec("f", 12.0, 44.0,
                             LaminateStack(((PC, 0.5), (PLA, 0.3))))
-    mesh = build_flexure_solid(with_film)
+    mesh = flexure_recipe(with_film).mesh()
+    mesh.validate()
     lo, hi = mesh.bounding_box()
     # printed plate only: 0.3 mm tall regardless of the film underneath
     assert hi[2] == pytest.approx(0.3, rel=1e-12)
@@ -203,7 +203,8 @@ def test_mesh_validation_catches_open_and_inverted_shells():
 
 
 def test_mesh_normals_are_unit_and_outward():
-    mesh = build_flexure_solid(plate_flexure())
+    mesh = flexure_recipe(plate_flexure()).mesh()
+    mesh.validate()
     norms = np.linalg.norm(mesh.normals, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     # divergence-theorem volume is positive for outward orientation
@@ -223,7 +224,7 @@ def test_concatenate_and_empty_mesh():
     empty = TriangleMesh.concatenate([])
     assert len(empty) == 0
     empty.validate()  # vacuously closed
-    a = build_flexure_solid(plate_flexure())
+    a = flexure_recipe(plate_flexure()).mesh()
     combined = TriangleMesh.concatenate([a, empty])
     assert len(combined) == len(a)
 
@@ -231,7 +232,7 @@ def test_concatenate_and_empty_mesh():
 # -------------------------------------------------------------- STL encoder
 
 def test_stl_byte_layout(tmp_path):
-    mesh = build_flexure_solid(plate_flexure())
+    mesh = flexure_recipe(plate_flexure()).mesh()
     out = tmp_path / "plate.stl"
     written = export_stl(mesh, out)
     assert written == 84 + 50 * len(mesh)
@@ -244,8 +245,8 @@ def test_stl_byte_layout(tmp_path):
 
 
 def test_stl_round_trips_bit_exactly(tmp_path):
-    mesh = build_extensional_features(ExtensionalLimitSpec(
-        7 * MM, 5.4 * MM, 1.8 * MM, 2 * MM, math.radians(45.0)))
+    mesh = extensional_recipe(ExtensionalLimitSpec(
+        7 * MM, 5.4 * MM, 1.8 * MM, 2 * MM, math.radians(45.0))).mesh()
     out = tmp_path / "standoffs.stl"
     export_stl(mesh, out)
     _, normals, tris, _ = read_stl(out)
@@ -266,7 +267,7 @@ def test_stl_of_empty_mesh_is_header_only(tmp_path):
 
 
 def test_stl_export_refuses_broken_meshes(tmp_path):
-    mesh = build_flexional_features(FlexionalLimitSpec(6 * MM, 2 * MM, 4 * MM))
+    mesh = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 4 * MM)).mesh()
     broken = TriangleMesh(mesh.triangles[:-1])
     with pytest.raises(GeometryError):
         export_stl(broken, tmp_path / "broken.stl")
