@@ -30,8 +30,7 @@ from .stiffness import (FlexureStiffnessResult, PlateauUnreachableError,
 from .limb_sim import (CycleResult, JointDef, LimbSpec, LimbState, Link,
                        StrokeMetrics, curvature_profile, equilibrium_solve,
                        forward_kinematics, limb_from_document, sweep_cycle)
-from .gait_sim import (GaitSpec, SpeedCurve, body_speed, gait_from_document,
-                       speed_curve)
+from .gait_sim import SpeedCurve, body_speed, gait_from_document, speed_curve
 from .geometry import (Primitive, SolidRecipe, TriangleMesh, export_stl,
                        extensional_recipe, flexional_recipe, flexure_recipe,
                        regular_polygon_area)
@@ -63,8 +62,7 @@ __all__ = [
     "CycleResult", "equilibrium_solve", "forward_kinematics",
     "curvature_profile", "sweep_cycle", "limb_from_document",
     # gait
-    "GaitSpec", "SpeedCurve", "body_speed", "speed_curve",
-    "gait_from_document",
+    "SpeedCurve", "body_speed", "speed_curve", "gait_from_document",
     # geometry
     "TriangleMesh", "Primitive", "SolidRecipe", "flexure_recipe",
     "flexional_recipe", "extensional_recipe", "export_stl",

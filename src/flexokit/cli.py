@@ -378,20 +378,15 @@ def _cmd_simulate_limb(args) -> int:
     header = ["pull_mm", "foot_x_mm", "foot_y_mm"]
     header += [f"theta_{i}_rad" for i in range(joint_count)]
     header += ["tension_N"]
-    rows = []
-    for pull, state, (fx, fy) in zip(cycle.pulls, cycle.states,
-                                     cycle.foot_path):
-        row = [pull / MM, fx / MM, fy / MM]
-        row += [float(t) for t in state.theta]
-        row += [state.tension]
-        rows.append(row)
+    rows = np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
+                            cycle.theta, cycle.tension]).tolist()
     trajectory = directory / f"{name}_trajectory.csv"
     _write_csv(trajectory, header, rows)
 
     curvature = directory / f"{name}_curvature.csv"
     bin_header = ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins]
-    bin_rows = [[pull / MM] + [float(k) for k in kappa_row]
-                for pull, kappa_row in zip(cycle.pulls, cycle.curvature_map)]
+    bin_rows = np.column_stack([cycle.pulls / MM,
+                                cycle.curvature_map]).tolist()
     _write_csv(curvature, bin_header, bin_rows)
 
     metrics = directory / f"{name}_metrics.json"
@@ -406,8 +401,8 @@ def _cmd_simulate_limb(args) -> int:
 
 def _cmd_simulate_gait(args) -> int:
     doc = _load_document(args.input)
-    gait = gait_from_document(doc, steps=args.steps)
-    points = speed_curve(gait).points
+    strokes = gait_from_document(doc, steps=args.steps)
+    points = speed_curve(doc.gait, strokes).points
     directory = _out_dir(args)
     header = ["frequency_hz", "speed_mm_s"]
     rows = [[f, v / MM] for f, v in points]

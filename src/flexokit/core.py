@@ -15,7 +15,7 @@ import operator
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
-from .errors import DanglingReferenceError, DesignError
+from .errors import DanglingReferenceError, DesignError, GeometryError
 from .joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
 MM = 1e-3
@@ -265,8 +265,8 @@ class JointEntry:
         if limit_refs == 0 and self.jam_angle_deg is None:
             raise DesignError(
                 "a joint needs a jam angle: reference a limit or set jam_angle_deg")
-        if self.jam_angle_deg is not None and not self.jam_angle_deg > 0:
-            raise DesignError("jam_angle_deg must be positive")
+        if self.jam_angle_deg is not None and not 0 < self.jam_angle_deg <= 180:
+            raise DesignError("jam_angle_deg must lie in (0, 180]")
 
 
 @dataclass(frozen=True)
@@ -421,6 +421,18 @@ def _obj(value: Any, path: str) -> dict:
     return value
 
 
+def _finite(value, path: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing integers are
+    rejected."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DesignError("expected a finite number", path)
+    return value
+
+
 def _scalars(cls, raw: Any, path: str,
              table: Optional[_MaterialTable] = None) -> dict:
     """Check ``raw``'s keys against ``cls`` and read its scalar fields."""
@@ -440,7 +452,7 @@ def _scalars(cls, raw: Any, path: str,
         if type(v) not in accepts:  # JSON values only: bool is no number
             raise DesignError(expected, f"{path}.{key}")
         if tp is float:
-            v = float(v)
+            v = _finite(v, f"{path}.{key}")
         elif tp is Material:
             v = table.resolve(v, f"{path}.{key}")
         values[name] = v
@@ -532,7 +544,7 @@ def _flexure(name: str, raw: Any, path: str,
                 or isinstance(pair[1], bool)
                 or not isinstance(pair[1], (int, float))):
             raise DesignError("expected [material, thickness_mm]", lp)
-        layers.append((table.resolve(pair[0], lp), float(pair[1])))
+        layers.append((table.resolve(pair[0], lp), _finite(pair[1], lp)))
     base = _build(LaminateStack, f"{path}.base_layers",
                   {"layers": tuple(layers)})
     ribs = (_read(RibPattern, raw["ribs"], f"{path}.ribs")
@@ -543,7 +555,10 @@ def _flexure(name: str, raw: Any, path: str,
 
 def _limit(cls, raw: Any, path: str):
     entry = _read(cls, raw, path)
-    entry.spec  # the geometry must be constructible
+    try:
+        entry.spec  # the geometry must be constructible
+    except GeometryError as exc:
+        raise DesignError(str(exc), path) from None
     return entry
 
 
@@ -594,7 +609,8 @@ def _gait(raw: Any, limbs: dict) -> GaitEntry:
             or not all(isinstance(f, (int, float)) and not isinstance(f, bool)
                        for f in freqs)):
         raise DesignError("expected a list of numbers", "gait.frequencies_hz")
-    values["frequencies_hz"] = tuple(float(f) for f in freqs)
+    values["frequencies_hz"] = tuple(
+        _finite(f, f"gait.frequencies_hz[{i}]") for i, f in enumerate(freqs))
     return _build(GaitEntry, "gait", values)
 
 

@@ -15,29 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DesignDoc
+from .core import DesignDoc, GaitEntry
 from .errors import DesignError
 from .limb_sim import limb_from_document, sweep_cycle
-
-
-@dataclass(frozen=True)
-class GaitSpec:
-    """Two diagonal limb pairs plus resolved per-limb stroke distances (m)."""
-
-    pair_a: tuple[str, str]
-    pair_b: tuple[str, str]
-    frequencies_hz: tuple[float, ...]
-    stroke_distances: Mapping[str, float]
-
-    def __post_init__(self):
-        names = (*self.pair_a, *self.pair_b)
-        if len(set(names)) != 4:
-            raise DesignError("a trot needs four distinct limbs, two per pair")
-        missing = [n for n in names if n not in self.stroke_distances]
-        if missing:
-            raise DesignError(f"missing stroke metrics for limb(s) {missing}")
-        if any(f < 0 for f in self.frequencies_hz):
-            raise DesignError("frequencies must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -45,34 +25,35 @@ class SpeedCurve:
     points: tuple[tuple[float, float], ...]  # (frequency Hz, speed m/s)
 
 
-def _pair_stroke(gait: GaitSpec, pair: tuple[str, str]) -> float:
-    return (gait.stroke_distances[pair[0]]
-            + gait.stroke_distances[pair[1]]) / 2
-
-
-def body_speed(gait: GaitSpec, frequency_hz: float) -> float:
-    """Body speed (m/s) at the given gait frequency (full cycles per second)."""
-    if frequency_hz < 0:
+def body_speed(gait: GaitEntry, strokes: Mapping[str, float],
+               frequency_hz: float) -> float:
+    """Body speed (m/s) at the given gait frequency (full cycles per second)
+    from each limb's stroke distance (m)."""
+    if not frequency_hz >= 0:
         raise DesignError("frequency must be nonnegative")
-    return frequency_hz * (_pair_stroke(gait, gait.pair_a)
-                           + _pair_stroke(gait, gait.pair_b))
+    missing = [n for n in (*gait.pair_a, *gait.pair_b) if n not in strokes]
+    if missing:
+        raise DesignError(f"missing stroke metrics for limb(s) {missing}")
+    (a0, a1), (b0, b1) = gait.pair_a, gait.pair_b
+    return frequency_hz * ((strokes[a0] + strokes[a1]) / 2
+                           + (strokes[b0] + strokes[b1]) / 2)
 
 
-def speed_curve(gait: GaitSpec) -> SpeedCurve:
+def speed_curve(gait: GaitEntry, strokes: Mapping[str, float]) -> SpeedCurve:
     """body_speed evaluated over the gait's frequency list, order preserved."""
-    return SpeedCurve(tuple((f, body_speed(gait, f))
+    return SpeedCurve(tuple((f, body_speed(gait, strokes, f))
                             for f in gait.frequencies_hz))
 
 
-def gait_from_document(doc: DesignDoc, steps: int = 101) -> GaitSpec:
-    """Resolve the document's gait: simulate each limb's stroke, then pair up."""
+def gait_from_document(doc: DesignDoc, steps: int = 101) -> dict[str, float]:
+    """Stroke distance (m) of each of the document gait's four limbs; each
+    distinct resolved limb is simulated once."""
     if doc.gait is None:
         raise DesignError("document defines no gait")
-    names = (*doc.gait.pair_a, *doc.gait.pair_b)
-    strokes = {}
-    for name in names:
-        cycle = sweep_cycle(limb_from_document(doc, name), steps=steps)
-        strokes[name] = cycle.metrics.stroke_distance
-    return GaitSpec(pair_a=doc.gait.pair_a, pair_b=doc.gait.pair_b,
-                    frequencies_hz=doc.gait.frequencies_hz,
-                    stroke_distances=strokes)
+    strokes, by_limb = {}, {}
+    for name in (*doc.gait.pair_a, *doc.gait.pair_b):
+        limb = limb_from_document(doc, name)
+        if limb not in by_limb:
+            by_limb[limb] = sweep_cycle(limb, steps=steps).metrics
+        strokes[name] = by_limb[limb].stroke_distance
+    return strokes

@@ -103,101 +103,138 @@ class StrokeMetrics:
 
 @dataclass(frozen=True)
 class CycleResult:
-    """One pull-and-release cycle of a limb."""
+    """One pull-and-release cycle of a limb, one row per step."""
 
     pulls: np.ndarray           # (n_steps,)
-    states: tuple[LimbState, ...]
+    theta: np.ndarray           # (n_steps, n_joints) signed joint angles, rad
+    tension: np.ndarray         # (n_steps,) N
+    jammed: np.ndarray          # (n_steps, n_joints) bool
     foot_path: np.ndarray       # (n_steps, 2)
     metrics: StrokeMetrics
     curvature_map: np.ndarray   # (n_steps, n_bins), 1/m
     arc_bins: np.ndarray        # (n_bins,) bin-center arc lengths, m
 
 
-def equilibrium_solve(limb: LimbSpec, pull: float) -> LimbState:
-    """Equilibrium joint angles and tendon tension at the given pull.
+def _solve(limb: LimbSpec, pulls):
+    """Equilibria at many pulls at once: (theta, tension, jammed, pulls).
 
     Solved in magnitude space (phi_i = sense_i * theta_i >= 0): starting
-    all-elastic, compute the common tension, cap any joint pushed past its
-    jam angle, redistribute, repeat. Each pass jams at least one more joint,
-    so at most n passes run. Tension is continuous in pull; its slope jumps
-    up at every jam event.
+    all-elastic, compute each pull's common tension, cap any joint pushed
+    past its jam angle, redistribute, repeat; each pull takes at most n + 1
+    passes, and pulls sharing a jammed set share its two sums. Pulls come
+    back clamped to the jam capacity.
     """
     joints = limb.joints
     k = np.array([j.torsional_stiffness for j in joints])
     r = np.array([j.routing_offset for j in joints])
     cap = np.array([j.jam_angle for j in joints])
     capacity = float(r @ cap)
-    if pull < 0:
+    pulls = np.asarray(pulls, dtype=float)
+    if (pulls < 0).any():
         raise DesignError("tendon pull must be nonnegative")
-    if pull > capacity * (1 + 1e-12):
-        raise OverPullError(
-            f"pull {pull:g} m exceeds the limb's jam capacity {capacity:g} m")
-    pull = min(pull, capacity)
+    over = pulls[pulls > capacity * (1 + 1e-12)]
+    if over.size:
+        raise OverPullError(f"pull {over[0]:g} m exceeds the limb's jam "
+                            f"capacity {capacity:g} m")
+    pulls = np.minimum(pulls, capacity)
 
-    jammed = np.zeros(len(joints), dtype=bool)
-    phi = np.zeros(len(joints))
-    tension = 0.0
-    for _ in range(len(joints) + 1):
-        free = ~jammed
-        remaining = pull - float(r[jammed] @ cap[jammed])
+    jammed = np.zeros((len(pulls), len(joints)), dtype=bool)
+    phi = np.zeros(jammed.shape)
+    tension = np.zeros(len(pulls))
+    moving = np.ones(len(pulls), dtype=bool)
+    while moving.any():
+        # One pass for every unsettled pull with the same jammed set.
+        held = jammed[moving.argmax()].copy()
+        at = np.flatnonzero(moving & (jammed == held).all(axis=1))
+        free = ~held
         if not free.any():
             # Whole limb at its caps; report the smallest tension that
             # still holds every jammed joint against its stop.
-            tension = float(np.max(k * cap / r))
-            break
-        tension = remaining / float(r[free] ** 2 @ (1.0 / k[free]))
-        phi = np.where(jammed, cap, tension * r / k)
-        newly = free & (phi > cap * (1 + _CAP_SLACK))
-        if not newly.any():
-            break
-        jammed |= newly
+            tension[at] = np.max(k * cap / r)
+            moving[at] = False
+            continue
+        t = ((pulls[at] - float(r[held] @ cap[held]))
+             / float(r[free] ** 2 @ (1.0 / k[free])))
+        tension[at] = t
+        phi[at] = np.where(held, cap, t[:, None] * r / k)
+        newly = free & (phi[at] > cap * (1 + _CAP_SLACK))
+        jammed[at] |= newly
+        moving[at] = newly.any(axis=1)
     phi = np.minimum(phi, cap)
     sense = np.array([j.sense for j in joints])
-    return LimbState(theta=tuple(float(s * p) for s, p in zip(sense, phi)),
-                     tension=float(tension), pull=pull,
-                     jammed=tuple(bool(p >= c) for p, c in zip(phi, cap)))
+    return sense * phi, tension, phi >= cap, pulls
+
+
+def equilibrium_solve(limb: LimbSpec, pull: float) -> LimbState:
+    """Equilibrium joint angles and tendon tension at the given pull.
+
+    One row of the batched active-set solver. Tension is continuous in
+    pull; its slope jumps up at every jam event.
+    """
+    theta, tension, jammed, pulls = _solve(limb, [pull])
+    return LimbState(theta=tuple(theta[0].tolist()),
+                     tension=float(tension[0]), pull=float(pulls[0]),
+                     jammed=tuple(jammed[0].tolist()))
+
+
+def _angle_row(limb: LimbSpec, theta) -> np.ndarray:
+    theta = np.array([theta], dtype=float)
+    if theta.shape[1] != len(limb.joints):
+        raise DesignError(f"expected {len(limb.joints)} joint angles, "
+                          f"got {theta.shape[1]}")
+    return theta
+
+
+def _chain(limb: LimbSpec, theta: np.ndarray, arc_points: int) -> list:
+    """Chain points, base to foot: (x, y) arrays with one value per row.
+
+    Joint rotations spread uniformly along each joint (constant-curvature
+    arcs sampled every ``joint_length / arc_points``); links stay straight.
+    The last point, the foot, is closed-form and independent of arc_points.
+    """
+    x, y, heading = (np.full(len(theta), v) for v in limb.base_pose)
+    points = [(x, y)]
+    angles = iter(theta.T)
+    for seg in limb.segments:
+        if isinstance(seg, Link):
+            x = x + seg.length * np.cos(heading)
+            y = y + seg.length * np.sin(heading)
+            if seg.length > 0:
+                points.append((x, y))
+            continue
+        th = next(angles)
+        straight = np.abs(th) < 1e-12
+        radius = seg.joint_length / np.where(straight, 1.0, th)
+        x0, y0, h0 = x, y, heading
+        for i in range(1, arc_points + 1):
+            t = i / arc_points
+            x = np.where(straight, x0 + t * seg.joint_length * np.cos(h0),
+                         x0 + radius * (np.sin(h0 + t * th) - np.sin(h0)))
+            y = np.where(straight, y0 + t * seg.joint_length * np.sin(h0),
+                         y0 + radius * (np.cos(h0) - np.cos(h0 + t * th)))
+            points.append((x, y))
+        heading = np.where(straight, h0, h0 + th)
+    return points
 
 
 def forward_kinematics(limb: LimbSpec, theta,
                        arc_points: int = 16) -> tuple[np.ndarray, tuple[float, float]]:
-    """Planar chain pose for the given joint angles.
+    """Planar chain pose: the polyline (see ``_chain``) and its endpoint,
+    the foot."""
+    points = _chain(limb, _angle_row(limb, theta), arc_points)
+    polyline = np.array([(x[0], y[0]) for x, y in points])
+    return polyline, tuple(polyline[-1].tolist())
 
-    Joint rotations are distributed uniformly along each joint's length
-    (constant-curvature arcs); links stay straight. Returns the chain
-    polyline, arcs sampled every ``joint_length / arc_points``, and the foot
-    (chain endpoint). The endpoint is closed-form, independent of
-    arc_points.
-    """
-    theta = list(theta)
-    joints = limb.joints
-    if len(theta) != len(joints):
-        raise DesignError(f"expected {len(joints)} joint angles, "
-                          f"got {len(theta)}")
-    x, y, heading = limb.base_pose
-    points = [(x, y)]
-    it = iter(theta)
-    for seg in limb.segments:
-        if isinstance(seg, Link):
-            x += seg.length * math.cos(heading)
-            y += seg.length * math.sin(heading)
-            if seg.length > 0:
-                points.append((x, y))
-            continue
-        th = next(it)
-        if abs(th) < 1e-12:
-            x += seg.joint_length * math.cos(heading)
-            y += seg.joint_length * math.sin(heading)
-            points.append((x, y))
-            continue
-        radius = seg.joint_length / th
-        x0, y0, h0 = x, y, heading
-        for i in range(1, arc_points + 1):
-            t = i / arc_points
-            x = x0 + radius * (math.sin(h0 + t * th) - math.sin(h0))
-            y = y0 + radius * (math.cos(h0) - math.cos(h0 + t * th))
-            points.append((x, y))
-        heading = h0 + th
-    return np.array(points), (x, y)
+
+def _profile(limb: LimbSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arc length at each segment's far end, and curvature (rows, segments):
+    theta_i / joint_length_i over joint i, zero on links."""
+    lengths = [s.length if isinstance(s, Link) else s.joint_length
+               for s in limb.segments]
+    bent = [isinstance(s, JointDef) for s in limb.segments]
+    kappa = np.zeros((len(theta), len(lengths)))
+    kappa[:, bent] = theta / np.array(lengths)[bent]
+    return np.cumsum(lengths), kappa
 
 
 def curvature_profile(limb: LimbSpec, theta) -> list[tuple[float, float, float]]:
@@ -207,30 +244,9 @@ def curvature_profile(limb: LimbSpec, theta) -> list[tuple[float, float, float]]
     Curvature over joint i is theta_i / joint_length_i, zero on links, so
     integrating each joint's span recovers theta_i exactly.
     """
-    theta = list(theta)
-    joints = limb.joints
-    if len(theta) != len(joints):
-        raise DesignError(f"expected {len(joints)} joint angles, "
-                          f"got {len(theta)}")
-    out = []
-    s = 0.0
-    it = iter(theta)
-    for seg in limb.segments:
-        if isinstance(seg, Link):
-            out.append((s, s + seg.length, 0.0))
-            s += seg.length
-        else:
-            th = next(it)
-            out.append((s, s + seg.joint_length, th / seg.joint_length))
-            s += seg.joint_length
-    return out
-
-
-def _curvature_at(profile, s: float) -> float:
-    for s0, s1, kappa in profile:
-        if s0 <= s < s1:
-            return kappa
-    return profile[-1][2] if profile else 0.0
+    ends, kappa = _profile(limb, _angle_row(limb, theta))
+    ends = ends.tolist()
+    return list(zip([0.0] + ends[:-1], ends, kappa[0].tolist()))
 
 
 def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
@@ -241,35 +257,31 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     brings every joint to its stop). stroke_distance is the horizontal
     extent of the foot path over the whole cycle; stroke_ratio divides it
     by max_pull. The curvature map has one row per cycle step and one
-    column per arc-length bin.
+    column per arc-length bin, read from the segment holding the bin.
     """
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
+    if arc_bins < 1:
+        raise DesignError("a curvature map needs at least 1 arc bin")
     if max_pull is None:
         max_pull = limb.pull_capacity
-    if max_pull < 0:
+    if not max_pull >= 0:
         raise DesignError("max_pull must be nonnegative")
     up = np.linspace(0.0, max_pull, steps)
     pulls = np.concatenate([up, up[-2::-1]])
+    theta, tension, jammed, _ = _solve(limb, pulls)
 
-    states = []
-    feet = []
-    bins = (np.arange(arc_bins) + 0.5) * (limb.total_length / arc_bins)
-    kappa_rows = []
-    for pull in pulls:
-        state = equilibrium_solve(limb, float(pull))
-        states.append(state)
-        _, foot = forward_kinematics(limb, state.theta, arc_points=1)
-        feet.append(foot)
-        profile = curvature_profile(limb, state.theta)
-        kappa_rows.append([_curvature_at(profile, s) for s in bins])
-
-    foot_path = np.array(feet)
+    foot_path = np.column_stack(_chain(limb, theta, 1)[-1])
     distance = float(foot_path[:, 0].max() - foot_path[:, 0].min())
     ratio = distance / max_pull if max_pull > 0 else 0.0
-    return CycleResult(pulls=pulls, states=tuple(states), foot_path=foot_path,
+    bins = (np.arange(arc_bins) + 0.5) * (limb.total_length / arc_bins)
+    ends, kappa = _profile(limb, theta)
+    segment = np.minimum(np.searchsorted(ends, bins, side="right"),
+                         len(ends) - 1)
+    return CycleResult(pulls=pulls, theta=theta, tension=tension,
+                       jammed=jammed, foot_path=foot_path,
                        metrics=StrokeMetrics(distance, ratio),
-                       curvature_map=np.array(kappa_rows), arc_bins=bins)
+                       curvature_map=kappa[:, segment], arc_bins=bins)
 
 
 def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:

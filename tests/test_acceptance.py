@@ -20,9 +20,10 @@ import pytest
 from helpers import (elastic_energy, grid_search_two_joint, jam_event_pulls,
                      random_limb, read_stl, tendon_work)
 from flexokit.cli import main
-from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
-                           PrintProcessConfig, RibPattern, validate_process)
-from flexokit.gait_sim import GaitSpec, body_speed
+from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, GaitEntry,
+                           LaminateStack, PrintProcessConfig, RibPattern,
+                           validate_process)
+from flexokit.gait_sim import body_speed
 from flexokit.geometry import (export_stl, extensional_recipe,
                                flexional_recipe, flexure_recipe)
 from flexokit.joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
@@ -286,23 +287,21 @@ def test_soft_joints_lead_and_stroke_grows_with_the_extension_cap(
 
 
 def test_trot_speed_is_linear_with_textbook_worked_numbers():
-    def gait(strokes, frequencies=(1.0,)):
-        return GaitSpec(("front_left", "hind_right"),
-                        ("front_right", "hind_left"),
-                        tuple(frequencies), strokes)
+    trot = GaitEntry(("front_left", "hind_right"),
+                     ("front_right", "hind_left"), (1.0,))
 
-    even = gait({"front_left": 20.0, "hind_right": 20.0,
-                 "front_right": 20.0, "hind_left": 20.0})
-    assert body_speed(even, 1.0) == 40.0
+    even = {"front_left": 20.0, "hind_right": 20.0,
+            "front_right": 20.0, "hind_left": 20.0}
+    assert body_speed(trot, even, 1.0) == 40.0
 
-    mixed = gait({"front_left": 20.0, "hind_right": 24.0,
-                  "front_right": 18.0, "hind_left": 22.0})
-    assert body_speed(mixed, 2.0) == 84.0
+    mixed = {"front_left": 20.0, "hind_right": 24.0,
+             "front_right": 18.0, "hind_left": 22.0}
+    assert body_speed(trot, mixed, 2.0) == 84.0
 
-    v1 = body_speed(mixed, 1.0)
+    v1 = body_speed(trot, mixed, 1.0)
     for f in (0.25, 0.5, 2.0, 7.5):
-        assert body_speed(mixed, f) == pytest.approx(f * v1, rel=1e-15)
-    assert body_speed(mixed, 0.0) == 0.0
+        assert body_speed(trot, mixed, f) == pytest.approx(f * v1, rel=1e-15)
+    assert body_speed(trot, mixed, 0.0) == 0.0
 
 
 def test_exported_meshes_are_watertight_and_stl_bytes_exact(sample_doc,

@@ -235,6 +235,18 @@ def test_simulate_limb_respects_max_pull(tmp_path):
                 "-o", tmp_path, "--max-pull-mm", "1000"]) == 2  # beyond caps
 
 
+@pytest.mark.parametrize("flags", [["--arc-bins", "0"], ["--arc-bins", "-3"],
+                                   ["--max-pull-mm", "nan"]],
+                         ids=["zero_bins", "negative_bins", "nan_pull"])
+def test_simulate_limb_rejects_bad_cycle_flags(tmp_path, capsys, flags):
+    assert run(["simulate-limb", "-i", bundled_path("hind_leg.json"),
+                "-o", tmp_path / "out", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "DesignError"
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- simulate-gait
 
 def test_simulate_gait_speed_curve(tmp_path):
@@ -254,6 +266,65 @@ def test_simulate_gait_requires_a_gait_section(tmp_path, capsys):
     assert run(["simulate-gait", "-i", bundled_path("hind_leg.json"),
                 "-o", tmp_path]) == 2
     assert "gait" in json.loads(capsys.readouterr().err)["message"]
+
+
+# ------------------------------------------------ out-of-range documents
+
+def _first_joint(doc):
+    limb = next(iter(doc["limbs"].values()))
+    return next(s["joint"] for s in limb["segments"] if "joint" in s)
+
+
+def _set_jam_angle(value):
+    def mutate(doc):
+        joint = _first_joint(doc)
+        joint.pop("flexional_limit", None)
+        joint.pop("extensional_limit", None)
+        joint["jam_angle_deg"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("document, subcommand, mutate, message", [
+    ("hind_leg.json", "simulate-limb", _set_jam_angle(math.inf),
+     "jam_angle_deg: expected a finite number"),
+    ("hind_leg.json", "simulate-limb", _set_jam_angle(400),
+     "jam_angle_deg must lie in (0, 180]"),
+    ("quadruped.json", "simulate-gait",
+     lambda doc: doc["gait"].update(frequencies_hz=[1.0, math.nan]),
+     "gait.frequencies_hz[1]: expected a finite number"),
+    ("sample_flexure.json", "validate",
+     lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
+         1, math.inf),
+     "flexures.sample.base_layers[1]: expected a finite number"),
+    ("sample_flexure.json", "validate",
+     lambda doc: doc["flexures"]["sample"].update(width_mm=10 ** 400),
+     "flexures.sample.width_mm: expected a finite number"),
+    ("sample_flexure.json", "validate",
+     lambda doc: doc["flexional_limits"]["sample_flexional"].update(
+         spacing_mm=0),
+     "flexional_limits.sample_flexional: spacing and head_radius must be "
+     "positive"),
+    ("sample_flexure.json", "validate",
+     lambda doc: doc["extensional_limits"]["sample_extensional"].update(
+         diagonal_mm=0),
+     "extensional_limits.sample_extensional: diagonal must be positive"),
+], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
+        "infinite_layer", "overflowing_integer", "zero_spacing",
+        "zero_diagonal"])
+def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
+        tmp_path, capsys, document, subcommand, mutate, message):
+    with open(bundled_path(document)) as f:
+        doc = json.load(f)
+    mutate(doc)
+    path = tmp_path / document
+    path.write_text(json.dumps(doc))
+    assert run([subcommand, "-i", path, "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "DesignError"
+    assert diagnostic["message"].endswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------- export-geometry

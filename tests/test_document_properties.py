@@ -14,6 +14,7 @@ POSITIVE = st.one_of(st.integers(1, 500),
                                allow_infinity=False))
 NONNEGATIVE = st.one_of(st.just(0), POSITIVE)
 FRACTION = st.floats(0.0, 1.0)
+JAM_ANGLE = st.one_of(st.integers(1, 180), st.floats(1e-3, 180.0))
 
 
 def _optional(draw, obj, key, strategy):
@@ -71,7 +72,7 @@ def joint(draw, flexures, flexional, extensional):
     elif cap == "extensional_limit":
         body[cap] = draw(st.sampled_from(extensional))
     if cap == "jam_angle_deg" or draw(st.booleans()):
-        body["jam_angle_deg"] = draw(POSITIVE)
+        body["jam_angle_deg"] = draw(JAM_ANGLE)
     _optional(draw, body, "torsional_stiffness_nm_per_rad", POSITIVE)
     _optional(draw, body, "comment", COMMENTS)
     return {"joint": body}

@@ -270,9 +270,9 @@ def test_cycle_shapes_and_mirrored_pulls():
     np.testing.assert_allclose(cycle.pulls, cycle.pulls[::-1])
     np.testing.assert_allclose(cycle.foot_path, cycle.foot_path[::-1])
     assert cycle.pulls[50] == pytest.approx(limb.pull_capacity)
-    peak = cycle.states[50]
-    assert abs(peak.theta[0]) == pytest.approx(10.0, rel=1e-12)
-    assert abs(peak.theta[1]) == pytest.approx(0.5, rel=1e-12)
+    peak = cycle.theta[50]
+    assert abs(peak[0]) == pytest.approx(10.0, rel=1e-12)
+    assert abs(peak[1]) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_cycle_defaults_to_jam_capacity():
@@ -296,18 +296,68 @@ def test_curvature_map_rows_match_states():
     limb = two_joint_limb(cap2=0.5)  # joints span [30,40] and [70,80] mm
     cycle = sweep_cycle(limb, steps=21, arc_bins=16)
     mid = 10
-    state = cycle.states[mid]
+    theta = cycle.theta[mid]
     hits = 0
     for s, kappa in zip(cycle.arc_bins, cycle.curvature_map[mid]):
         if 0.03 < s < 0.04:
-            assert kappa == pytest.approx(state.theta[0] / 0.01, rel=1e-12)
+            assert kappa == pytest.approx(theta[0] / 0.01, rel=1e-12)
             hits += 1
         elif 0.07 < s < 0.08:
-            assert kappa == pytest.approx(state.theta[1] / 0.01, rel=1e-12)
+            assert kappa == pytest.approx(theta[1] / 0.01, rel=1e-12)
             hits += 1
         elif s < 0.03:
             assert kappa == 0.0
     assert hits >= 3  # the 16-bin grid lands in both joint spans
+
+
+def _scalar_equilibrium(limb, pull):
+    """Reference: the active-set loop for one pull, with the same sums."""
+    k = np.array([j.torsional_stiffness for j in limb.joints])
+    r = np.array([j.routing_offset for j in limb.joints])
+    cap = np.array([j.jam_angle for j in limb.joints])
+    pull = min(pull, float(r @ cap))
+    jammed = np.zeros(len(k), dtype=bool)
+    while True:
+        free = ~jammed
+        if not free.any():
+            tension = float(np.max(k * cap / r))
+            break
+        tension = ((pull - float(r[jammed] @ cap[jammed]))
+                   / float(r[free] ** 2 @ (1.0 / k[free])))
+        phi = np.where(jammed, cap, tension * r / k)
+        newly = free & (phi > cap * (1 + 1e-12))
+        if not newly.any():
+            break
+        jammed |= newly
+    phi = np.minimum(phi, cap)
+    sense = np.array([j.sense for j in limb.joints])
+    return tuple((sense * phi).tolist()), tension, tuple((phi >= cap).tolist())
+
+
+def test_cycle_rows_equal_single_pull_solves_exactly():
+    rng = np.random.default_rng(20261018)
+    most_jams, senses = 0, set()
+    for _ in range(30):
+        limb = random_limb(rng, n_joints=int(rng.integers(2, 6)))
+        fraction = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1.0))
+        cycle = sweep_cycle(limb, max_pull=fraction * limb.pull_capacity,
+                            steps=int(rng.integers(3, 40)), arc_bins=9)
+        most_jams = max(most_jams, int(cycle.jammed.sum(axis=1).max()))
+        senses.update(j.sense for j in limb.joints)
+        for i, pull in enumerate(cycle.pulls):
+            state = equilibrium_solve(limb, float(pull))
+            assert tuple(cycle.theta[i]) == state.theta
+            assert cycle.tension[i] == state.tension
+            assert tuple(cycle.jammed[i]) == state.jammed
+            assert _scalar_equilibrium(limb, float(pull)) == (
+                state.theta, state.tension, state.jammed)
+            _, foot = forward_kinematics(limb, state.theta, arc_points=1)
+            assert tuple(cycle.foot_path[i]) == foot
+            profile = curvature_profile(limb, state.theta)
+            for s, kappa in zip(cycle.arc_bins, cycle.curvature_map[i]):
+                assert kappa == next((k for s0, s1, k in profile
+                                      if s0 <= s < s1), profile[-1][2])
+    assert most_jams >= 3 and senses == {-1, 1}
 
 
 # ---------------------------------------------------------- document limbs
@@ -351,10 +401,9 @@ def test_hind_leg_flexion_jams_before_extension(hind_leg_doc):
     t_flx = flx.torsional_stiffness * flx.jam_angle / flx.routing_offset
     assert t_flx < t_ext
     cycle = sweep_cycle(limb, steps=201)
-    loading = cycle.states[:201]
-    first_flx = next(i for i, s in enumerate(loading) if s.jammed[1])
+    theta, jammed = cycle.theta[:201], cycle.jammed[:201]
+    first_flx = next(i for i, row in enumerate(jammed) if row[1])
     # flexion hits its stop while extension still has angle in reserve;
     # extension only reaches its cap at the very top of the pull
-    assert abs(loading[first_flx].theta[0]) < 0.999 * ext.jam_angle
-    assert abs(loading[-1].theta[0]) == pytest.approx(ext.jam_angle,
-                                                      rel=1e-12)
+    assert abs(theta[first_flx][0]) < 0.999 * ext.jam_angle
+    assert abs(theta[-1][0]) == pytest.approx(ext.jam_angle, rel=1e-12)
