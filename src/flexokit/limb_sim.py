@@ -28,6 +28,12 @@ from .joint_limits import extensional_jam_angle, flexional_jam_angle
 from .stiffness import torsional_stiffness
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
+# The most cells one cycle may hold: rows (2 * steps - 1) times the arc bins
+# of its curvature map plus the segments of the profile that map is read
+# from. That is 16x the 3999 x 64 curvature cells of the benchmark's largest
+# cycle. At the bound a hind-leg call peaks at 70 MB resident with 64 bins
+# and 142 MB with 1 bin (2-vCPU Xeon, numpy 2.4).
+MAX_CYCLE_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -257,12 +263,17 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     brings every joint to its stop). stroke_distance is the horizontal
     extent of the foot path over the whole cycle; stroke_ratio divides it
     by max_pull. The curvature map has one row per cycle step and one
-    column per arc-length bin, read from the segment holding the bin.
+    column per arc-length bin, read from the segment holding the bin. A
+    cycle of more than MAX_CYCLE_CELLS cells is rejected.
     """
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
     if arc_bins < 1:
         raise DesignError("a curvature map needs at least 1 arc bin")
+    cells = (2 * steps - 1) * (arc_bins + len(limb.segments))
+    if cells > MAX_CYCLE_CELLS:
+        raise DesignError(f"a cycle of {steps} steps and {arc_bins} arc bins "
+                          f"holds {cells} cells, more than {MAX_CYCLE_CELLS}")
     if max_pull is None:
         max_pull = limb.pull_capacity
     if not max_pull >= 0:

@@ -125,15 +125,6 @@ def test_solve_limit_extensional_sweep_rows(tmp_path):
         assert abs(float(row[3])) < 1e-15
 
 
-def test_solve_limit_inverts_target_angle(tmp_path):
-    assert run(["solve-limit", "--flexional", "-o", tmp_path,
-                "--target-angle-deg", "90"]) == 0
-    payload = json.loads((tmp_path / "solve_limit.json").read_text())
-    assert payload["solved"]["stem_height_mm"] == pytest.approx(
-        0.9912915094592977, rel=1e-9)
-    assert payload["angle_deg"] == pytest.approx(90.0, rel=1e-9)
-
-
 def test_solve_limit_infeasible_geometry_exits_2(tmp_path, capsys):
     assert run(["solve-limit", "--extensional", "--diagonal-mm", "6.0",
                 "-o", tmp_path]) == 2
@@ -178,6 +169,12 @@ def test_design_stem_height_for_angle(tmp_path):
     assert payload["stem_height_mm"] == pytest.approx(0.9912915094592977,
                                                       rel=1e-9)
     assert abs(payload["residual"]) < 1e-10
+    assert payload["angle_deg"] == 90.0
+    # the solved stem height jams at the target angle going forward
+    assert run(["solve-limit", "--flexional", "--stem-height-mm",
+                repr(payload["stem_height_mm"]), "-o", tmp_path]) == 0
+    forward = json.loads((tmp_path / "solve_limit.json").read_text())
+    assert forward["angle_deg"] == pytest.approx(90.0, rel=1e-9)
 
 
 def test_design_diagonal_for_angle(tmp_path):
@@ -467,3 +464,106 @@ def test_repeat_runs_are_byte_identical(tmp_path):
             assert twin.read_bytes() == path.read_bytes(), path.name
             compared += 1
     assert compared >= 6
+
+
+# ------------------------------------------------------------ rejected argv
+
+def _diagnostic_message(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    diagnostic = json.loads(captured.err)
+    assert diagnostic["error"] == "DesignError"
+    return diagnostic["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "-i", bundled_path("sample_flexure.json"), "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["simulate-limb", "-i", bundled_path("hind_leg.json"), "--strict"],
+     "unrecognized arguments: --strict"),
+    (["validate"], "the following arguments are required: --input/-i"),
+    (["solve-limit", "--flexional", "--target-angle-deg", "30"],
+     "unrecognized arguments: --target-angle-deg 30"),
+], ids=["unknown_flag", "undeclared_flag", "missing_input", "removed_mode"])
+def test_rejected_command_lines_exit_2_with_one_json_line(tmp_path, capsys,
+                                                          argv, message):
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    assert _diagnostic_message(capsys).endswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_and_version_still_exit_0(capsys):
+    for argv in (["--help"], ["--version"], ["solve-limit", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+    assert "flexokit" in capsys.readouterr().out
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    from flexokit.cli import build_parser
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    limits = {"--spacing-mm", "--head-radius-mm", "--stem-height-mm",
+              "--diagonal-mm", "--base-width-mm", "--tip-radius-mm",
+              "--mount-height-mm", "--incline-deg"}
+    expected = {
+        "validate": {"--input", "--strict"},
+        "predict-stiffness": {"--input", "--format", "--flexure", "--sweep"},
+        "solve-limit": {"--format", "--flexional", "--extensional",
+                        "--sweep", *limits},
+        "design": {"--input", "--target", "--stiffness-n-per-m",
+                   "--angle-deg", "--flexure",
+                   *limits - {"--stem-height-mm", "--diagonal-mm"}},
+        "simulate-limb": {"--input", "--limb", "--steps", "--arc-bins",
+                          "--max-pull-mm"},
+        "simulate-gait": {"--input", "--format", "--steps"},
+        "export-geometry": {"--input"},
+    }
+    declared = {name: {max(a.option_strings, key=len) for a in sub._actions
+                       if a.option_strings and a.dest != "help"}
+                for name, sub in subparsers.items()}
+    assert declared == {name: flags | {"--out-dir"}
+                        for name, flags in expected.items()}
+    assert sum(map(len, declared.values())) == 45
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-limit", "--flexional", "--stem-height-mm", "nan"],
+    ["solve-limit", "--extensional", "--incline-deg", "inf"],
+    ["design", "--target", "diagonal", "--angle-deg=-inf"],
+    ["design", "--target", "width_ratio", "--stiffness-n-per-m", "NaN",
+     "-i", bundled_path("sample_flexure.json")],
+    ["simulate-limb", "-i", bundled_path("hind_leg.json"),
+     "--max-pull-mm", "Infinity"],
+], ids=["nan_dimension", "infinite_incline", "infinite_angle",
+        "nan_stiffness", "infinite_pull"])
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    assert "expected a finite number" in _diagnostic_message(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-limit", "--flexional", "--sweep", "h=nan:1:0.1"], "finite"),
+    (["solve-limit", "--flexional", "--sweep", "h=0:inf:1"], "finite"),
+    (["solve-limit", "--flexional", "--sweep", "h=1:2:1e-300"],
+     "more than 10000 values"),
+    (["solve-limit", "--flexional", "--sweep", "h=-1e308:1e308:1"],
+     "more than 10000 values"),
+    (["predict-stiffness", "-i", bundled_path("sample_flexure.json"),
+      "--sweep", "width_ratio=0:1:0.00001"], "more than 10000 values"),
+    (["simulate-limb", "-i", bundled_path("hind_leg.json"),
+      "--steps", "100000000000"], "more than 4194304"),
+    (["simulate-limb", "-i", bundled_path("hind_leg.json"),
+      "--arc-bins", "1000000000"], "more than 4194304"),
+    (["simulate-gait", "-i", bundled_path("quadruped.json"),
+      "--steps", "100000000000"], "more than 4194304"),
+], ids=["nan_start", "infinite_stop", "tiny_step", "overflowing_span",
+        "stiffness_tiny_step", "huge_steps", "huge_arc_bins",
+        "huge_gait_steps"])
+def test_unbounded_sweeps_and_cycles_exit_2(tmp_path, capsys, argv,
+                                            message):
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    assert message in _diagnostic_message(capsys)
+    assert not (tmp_path / "out").exists()

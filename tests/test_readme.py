@@ -1,10 +1,15 @@
-"""The README's Python API tour runs, and its quoted values hold."""
+"""The README's examples run: the Python API tour with its quoted values,
+and the console examples with their shown output."""
 
 import ast
 import re
+import shlex
+from collections import Counter
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+
+from flexokit.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # A trailing comment that quotes a value: a number, then at most a unit
@@ -46,3 +51,75 @@ def test_python_tour_runs_and_matches_its_quoted_values(tmp_path,
     assert set(checked) == {"63.397", "0.3631", "4.163e-4", "0.4899",
                             "0.02627"}
     assert (tmp_path / "sample.stl").is_file()
+
+
+def _console_blocks() -> list[list[tuple[str, list[str]]]]:
+    """Each ``console`` block as (command, shown output lines) pairs, with
+    backslash-continued command lines joined."""
+    blocks = []
+    for body in re.findall(r"```console\n(.*?)```", README.read_text("utf-8"),
+                           re.DOTALL):
+        steps, pending = [], None
+        for line in body.splitlines():
+            if pending is not None:
+                pending += " " + line.strip()
+            elif line.startswith("$ "):
+                pending = line[2:]
+            else:
+                steps[-1][1].append(line)
+                continue
+            if pending.endswith("\\"):
+                pending = pending[:-1].rstrip()
+            else:
+                steps.append((pending, []))
+                pending = None
+        blocks.append(steps)
+    return blocks
+
+
+def _shown(lines: list[str], actual: str) -> bool:
+    """The output lines match ``actual``; a ``...`` line stands for any run
+    of lines."""
+    pattern = "".join(r"(?:.*\n)*" if line.strip() == "..."
+                      else re.escape(line) + "\n" for line in lines)
+    return re.fullmatch(pattern, actual) is not None
+
+
+def test_console_examples_run_and_print_what_they_show(tmp_path, monkeypatch,
+                                                       capsys):
+    data = tmp_path / "src" / "flexokit" / "data"
+    data.parent.mkdir(parents=True)
+    data.symlink_to(Path(str(resources.files("flexokit") / "data")))
+    monkeypatch.chdir(tmp_path)
+
+    checked = Counter()
+    for steps in _console_blocks():
+        for command, shown in steps:
+            program, *args = shlex.split(command)
+            if program == "flexokit":
+                capsys.readouterr()
+                try:
+                    rc = main(args)
+                except SystemExit as exit_:  # --version
+                    rc = exit_.code
+                assert rc == 0, (command, capsys.readouterr().err)
+                actual = capsys.readouterr().out
+                if not shown:
+                    continue
+            elif program == "cat":
+                actual = Path(args[0]).read_text("utf-8")
+            elif program == "head":
+                count = int(args[0].lstrip("-"))
+                lines = Path(args[1]).read_text("utf-8").splitlines()
+                actual = "".join(f"{line}\n" for line in lines[:count])
+            elif program == "ls":
+                assert sorted(" ".join(shown).split()) == sorted(
+                    path.name for path in Path(args[0]).iterdir()), command
+                checked[program] += 1
+                continue
+            else:  # installing and testing are not examples to run here
+                assert program in ("pip", "pytest"), command
+                continue
+            assert _shown(shown, actual), (command, actual)
+            checked[program] += 1
+    assert checked == {"flexokit": 2, "cat": 4, "head": 1, "ls": 1}
