@@ -97,9 +97,10 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
         _write_json(directory / f"{stem}.json",
                     [dict(zip(header, row)) for row in rows])
         return
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    with _writing(directory / f"{stem}.csv") as tmp:
-        tmp.write_bytes(("\n".join(lines) + "\n").encode())
+    with _writing(directory / f"{stem}.csv") as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:

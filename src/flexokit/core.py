@@ -188,18 +188,20 @@ class PrintProcessConfig:
 
 @dataclass(frozen=True)
 class FlexionalLimitEntry:
-    """Document form of a flexional limit; converts to an SI spec on demand."""
+    """Document form of a flexional limit; ``spec`` is its SI geometry,
+    checked on construction."""
 
     spacing_mm: float
     head_radius_mm: float
     stem_height_mm: float
     comment: str = ""
+    spec: FlexionalLimitSpec = field(init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> FlexionalLimitSpec:
-        return FlexionalLimitSpec(spacing=self.spacing_mm * MM,
-                                  head_radius=self.head_radius_mm * MM,
-                                  stem_height=self.stem_height_mm * MM)
+    def __post_init__(self):
+        object.__setattr__(self, "spec", FlexionalLimitSpec(
+            spacing=self.spacing_mm * MM,
+            head_radius=self.head_radius_mm * MM,
+            stem_height=self.stem_height_mm * MM))
 
 
 @dataclass(frozen=True)
@@ -212,14 +214,15 @@ class ExtensionalLimitEntry:
     mount_height_mm: float
     incline_deg: float
     comment: str = ""
+    spec: ExtensionalLimitSpec = field(init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> ExtensionalLimitSpec:
-        return ExtensionalLimitSpec(diagonal=self.diagonal_mm * MM,
-                                    base_width=self.base_width_mm * MM,
-                                    tip_radius=self.tip_radius_mm * MM,
-                                    mount_height=self.mount_height_mm * MM,
-                                    incline=math.radians(self.incline_deg))
+    def __post_init__(self):
+        object.__setattr__(self, "spec", ExtensionalLimitSpec(
+            diagonal=self.diagonal_mm * MM,
+            base_width=self.base_width_mm * MM,
+            tip_radius=self.tip_radius_mm * MM,
+            mount_height=self.mount_height_mm * MM,
+            incline=math.radians(self.incline_deg)))
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,7 @@ class _Schema(NamedTuple):
 def _schema(cls) -> _Schema:
     scalars, order = [], []
     for f in fields(cls):
-        if f.name == "name":
+        if f.name == "name" or not f.init:
             continue
         key = f.metadata.get("key", f.name)
         tp = f.type
@@ -460,12 +463,13 @@ def _scalars(cls, raw: Any, path: str,
 
 
 def _build(cls, path: str, values: dict):
-    # Re-anchor invariant violations from dataclass constructors at the
-    # document field that caused them.
+    # Re-anchor invariant violations from dataclass constructors, the
+    # geometry a limit entry builds included, at the document field that
+    # caused them.
     try:
         return cls(**values)
-    except DesignError as exc:
-        if exc.path:
+    except (DesignError, GeometryError) as exc:
+        if getattr(exc, "path", ""):
             raise
         raise DesignError(str(exc), path) from None
 
@@ -551,15 +555,6 @@ def _flexure(name: str, raw: Any, path: str,
             if "ribs" in raw else None)
     return _build(FlexureSpec, path,
                   dict(scalars, name=name, base=base, ribs=ribs))
-
-
-def _limit(cls, raw: Any, path: str):
-    entry = _read(cls, raw, path)
-    try:
-        entry.spec  # the geometry must be constructible
-    except GeometryError as exc:
-        raise DesignError(str(exc), path) from None
-    return entry
 
 
 def _joint(raw: Any, path: str, flexures: dict, flexional: dict,
@@ -652,10 +647,10 @@ def parse_design(document_text: str,
                         lambda name, raw, path: _flexure(name, raw, path, table))
     flexional = _section(root.get("flexional_limits", {}), "flexional_limits",
                          lambda name, raw, path:
-                         _limit(FlexionalLimitEntry, raw, path))
+                         _read(FlexionalLimitEntry, raw, path))
     extensional = _section(root.get("extensional_limits", {}),
                            "extensional_limits", lambda name, raw, path:
-                           _limit(ExtensionalLimitEntry, raw, path))
+                           _read(ExtensionalLimitEntry, raw, path))
     limbs = _section(root.get("limbs", {}), "limbs", lambda name, raw, path:
                      _limb(raw, path, flexures, flexional, extensional))
     return DesignDoc(

@@ -30,6 +30,11 @@ from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
 
 _MIN_TRIANGLE_AREA_MM2 = 1e-12
 M_TO_MM = 1000.0
+# The most triangles one part may have, counted before anything is built:
+# 83x the benchmark's largest part. An export at the bound peaks near 430 MB.
+MAX_PART_TRIANGLES = 2 ** 20
+_STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)),
+                        ("attribute", "<u2")])
 
 
 class TriangleMesh:
@@ -49,19 +54,18 @@ class TriangleMesh:
     def __len__(self) -> int:
         return len(self._tri)
 
+    def _cross(self) -> np.ndarray:
+        return np.cross(self._tri[:, 1] - self._tri[:, 0],
+                        self._tri[:, 2] - self._tri[:, 0])
+
     @property
     def normals(self) -> np.ndarray:
         """Unit outward normals, one per triangle."""
-        a = self._tri[:, 1] - self._tri[:, 0]
-        b = self._tri[:, 2] - self._tri[:, 0]
-        n = np.cross(a, b)
-        lengths = np.linalg.norm(n, axis=1, keepdims=True)
-        return n / lengths
+        n = self._cross()
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def areas(self) -> np.ndarray:
-        a = self._tri[:, 1] - self._tri[:, 0]
-        b = self._tri[:, 2] - self._tri[:, 0]
-        return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        return 0.5 * np.linalg.norm(self._cross(), axis=1)
 
     def volume(self) -> float:
         """Signed enclosed volume (divergence theorem), mm^3."""
@@ -81,23 +85,25 @@ class TriangleMesh:
             raise GeometryError(
                 f"{int(small.sum())} degenerate triangle(s) below "
                 f"{_MIN_TRIANGLE_AREA_MM2} mm^2")
-        index: dict[tuple, int] = {}
-        tri_ids = []
-        for v in self._tri.reshape(-1, 3):
-            key = (v[0], v[1], v[2])
-            tri_ids.append(index.setdefault(key, len(index)))
-        directed: dict[tuple, int] = {}
-        for t in range(len(self._tri)):
-            a, b, c = tri_ids[3 * t: 3 * t + 3]
-            if len({a, b, c}) != 3:
-                raise GeometryError("triangle with repeated vertices")
-            for e in ((a, b), (b, c), (c, a)):
-                directed[e] = directed.get(e, 0) + 1
-        for (a, b), n in directed.items():
-            if n != 1 or directed.get((b, a), 0) != 1:
-                raise GeometryError(
-                    "mesh is not watertight: an edge is not shared by "
-                    "exactly two consistently wound triangles")
+        # Vertex ids: equal points (-0.0 == 0.0) share one; NaN matches none.
+        pts = self._tri.reshape(-1, 3)
+        order = np.lexsort(pts.T[::-1])
+        ranked = pts[order]
+        ids = np.empty_like(order)
+        ids[order] = np.cumsum(np.concatenate(
+            ([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+        tri = ids.reshape(-1, 3)
+        nxt = np.roll(tri, -1, axis=1)
+        if (tri == nxt).any():
+            raise GeometryError("triangle with repeated vertices")
+        # Watertight: each directed edge occurs once, and so does its reverse.
+        m = len(pts) + 1
+        keys = np.sort((tri * m + nxt).ravel())
+        if ((keys[1:] == keys[:-1]).any()
+                or not np.array_equal(keys, np.sort((nxt * m + tri).ravel()))):
+            raise GeometryError(
+                "mesh is not watertight: an edge is not shared by "
+                "exactly two consistently wound triangles")
         if not self.volume() > 0:
             raise GeometryError("mesh volume is not positive (inside out?)")
 
@@ -119,11 +125,12 @@ def _polygon_area(poly: tuple) -> float:
 
 @dataclass(frozen=True)
 class Primitive:
-    """One convex polygon extruded along a coordinate axis.
+    """One polygon extruded along a coordinate axis.
 
     ``polygon`` is counterclockwise in the plane normal to ``axis`` ("z":
-    coordinates are (x, y); "y": coordinates are (x, z)). Boxes, rib prisms,
-    sheared standoffs, and faceted cylinders are all instances.
+    coordinates are (x, y); "y": coordinates are (x, z)). Caps fan from its
+    first vertex, which must see all others: true for a convex section (box,
+    rib, standoff, faceted cylinder) and the stepped slab's reflex corner.
     """
 
     kind: str
@@ -131,7 +138,6 @@ class Primitive:
     axis: str
     lo: float
     hi: float
-    fan_index: int = 0
 
     def __post_init__(self):
         if self.axis not in ("y", "z"):
@@ -146,32 +152,20 @@ class Primitive:
         return _polygon_area(self.polygon) * (self.hi - self.lo)
 
     def mesh(self) -> TriangleMesh:
-        if self.axis == "z":
-            lift = lambda px, py, e: (px, py, e)
-        else:
-            lift = lambda px, py, e: (px, e, py)
-        # Caps are fanned, so every cap vertex must be visible from the fan
-        # origin (true for convex sections and for the step prism's reflex
-        # corner). Rotating the ring keeps the winding.
-        poly = self.polygon[self.fan_index:] + self.polygon[:self.fan_index]
-        n = len(poly)
-        tris = []
-        # caps, fanned from vertex 0 (convex cross-sections only)
-        for i in range(1, n - 1):
-            tris.append([lift(*poly[0], self.hi), lift(*poly[i], self.hi),
-                         lift(*poly[i + 1], self.hi)])
-            tris.append([lift(*poly[0], self.lo), lift(*poly[i + 1], self.lo),
-                         lift(*poly[i], self.lo)])
-        for i in range(n):
-            (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
-            a0, b0 = lift(ax, ay, self.lo), lift(bx, by, self.lo)
-            a1, b1 = lift(ax, ay, self.hi), lift(bx, by, self.hi)
-            tris.append([a0, b0, b1])
-            tris.append([a0, b1, a1])
-        mesh = TriangleMesh(np.array(tris))
-        if mesh.volume() < 0:  # axis-dependent handedness; rewind outward
-            mesh = TriangleMesh(mesh.triangles[:, ::-1, :])
-        return mesh
+        # Polygon vertex i is point i at lo and n + i at hi. Each fan step
+        # gives a hi then a lo cap triangle; each side, two triangles.
+        n = len(self.polygon)
+        pts = np.empty((2 * n, 3))
+        pts[:, :2] = self.polygon * 2
+        pts[:n, 2], pts[n:, 2] = self.lo, self.hi
+        j = np.arange(n)
+        k, i = (j + 1) % n, j[1:-1]
+        caps = np.array((0 * i + n, n + i, n + i + 1, 0 * i, i + 1, i)).T
+        sides = np.array((j, k, n + k, j, n + k, n + j)).T
+        faces = np.concatenate((caps, sides)).reshape(-1, 3)
+        if self.axis == "y":
+            pts, faces = pts[:, [0, 2, 1]], faces[:, ::-1]  # mirror: rewind
+        return TriangleMesh(pts[faces])
 
 
 @dataclass(frozen=True)
@@ -188,6 +182,12 @@ class SolidRecipe:
 
     def mesh(self) -> TriangleMesh:
         return TriangleMesh.concatenate(p.mesh() for p in self.primitives)
+
+
+def _check_size(triangles: int) -> None:
+    if triangles > MAX_PART_TRIANGLES:
+        raise GeometryError(f"the part would have {triangles} triangles, "
+                            f"more than {MAX_PART_TRIANGLES}")
 
 
 def _rect(x0, x1, y0, y1) -> tuple:
@@ -238,11 +238,12 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
                                    _rect(0.0, length, 0.0, width), "z",
                                    0.0, z1)]
             else:
-                step = ((0.0, 0.0), (length, 0.0), (length, t_base),
-                        (x1, t_base), (x1, z1), (0.0, z1))
-                prims = [Primitive("plate+slab", step, "y", 0.0, width,
-                                   fan_index=3)]
+                # listed from its reflex corner, the cap fan's origin
+                step = ((x1, t_base), (x1, z1), (0.0, z1), (0.0, 0.0),
+                        (length, 0.0), (length, t_base))
+                prims = [Primitive("plate+slab", step, "y", 0.0, width)]
         else:
+            _check_size(12 * (1 + n))
             rib_w = ribs.width_ratio * period
             for i in range(n):
                 x0 = i * period + (period - rib_w) / 2
@@ -276,6 +277,7 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     r_stem = r / 2 if stem_radius is None else stem_radius * M_TO_MM
     if not 0 < r_stem <= r:
         raise GeometryError("stem radius must lie in (0, head radius]")
+    _check_size(count * (4 * facets - 4) * (2 if h > 0 else 1))
     prims = []
     for i in range(count):
         cx = i * spacing
@@ -302,6 +304,7 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
     """
     if count < 2:
         raise GeometryError("a jamming limit needs at least 2 features")
+    _check_size(12 * count)
     extensional_jam_angle(spec)  # raises ContactAtRestError when infeasible
     L = spec.diagonal * M_TO_MM
     b = spec.base_width * M_TO_MM
@@ -340,14 +343,10 @@ def export_stl(mesh: TriangleMesh, destination) -> int:
     """
     mesh.validate()
     header = f"flexokit {__version__} binary STL".encode("ascii")[:80]
-    blob = bytearray(header.ljust(80, b" "))
-    blob += struct.pack("<I", len(mesh))
-    tris = mesh.triangles
-    normals = mesh.normals if len(mesh) else np.empty((0, 3))
-    for i in range(len(tris)):
-        blob += struct.pack("<12f", *normals[i].astype(np.float32),
-                            *tris[i].reshape(9).astype(np.float32))
-        blob += struct.pack("<H", 0)
+    records = np.zeros(len(mesh), dtype=_STL_RECORD)
+    records["normal"] = mesh.normals
+    records["vertices"] = mesh.triangles
     with open(destination, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.write(header.ljust(80, b" ") + struct.pack("<I", len(mesh)))
+        fh.write(records.tobytes())
+    return 84 + records.nbytes

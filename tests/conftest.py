@@ -1,11 +1,19 @@
 """Shared fixtures: bundled documents and a reference ribbed flexure."""
 
+import os
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
                            RibPattern, parse_design)
+
+# Processes the tests start (``python -m flexokit.cli``) import the package
+# from this checkout, as the tests do, with or without PYTHONPATH set.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 
 def bundled_text(name: str) -> str:

@@ -360,6 +360,43 @@ def test_export_geometry_without_parts_is_a_no_op(tmp_path, capsys):
     assert "nothing to do" in capsys.readouterr().out
 
 
+def _oversized_ribs(doc):
+    doc["flexures"]["sample"]["length_mm"] = 1e9
+    doc["flexures"]["sample"]["ribs"]["period_mm"] = 1.0
+    doc["export"]["parts"] = [{"kind": "flexure", "ref": "sample",
+                               "file": "ribs.stl"}]
+
+
+def _oversized_part(kind, ref, **size):
+    def mutate(doc):
+        doc["export"]["parts"] = [{"kind": kind, "ref": ref,
+                                   "file": "part.stl", **size}]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _oversized_ribs,
+    _oversized_part("flexional", "sample_flexional", count=10 ** 12),
+    _oversized_part("flexional", "sample_flexional", facets=10 ** 12),
+    _oversized_part("extensional", "sample_extensional", count=10 ** 12),
+], ids=["billion_rib_periods", "mushroom_count", "mushroom_facets",
+        "standoff_count"])
+def test_export_parts_past_the_triangle_bound_exit_2_unbuilt(
+        tmp_path, capsys, mutate):
+    with open(bundled_path("sample_flexure.json")) as f:
+        doc = json.load(f)
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run(["export-geometry", "-i", path, "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "GeometryError"
+    assert diagnostic["message"].endswith("triangles, more than 1048576")
+    assert not list(tmp_path.rglob("*.stl"))
+
+
 # ------------------------------------------------------- environment override
 
 def test_materials_override_changes_predictions(tmp_path, monkeypatch):

@@ -9,11 +9,12 @@ import pytest
 
 from conftest import bundled_text
 from flexokit.core import (ADHESIVE_BASELINE_N_PER_CM, DEFAULT_MATERIALS,
+                           ExtensionalLimitEntry, FlexionalLimitEntry,
                            GaitEntry, JointEntry, LaminateStack, Material,
                            PrintProcessConfig, VALIDATION_CODES,
                            parse_design, parse_materials, serialize_design,
-                           validate_process)
-from flexokit.errors import DanglingReferenceError, DesignError
+                           to_document, validate_process)
+from flexokit.errors import DanglingReferenceError, DesignError, GeometryError
 
 BUNDLED = ("sample_flexure.json", "hind_leg.json", "quadruped.json")
 
@@ -213,6 +214,20 @@ def test_gait_entry_needs_four_distinct_limbs():
         GaitEntry(("a", "b"), ("a", "c"), (1.0,))
     with pytest.raises(DesignError):
         GaitEntry(("a", "b"), ("c", "d"), (-1.0,))
+
+
+def test_limit_entries_check_their_geometry_when_built():
+    with pytest.raises(GeometryError, match="spacing and head_radius"):
+        FlexionalLimitEntry(0.0, 2.0, 4.0)
+    with pytest.raises(GeometryError, match="diagonal must be positive"):
+        ExtensionalLimitEntry(0.0, 5.4, 1.8, 2.0, 45.0)
+    entry = ExtensionalLimitEntry(7.0, 5.4, 1.8, 2.0, 45.0)
+    assert entry.spec.incline == pytest.approx(math.pi / 4, rel=1e-15)
+    # the spec is derived, so it is neither a document key nor compared
+    assert to_document(entry) == {"diagonal_mm": 7.0, "base_width_mm": 5.4,
+                                  "tip_radius_mm": 1.8, "mount_height_mm": 2.0,
+                                  "incline_deg": 45.0}
+    assert entry == ExtensionalLimitEntry(7.0, 5.4, 1.8, 2.0, 45.0)
 
 
 # ------------------------------------------------------ process validation
