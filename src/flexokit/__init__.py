@@ -7,64 +7,43 @@ curves, inverse-design solutions, printable STL geometry, and print-process
 validation reports.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .errors import (AlwaysJammedError, ContactAtRestError,
-                     DanglingReferenceError, DesignError, EmptyLimbError,
-                     FlexokitError, GeometryError, OverPullError,
-                     TargetRangeError, UnreachableLimitError)
-from .core import (DesignDoc, ExportOptions, ExportPart, ExtensionalLimitEntry,
-                   FlexionalLimitEntry, FlexureSpec, GaitEntry, JointEntry,
-                   LaminateStack, LimbEntry, LinkEntry, Material,
-                   PrintProcessConfig, RibPattern, ValidationEntry,
-                   ValidationReport, DEFAULT_MATERIALS, parse_design,
-                   serialize_design, validate_process)
-from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
-                           extensional_inverse, extensional_jam_angle,
-                           flexional_inverse, flexional_jam_angle)
-from .stiffness import (FlexureStiffnessResult, PlateauUnreachableError,
-                        SectionStiffness, homogenized_EI, plateau_stiffness,
-                        section_EI, solve_feature_height, solve_width_ratio,
-                        tip_stiffness, tip_stiffness_exact,
-                        torsional_stiffness)
-from .limb_sim import (CycleResult, JointDef, LimbSpec, LimbState, Link,
-                       StrokeMetrics, curvature_profile, equilibrium_solve,
-                       forward_kinematics, limb_from_document, sweep_cycle)
-from .gait_sim import SpeedCurve, body_speed, gait_from_document, speed_curve
-from .geometry import (Primitive, SolidRecipe, TriangleMesh, export_stl,
-                       extensional_recipe, flexional_recipe, flexure_recipe,
-                       regular_polygon_area)
+# Each public name under the module that defines it. A module is imported
+# on the first access to one of its names (PEP 562), so importing the
+# package loads neither numpy nor a module it does not need.
+_PUBLIC = {
+    "errors": """FlexokitError DesignError DanglingReferenceError
+        GeometryError AlwaysJammedError UnreachableLimitError
+        ContactAtRestError TargetRangeError OverPullError EmptyLimbError""",
+    "core": """Material DEFAULT_MATERIALS LaminateStack RibPattern FlexureSpec
+        PrintProcessConfig FlexionalLimitEntry ExtensionalLimitEntry LinkEntry
+        JointEntry LimbEntry GaitEntry ExportPart ExportOptions DesignDoc
+        parse_design serialize_design validate_process ValidationEntry
+        ValidationReport""",
+    "joint_limits": """FlexionalLimitSpec ExtensionalLimitSpec
+        flexional_jam_angle flexional_inverse extensional_jam_angle
+        extensional_inverse""",
+    "stiffness": """PlateauUnreachableError SectionStiffness
+        FlexureStiffnessResult section_EI homogenized_EI tip_stiffness
+        tip_stiffness_exact torsional_stiffness plateau_stiffness
+        solve_width_ratio solve_feature_height""",
+    "limb_sim": """JointDef Link LimbSpec LimbState StrokeMetrics CycleResult
+        equilibrium_solve forward_kinematics curvature_profile sweep_cycle
+        limb_from_document""",
+    "gait_sim": "SpeedCurve body_speed speed_curve gait_from_document",
+    "geometry": """TriangleMesh Primitive SolidRecipe flexure_recipe
+        flexional_recipe extensional_recipe export_stl regular_polygon_area""",
+}
+_HOME = {name: module for module, names in _PUBLIC.items()
+         for name in names.split()}
 
-__all__ = [
-    "__version__",
-    # errors
-    "FlexokitError", "DesignError", "DanglingReferenceError", "GeometryError",
-    "AlwaysJammedError", "UnreachableLimitError", "ContactAtRestError",
-    "TargetRangeError", "PlateauUnreachableError", "OverPullError",
-    "EmptyLimbError",
-    # documents and materials
-    "Material", "DEFAULT_MATERIALS", "LaminateStack", "RibPattern",
-    "FlexureSpec", "PrintProcessConfig", "FlexionalLimitEntry",
-    "ExtensionalLimitEntry", "LinkEntry", "JointEntry", "LimbEntry",
-    "GaitEntry", "ExportPart", "ExportOptions", "DesignDoc", "parse_design",
-    "serialize_design", "validate_process", "ValidationEntry",
-    "ValidationReport",
-    # joint limits
-    "FlexionalLimitSpec", "ExtensionalLimitSpec", "flexional_jam_angle",
-    "flexional_inverse", "extensional_jam_angle", "extensional_inverse",
-    # stiffness
-    "SectionStiffness", "FlexureStiffnessResult", "section_EI",
-    "homogenized_EI", "tip_stiffness", "tip_stiffness_exact",
-    "torsional_stiffness", "plateau_stiffness", "solve_width_ratio",
-    "solve_feature_height",
-    # limbs
-    "JointDef", "Link", "LimbSpec", "LimbState", "StrokeMetrics",
-    "CycleResult", "equilibrium_solve", "forward_kinematics",
-    "curvature_profile", "sweep_cycle", "limb_from_document",
-    # gait
-    "SpeedCurve", "body_speed", "speed_curve", "gait_from_document",
-    # geometry
-    "TriangleMesh", "Primitive", "SolidRecipe", "flexure_recipe",
-    "flexional_recipe", "extensional_recipe", "export_stl",
-    "regular_polygon_area",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

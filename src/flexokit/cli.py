@@ -27,22 +27,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
                    Material, parse_design, parse_materials, to_document,
                    validate_process)
 from .errors import DesignError, FlexokitError
-from .gait_sim import gait_from_document, speed_curve
-from .geometry import (SolidRecipe, export_stl, extensional_recipe,
-                       flexional_recipe, flexure_recipe)
 from .joint_limits import (_flexional_residual, extensional_inverse,
                            extensional_jam_angle, flexional_inverse,
                            flexional_jam_angle)
-from .limb_sim import limb_from_document, sweep_cycle
-from .stiffness import (homogenized_EI, solve_feature_height,
-                        solve_width_ratio, tip_stiffness_exact)
+
+# Subcommands import numpy and the stiffness, limb_sim, gait_sim and
+# geometry modules where they call them, so that validate, design and
+# solve-limit start without numpy.
 
 # Jamming-feature dimensions: (dest, kind, sweep name, default, help). The
 # flag is --dest with dashes; a dimension no flag sets takes the default,
@@ -92,6 +88,7 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
                  fmt: str = "csv") -> None:
     """Float rows as ``<stem>.csv`` (each cell the float's repr) or as
     ``<stem>.json``, a list of objects keyed by the header."""
+    import numpy as np
     rows = np.asarray(rows, dtype=float).tolist()
     if fmt == "json":
         _write_json(directory / f"{stem}.json",
@@ -188,6 +185,7 @@ def _cmd_validate(args) -> int:
 
 
 def _stiffness_row(flex) -> list[float]:
+    from .stiffness import homogenized_EI, tip_stiffness_exact
     result = homogenized_EI(flex)
     ribs = flex.ribs
     return [
@@ -272,6 +270,8 @@ def _cmd_solve_limit(args) -> int:
 
 def _cmd_design(args) -> int:
     if args.target in ("width_ratio", "feature_height"):
+        from .stiffness import (homogenized_EI, solve_feature_height,
+                                solve_width_ratio)
         if args.stiffness_n_per_m is None:
             raise DesignError(
                 f"--target {args.target} needs --stiffness-n-per-m")
@@ -318,6 +318,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate_limb(args) -> int:
+    import numpy as np
+    from .limb_sim import limb_from_document, sweep_cycle
     doc = _load_document(args.input)
     name, _ = _pick(doc.limbs, args.limb, "limbs")
     limb = limb_from_document(doc, name)
@@ -342,6 +344,7 @@ def _cmd_simulate_limb(args) -> int:
 
 
 def _cmd_simulate_gait(args) -> int:
+    from .gait_sim import gait_from_document, speed_curve
     doc = _load_document(args.input)
     strokes = gait_from_document(doc, steps=args.steps)
     points = speed_curve(doc.gait, strokes).points
@@ -350,7 +353,9 @@ def _cmd_simulate_gait(args) -> int:
     return 0
 
 
-def _recipe_for_part(doc: DesignDoc, part) -> tuple[SolidRecipe, object]:
+def _recipe_for_part(doc: DesignDoc, part):
+    """(recipe, the document entry it was built from) of one export part."""
+    from .geometry import extensional_recipe, flexional_recipe, flexure_recipe
     if part.kind == "flexure":
         flex = doc.flexures[part.ref]
         return flexure_recipe(flex), flex
@@ -375,15 +380,24 @@ def _film_thickness_mm(doc: DesignDoc, part, source) -> Optional[float]:
 
 
 def _cmd_export_geometry(args) -> int:
+    from .geometry import export_stl
     doc = _load_document(args.input)
     parts = doc.export.parts
     if not parts:
         print("no export parts declared; nothing to do")
         return 0
+    # Every recipe counts and bounds its triangles, so a rejected part
+    # stops the export before any directory or file is made.
+    recipes = []
+    for i, part in enumerate(parts):
+        try:
+            recipes.append(_recipe_for_part(doc, part))
+        except FlexokitError as exc:
+            exc.args = (f"export.parts[{i}]: {exc}",)
+            raise
     directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
-    for part in parts:
-        recipe, source = _recipe_for_part(doc, part)
+    for part, (recipe, source) in zip(parts, recipes):
         mesh = recipe.mesh()
         with _writing(directory / part.file) as tmp:
             byte_count = export_stl(mesh, tmp)  # validates the mesh first

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import operator
+from collections import ChainMap
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
@@ -397,25 +398,11 @@ def _schema(cls) -> _Schema:
                    tuple(order))
 
 
-class _MaterialTable:
-    """Name resolution: overrides shadow the document, which shadows defaults."""
-
-    def __init__(self, declared: dict[str, Material],
-                 overrides: Optional[Mapping[str, Material]]):
-        self.declared = declared
-        self.overrides = dict(overrides) if overrides else {}
-
-    def resolve(self, name: str, path: str) -> Material:
-        for table in (self.overrides, self.declared, DEFAULT_MATERIALS):
-            if name in table:
-                return table[name]
-        raise DanglingReferenceError(name, path)
-
-    def merged(self) -> dict[str, Material]:
-        out = dict(DEFAULT_MATERIALS)
-        out.update(self.declared)
-        out.update(self.overrides)
-        return out
+def _material(table: Mapping[str, Material], name: str, path: str) -> Material:
+    try:
+        return table[name]
+    except KeyError:
+        raise DanglingReferenceError(name, path) from None
 
 
 def _obj(value: Any, path: str) -> dict:
@@ -437,7 +424,7 @@ def _finite(value, path: str) -> float:
 
 
 def _scalars(cls, raw: Any, path: str,
-             table: Optional[_MaterialTable] = None) -> dict:
+             table: Optional[Mapping[str, Material]] = None) -> dict:
     """Check ``raw``'s keys against ``cls`` and read its scalar fields."""
     keys, scalars, _ = _schema(cls)
     if not isinstance(raw, dict):
@@ -457,7 +444,7 @@ def _scalars(cls, raw: Any, path: str,
         if tp is float:
             v = _finite(v, f"{path}.{key}")
         elif tp is Material:
-            v = table.resolve(v, f"{path}.{key}")
+            v = _material(table, v, f"{path}.{key}")
         values[name] = v
     return values
 
@@ -474,7 +461,8 @@ def _build(cls, path: str, values: dict):
         raise DesignError(str(exc), path) from None
 
 
-def _read(cls, raw: Any, path: str, table: Optional[_MaterialTable] = None):
+def _read(cls, raw: Any, path: str,
+          table: Optional[Mapping[str, Material]] = None):
     """Build ``cls``, all of whose fields are scalars, from ``raw``."""
     return _build(cls, path, _scalars(cls, raw, path, table))
 
@@ -534,7 +522,7 @@ def parse_materials(text: str) -> dict[str, Material]:
 
 
 def _flexure(name: str, raw: Any, path: str,
-             table: _MaterialTable) -> FlexureSpec:
+             table: Mapping[str, Material]) -> FlexureSpec:
     scalars = _scalars(FlexureSpec, raw, path, table)
     raw_layers = raw.get("base_layers")
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -548,7 +536,7 @@ def _flexure(name: str, raw: Any, path: str,
                 or isinstance(pair[1], bool)
                 or not isinstance(pair[1], (int, float))):
             raise DesignError("expected [material, thickness_mm]", lp)
-        layers.append((table.resolve(pair[0], lp), _finite(pair[1], lp)))
+        layers.append((_material(table, pair[0], lp), _finite(pair[1], lp)))
     base = _build(LaminateStack, f"{path}.base_layers",
                   {"layers": tuple(layers)})
     ribs = (_read(RibPattern, raw["ribs"], f"{path}.ribs")
@@ -641,8 +629,10 @@ def parse_design(document_text: str,
         raise DesignError(f"unknown schema_version {version}; "
                           f"this build reads version {SCHEMA_VERSION}",
                           "$.schema_version")
-    table = _MaterialTable(_materials(root.get("materials", {}), "materials"),
-                           materials_override)
+    # overrides shadow the document's materials, which shadow the defaults
+    table = ChainMap(materials_override or {},
+                     _materials(root.get("materials", {}), "materials"),
+                     DEFAULT_MATERIALS)
     flexures = _section(root.get("flexures", {}), "flexures",
                         lambda name, raw, path: _flexure(name, raw, path, table))
     flexional = _section(root.get("flexional_limits", {}), "flexional_limits",
@@ -654,7 +644,7 @@ def parse_design(document_text: str,
     limbs = _section(root.get("limbs", {}), "limbs", lambda name, raw, path:
                      _limb(raw, path, flexures, flexional, extensional))
     return DesignDoc(
-        materials=table.merged(), flexures=flexures,
+        materials=dict(table), flexures=flexures,
         flexional_limits=flexional, extensional_limits=extensional,
         limbs=limbs,
         gait=_gait(root["gait"], limbs) if "gait" in root else None,

@@ -224,8 +224,6 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
                        0.0, t_base)]
     if ribs is not None and ribs.feature_height_mm > 0 and ribs.width_ratio > 0:
         period = ribs.period_mm
-        if period > length:
-            raise GeometryError("rib period exceeds the flexure length")
         n = int(math.floor(length / period + 1e-9))
         z1 = t_base + ribs.feature_height_mm
         if ribs.width_ratio >= 1.0:

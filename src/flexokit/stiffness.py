@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MM, FlexureSpec, LaminateStack
 from .errors import DesignError, TargetRangeError
 
@@ -140,6 +138,7 @@ def tip_stiffness_exact(flex: FlexureSpec, points_per_period: int = 256) -> floa
     within each period. points_per_period must be >= 64; at the default the
     halving convergence check passes below 1e-6 relative.
     """
+    import numpy as np
     if points_per_period < 64:
         raise DesignError("points_per_period must be at least 64")
     ei_low, ei_high = _section_pair(flex)

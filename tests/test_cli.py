@@ -397,6 +397,25 @@ def test_export_parts_past_the_triangle_bound_exit_2_unbuilt(
     assert not list(tmp_path.rglob("*.stl"))
 
 
+def test_export_with_a_rejected_late_part_writes_nothing(tmp_path, capsys):
+    with open(bundled_path("sample_flexure.json")) as f:
+        doc = json.load(f)
+    assert len(doc["export"]["parts"]) == 4
+    doc["export"]["parts"].append({"kind": "flexional",
+                                   "ref": "sample_flexional",
+                                   "file": "huge.stl", "count": 10 ** 12})
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "GeometryError"
+    assert diagnostic["message"].startswith("export.parts[4]: ")
+    assert not out.exists()
+
+
 # ------------------------------------------------------- environment override
 
 def test_materials_override_changes_predictions(tmp_path, monkeypatch):
