@@ -65,6 +65,9 @@ _LIMIT_DIMENSIONS = (
 # The most values one --sweep may expand to; each is a solver call and a row.
 MAX_SWEEP_ROWS = 10_000
 
+# About how many cells of a CSV table are formatted and written at a time.
+_CHUNK_CELLS = 1 << 16
+
 
 # --------------------------------------------------------------------------
 # Small plumbing helpers
@@ -86,18 +89,37 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_table(directory: Path, stem: str, header: list[str], rows,
                  fmt: str = "csv") -> None:
-    """Float rows as ``<stem>.csv`` (each cell the float's repr) or as
-    ``<stem>.json``, a list of objects keyed by the header."""
+    """Float rows as ``<stem>.csv`` or as ``<stem>.json``, a list of
+    objects keyed by the header.
+
+    Each CSV cell is Python's ``repr`` of the cell as a float64: the
+    shortest text that reads back to the same float, with ``-0.0``,
+    ``inf``, ``-inf`` and ``nan`` written as Python writes them.
+    """
     import numpy as np
-    rows = np.asarray(rows, dtype=float).tolist()
+    table = np.asarray(rows, dtype=np.float64)
     if fmt == "json":
         _write_json(directory / f"{stem}.json",
-                    [dict(zip(header, row)) for row in rows])
+                    [dict(zip(header, row)) for row in table.tolist()])
         return
+    # Cycle tables repeat most of their values, so each chunk takes repr
+    # once per distinct bit pattern (-0.0 stays apart from 0.0) and joins
+    # the cells' pieces in C. Chunks bound the text held in memory.
+    chunk_rows = max(1, _CHUNK_CELLS // max(1, table.shape[-1]))
     with _writing(directory / f"{stem}.csv") as tmp, \
             open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, len(table), chunk_rows):
+            block = table[start:start + chunk_rows]
+            bits, inverse = np.unique(block.view(np.int64),
+                                      return_inverse=True)
+            texts = list(map(repr, bits.view(np.float64).tolist()))
+            pieces = np.array([t + "," for t in texts]
+                              + [t + "\n" for t in texts], dtype=object)
+            # numpy 1.x returns the inverse flat, 2.x in the block's shape
+            inverse = inverse.reshape(block.shape)
+            inverse[:, -1] += len(texts)
+            fh.write("".join(pieces[inverse].ravel().tolist()))
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:
