@@ -7,7 +7,9 @@ Each flag is declared only on the subcommands that read it. Curves and
 sweeps go to CSV (or a JSON list of objects with --format json), scalars
 and reports to JSON, geometry to binary STL with a JSON sidecar manifest.
 Outputs are byte-stable across runs; the only timestamp lives in the
-manifest's ``generated_at`` field.
+manifest's ``generated_at`` field. ``main`` builds only the named
+subcommand's parser, and the full tree only for help, version and
+unrecognised first words.
 
 Exit status: 0 on success, 1 when ``validate --strict`` finds warnings, 2
 on any rejection, a malformed or unknown flag included (a single-line JSON
@@ -25,7 +27,7 @@ import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
@@ -268,8 +270,8 @@ def _cmd_solve_limit(args) -> int:
     kind = "extensional" if args.extensional else "flexional"
     params = _limit_params(args, kind)
     if not args.sweep:
-        _write_json(_out_dir(args) / "solve_limit.json",
-                    _limit_solution(kind, params))
+        solution = _limit_solution(kind, params)
+        _write_json(_out_dir(args) / "solve_limit.json", solution)
         return 0
     raw_name, values = _parse_sweep(args.sweep)
     fields = {sweep_name: dest
@@ -460,24 +462,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _subcommand(sub, name: str, func, summary: str, description: str,
-                document: Optional[str] = "required",
-                formats: bool = False) -> argparse.ArgumentParser:
-    """A subparser with --out-dir, plus --input unless ``document`` is
-    None (optional when it is "optional") and --format when ``formats``."""
-    p = sub.add_parser(name, help=summary, description=description)
-    if document:
-        p.add_argument("--input", "-i", required=document == "required",
-                       help="JSON design document path")
-    p.add_argument("--out-dir", "-o", default=".",
-                   help="directory for emitted files (created if absent)")
-    if formats:
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="curve/sweep output format (default csv)")
-    p.set_defaults(func=func)
-    return p
-
-
 def _add_limit_flags(parser, skip=()):
     for dest, _, _, default, text in _LIMIT_DIMENSIONS:
         if dest not in skip:
@@ -486,44 +470,18 @@ def _add_limit_flags(parser, skip=()):
                                 help=text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="flexokit",
-        description="Design toolchain for printed flexure joints: stiffness "
-                    "prediction, joint-limit solving, limb and gait "
-                    "simulation, printable geometry export.")
-    parser.add_argument("--version", action="version",
-                        version=f"flexokit {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = _subcommand(
-        sub, "validate", _cmd_validate,
-        "check a design document and its print process settings",
-        "Reads a JSON design document (mm/GPa/degC units), checks the "
-        "print process settings, and writes validation_report.json to "
-        "--out-dir.")
+def _validate_flags(p):
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the validation report has warnings")
 
-    p = _subcommand(
-        sub, "predict-stiffness", _cmd_predict_stiffness,
-        "rib-patterned flexure stiffness table",
-        "Writes stiffness.csv (width_ratio, feature_height_mm, "
-        "EI_eff_Nmm2, k_tip_N_per_m, k_exact_N_per_m) for a flexure from "
-        "the document; --sweep varies width_ratio or feature_height_mm "
-        "inclusively.", formats=True)
+
+def _predict_stiffness_flags(p):
     p.add_argument("--flexure", help="flexure name (default: first declared)")
     p.add_argument("--sweep", help="name=start:stop:step, e.g. "
                                    "width_ratio=0:0.8:0.1")
 
-    p = _subcommand(
-        sub, "solve-limit", _cmd_solve_limit,
-        "jam angle of a flexional or extensional limit",
-        "Computes the jam angle (degrees and radians) for feature "
-        "dimensions given in mm; writes solve_limit.json, or "
-        "solve_limit.csv in --sweep mode. `design --target stem_height` "
-        "or `--target diagonal` inverts for a dimension.",
-        document=None, formats=True)
+
+def _solve_limit_flags(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--flexional", action="store_true",
                        help="mushroom-pillar limit (flexion cap)")
@@ -533,13 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="name=start:stop:step over a feature "
                                    "dimension, e.g. L=6.5:7.5:0.25")
 
-    p = _subcommand(
-        sub, "design", _cmd_design,
-        "inverse design: hit a stiffness or jam-angle target",
-        "Dispatches to one of four inverse solvers and writes design.json. "
-        "Stiffness targets (N/m) need an input document with the template "
-        "flexure; angle targets (degrees) take feature dimensions in mm.",
-        document="optional")
+
+def _design_flags(p):
     p.add_argument("--target", required=True,
                    choices=("width_ratio", "feature_height", "stem_height",
                             "diagonal"),
@@ -552,13 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the kind follows from --target; skip the dimension it solves for
     _add_limit_flags(p, skip=("stem_height_mm", "diagonal_mm"))
 
-    p = _subcommand(
-        sub, "simulate-limb", _cmd_simulate_limb,
-        "tendon pull-release cycle of one limb",
-        "Writes <limb>_trajectory.csv (pull_mm, foot_x_mm, foot_y_mm, "
-        "theta_i_rad..., tension_N), <limb>_curvature.csv (rows: pull "
-        "steps; columns: arc-length bin centers in mm; values: curvature "
-        "1/m), and <limb>_metrics.json (stroke_distance_mm, stroke_ratio).")
+
+def _simulate_limb_flags(p):
     p.add_argument("--limb", help="limb name (default: first declared)")
     p.add_argument("--steps", type=int, default=101,
                    help="pull steps up (mirrored back down); default 101")
@@ -568,28 +516,120 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tendon pull amplitude in mm (default: the pull "
                         "that jams every joint)")
 
-    p = _subcommand(
-        sub, "simulate-gait", _cmd_simulate_gait,
-        "trot speed curve for the document's gait",
-        "Simulates all four limbs, then writes gait_speed.csv "
-        "(frequency_hz, speed_mm_s) over the document's frequency list.",
-        formats=True)
+
+def _simulate_gait_flags(p):
     p.add_argument("--steps", type=int, default=101,
                    help="pull steps per limb cycle; default 101")
 
-    _subcommand(
-        sub, "export-geometry", _cmd_export_geometry,
+
+@dataclasses.dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand: its handler, help texts, whether it reads --input
+    ("required", "optional" or None), whether it takes --format, and the
+    function that adds its own flags."""
+
+    func: Callable[[argparse.Namespace], int]
+    summary: str
+    description: str
+    document: Optional[str] = "required"
+    formats: bool = False
+    flags: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+
+# Every subcommand, in the order --help lists them.
+_SUBCOMMANDS = {
+    "validate": _Subcommand(
+        _cmd_validate,
+        "check a design document and its print process settings",
+        "Reads a JSON design document (mm/GPa/degC units), checks the "
+        "print process settings, and writes validation_report.json to "
+        "--out-dir.", flags=_validate_flags),
+    "predict-stiffness": _Subcommand(
+        _cmd_predict_stiffness,
+        "rib-patterned flexure stiffness table",
+        "Writes stiffness.csv (width_ratio, feature_height_mm, "
+        "EI_eff_Nmm2, k_tip_N_per_m, k_exact_N_per_m) for a flexure from "
+        "the document; --sweep varies width_ratio or feature_height_mm "
+        "inclusively.", formats=True, flags=_predict_stiffness_flags),
+    "solve-limit": _Subcommand(
+        _cmd_solve_limit,
+        "jam angle of a flexional or extensional limit",
+        "Computes the jam angle (degrees and radians) for feature "
+        "dimensions given in mm; writes solve_limit.json, or "
+        "solve_limit.csv in --sweep mode. `design --target stem_height` "
+        "or `--target diagonal` inverts for a dimension.",
+        document=None, formats=True, flags=_solve_limit_flags),
+    "design": _Subcommand(
+        _cmd_design,
+        "inverse design: hit a stiffness or jam-angle target",
+        "Dispatches to one of four inverse solvers and writes design.json. "
+        "Stiffness targets (N/m) need an input document with the template "
+        "flexure; angle targets (degrees) take feature dimensions in mm.",
+        document="optional", flags=_design_flags),
+    "simulate-limb": _Subcommand(
+        _cmd_simulate_limb,
+        "tendon pull-release cycle of one limb",
+        "Writes <limb>_trajectory.csv (pull_mm, foot_x_mm, foot_y_mm, "
+        "theta_i_rad..., tension_N), <limb>_curvature.csv (rows: pull "
+        "steps; columns: arc-length bin centers in mm; values: curvature "
+        "1/m), and <limb>_metrics.json (stroke_distance_mm, stroke_ratio).",
+        flags=_simulate_limb_flags),
+    "simulate-gait": _Subcommand(
+        _cmd_simulate_gait,
+        "trot speed curve for the document's gait",
+        "Simulates all four limbs, then writes gait_speed.csv "
+        "(frequency_hz, speed_mm_s) over the document's frequency list.",
+        formats=True, flags=_simulate_gait_flags),
+    "export-geometry": _Subcommand(
+        _cmd_export_geometry,
         "binary STL files plus sidecar manifests",
         "Builds every part in the document's export section and writes "
         "<file>.stl (millimeters) plus <file-stem>.manifest.json with "
         "part_name, volume_mm3, bbox_mm, pc_film_thickness_mm, "
-        "process_config.")
+        "process_config."),
+}
 
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, or only the one named
+    ``only``. Each subparser gets --out-dir, plus --input unless its
+    ``document`` is None (optional when it is "optional") and --format when
+    it ``formats``."""
+    parser = _Parser(
+        prog="flexokit",
+        description="Design toolchain for printed flexure joints: stiffness "
+                    "prediction, joint-limit solving, limb and gait "
+                    "simulation, printable geometry export.")
+    parser.add_argument("--version", action="version",
+                        version=f"flexokit {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in _SUBCOMMANDS.items():
+        if only is not None and name != only:
+            continue
+        p = sub.add_parser(name, help=command.summary,
+                           description=command.description)
+        if command.document:
+            p.add_argument("--input", "-i",
+                           required=command.document == "required",
+                           help="JSON design document path")
+        p.add_argument("--out-dir", "-o", default=".",
+                       help="directory for emitted files (created if absent)")
+        if command.formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="curve/sweep output format (default csv)")
+        if command.flags:
+            command.flags(p)
+        p.set_defaults(func=command.func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named subcommand's parser is built. Anything else (no
+    # argument, help, --version, an unknown word) gets the whole tree, so
+    # that argparse lists the choices as it always has.
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(only)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -105,8 +105,9 @@ def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
     The angle is the unique root of
     ``alpha * (stem_height + head_radius / sin(alpha/2)) == spacing``
     on (0, pi), found by bisection. Raises AlwaysJammedError when the heads
-    already touch straight (spacing <= 2 * head_radius) and
-    UnreachableLimitError when no root exists below a half-turn.
+    already touch straight (spacing <= 2 * head_radius),
+    UnreachableLimitError when no root exists below a half-turn, and
+    GeometryError when the root lies below the bracket's 1e-9 rad floor.
     """
     if spec.spacing <= 2 * spec.head_radius:
         raise AlwaysJammedError(
@@ -118,8 +119,15 @@ def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
         raise UnreachableLimitError(
             "features never touch below a half-turn bend "
             f"(spacing {spec.spacing:g} m >= pi * (stem_height + head_radius))")
-    # residual(lo) ~ 2*head_radius - spacing < 0; strict monotonicity makes
-    # the root unique, so plain bisection converges unconditionally.
+    # residual(lo) ~ 2*head_radius - spacing + lo*stem_height, which a stem
+    # tall against the head gap makes nonnegative: the root then lies below
+    # the bracket. With residual(lo) < 0 < residual(hi), strict monotonicity
+    # makes the root unique, so plain bisection converges unconditionally.
+    if not _flexional_residual(lo, spec) < 0:
+        raise GeometryError(
+            f"jam angle lies below the {_BRACKET_EPS:g} rad solver floor: "
+            f"stem_height {spec.stem_height:g} m is too tall for the "
+            f"{spec.spacing - 2 * spec.head_radius:g} m gap between heads")
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if _flexional_residual(mid, spec) < 0:
@@ -135,6 +143,10 @@ def flexional_inverse(target_alpha: float, head_radius: float,
     if not 0 < target_alpha < math.pi:
         raise GeometryError("target angle must lie in (0, pi) radians")
     h = spacing / target_alpha - head_radius / math.sin(target_alpha / 2)
+    if not math.isfinite(h):
+        raise GeometryError(
+            f"target angle {target_alpha:g} rad is too small: the stem "
+            "height it needs overflows")
     if h < 0:
         raise GeometryError(
             f"target angle {target_alpha:g} rad needs negative stem height "

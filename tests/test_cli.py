@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,18 @@ def test_solve_limit_infeasible_geometry_exits_2(tmp_path, capsys):
                 "-o", tmp_path]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
     assert diagnostic["error"] == "ContactAtRestError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-limit", "--flexional", "--stem-height-mm", "1e10"],
+    ["design", "--target", "stem_height", "--angle-deg", "1e-300"],
+    ["design", "--target", "stem_height", "--angle-deg", "1e-320"],
+], ids=["tall_stem", "tiny_angle", "subnormal_angle"])
+def test_jam_angle_below_the_solver_floor_exits_2(tmp_path, capsys, argv):
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "GeometryError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_limit_rejects_unknown_sweep_parameter(tmp_path, capsys):
@@ -623,3 +636,102 @@ def test_unbounded_sweeps_and_cycles_exit_2(tmp_path, capsys, argv,
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert message in _diagnostic_message(capsys)
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------- one-subcommand parser
+
+SAMPLE = bundled_path("sample_flexure.json")
+HIND_LEG = bundled_path("hind_leg.json")
+
+# Accepted and rejected command lines whose rc, stdout, stderr and files
+# must not depend on which subparsers were built.
+EQUIVALENCE_CORPUS = [
+    *([name, "--help"] for name in (
+        "validate", "predict-stiffness", "solve-limit", "design",
+        "simulate-limb", "simulate-gait", "export-geometry")),
+    ["validate", "-i", SAMPLE, "--bogus"],
+    ["validate"],
+    ["design", "--angle-deg", "30"],
+    ["design", "--target", "bogus"],
+    ["predict-stiffness", "-i", SAMPLE, "--format", "xml"],
+    ["solve-limit", "--flexional", "--spacing-mm", "nan"],
+    ["solve-limit", "--flexional", "--extensional"],
+    ["solve-limit", "--flex", "--stem-h", "5"],
+    ["solve-limit", "--flexional", "--s", "1"],
+    ["simulate-limb", "-i", HIND_LEG, "--strict"],
+    ["export-geometry", "--version"],
+    ["valid"],
+    ["--vers"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["validate", "-i", SAMPLE, "-o", "out"],
+    ["predict-stiffness", "-i", SAMPLE, "-o", "out", "--format", "json",
+     "--sweep", "width_ratio=0:0.8:0.4"],
+    ["solve-limit", "--extensional", "-o", "out", "--sweep", "L=6.5:7:0.5"],
+    ["design", "--target", "stem_height", "--angle-deg", "30", "-o", "out"],
+    ["simulate-limb", "-i", HIND_LEG, "-o", "out", "--steps", "3",
+     "--arc-bins", "3"],
+    ["simulate-gait", "-i", bundled_path("quadruped.json"), "-o", "out",
+     "--steps", "3"],
+    ["export-geometry", "-i", SAMPLE, "-o", "out"],
+]
+
+
+def _outcome(argv, capsys):
+    """(rc, stdout, stderr, files) of one call of ``main`` in the current
+    directory; manifests lose their timestamp."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exit_info:
+        rc = ("exit", exit_info.code)
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(Path("out").rglob("*")):
+        data = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(data)
+            manifest.pop("generated_at")
+            data = json.dumps(manifest).encode()
+        files[str(path)] = data
+    return rc, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("argv", EQUIVALENCE_CORPUS)
+def test_one_subcommand_parser_matches_the_full_tree(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    from flexokit import cli
+    full_tree = cli.build_parser
+    outcomes = []
+    for directory in ("one", "full"):
+        (tmp_path / directory).mkdir()
+        monkeypatch.chdir(tmp_path / directory)
+        outcomes.append(_outcome(argv, capsys))
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: full_tree())
+    assert outcomes[0] == outcomes[1]
+
+
+def test_build_parser_declares_only_the_named_subcommand():
+    from flexokit.cli import _SUBCOMMANDS, build_parser
+    for name in _SUBCOMMANDS:
+        parser = build_parser(name)
+        assert set(parser._subparsers._group_actions[0].choices) == {name}
+
+
+def test_main_builds_the_parser_of_the_named_subcommand(tmp_path,
+                                                        monkeypatch):
+    from flexokit import cli
+    built = []
+    original = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return original(only)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for name in cli._SUBCOMMANDS:
+        main([name, "-o", str(tmp_path), "--bogus"])
+    main(["validate", "-i", SAMPLE, "-o", str(tmp_path)])
+    main(["valid"])
+    main([])
+    assert built == [*cli._SUBCOMMANDS, "validate", None, None]

@@ -147,6 +147,21 @@ def test_far_heads_never_jam():
                                                stem_height=4.0 * MM))
 
 
+def test_root_below_the_bracket_floor_is_rejected():
+    # alpha * h alone passes spacing - 2 r = 2 mm at alpha ~ 2e-10 rad, so
+    # the root lies below the 1e-9 rad floor of the bisection bracket
+    with pytest.raises(GeometryError, match="1e-09 rad"):
+        flexional_jam_angle(flexional(1e10))
+    # just above the floor the root is still found
+    alpha = flexional_jam_angle(flexional(1e6))
+    assert 1e-9 < alpha < 3e-6
+
+
+def test_flexional_inverse_rejects_overflowing_stem_height():
+    with pytest.raises(GeometryError, match="too small"):
+        flexional_inverse(1e-322, 2.0 * MM, 6.0 * MM)
+
+
 def test_short_standoffs_touch_at_rest():
     with pytest.raises(ContactAtRestError) as info:
         extensional_jam_angle(extensional(6.0))
