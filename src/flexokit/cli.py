@@ -12,8 +12,9 @@ subcommand's parser, and the full tree only for help, version and
 unrecognised first words.
 
 Exit status: 0 on success, 1 when ``validate --strict`` finds warnings, 2
-on any rejection, a malformed or unknown flag included (a single-line JSON
-diagnostic goes to stderr). ``--help`` and ``--version`` exit 0.
+on any rejection, a malformed or unknown flag and an input whose arithmetic
+overflows included (a single-line JSON diagnostic goes to stderr).
+``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
                    Material, parse_design, parse_materials, to_document,
                    validate_process)
 from .errors import DesignError, FlexokitError
-from .joint_limits import (_flexional_residual, extensional_inverse,
-                           extensional_jam_angle, flexional_inverse,
-                           flexional_jam_angle)
+from .joint_limits import (extensional_inverse, extensional_jam_angle,
+                           flexional_inverse, flexional_jam_angle)
 
 # Subcommands import numpy and the stiffness, limb_sim, gait_sim and
 # geometry modules where they call them, so that validate, design and
@@ -239,8 +239,8 @@ def _cmd_predict_stiffness(args) -> int:
                     for value in values]
     header = ["width_ratio", "feature_height_mm", "EI_eff_Nmm2",
               "k_tip_N_per_m", "k_exact_N_per_m"]
-    _write_table(_out_dir(args), "stiffness", header,
-                 [_stiffness_row(f) for f in flexures], args.format)
+    rows = [_stiffness_row(f) for f in flexures]
+    _write_table(_out_dir(args), "stiffness", header, rows, args.format)
     return 0
 
 
@@ -250,19 +250,21 @@ def _limit_params(args, kind: str) -> dict[str, float]:
             if dim_kind == kind}
 
 
+# Each limit kind: the document entry that turns its dimensions into a
+# spec, and the forward solver for that spec's jam angle.
+_LIMIT_KINDS = {
+    "flexional": (FlexionalLimitEntry, flexional_jam_angle),
+    "extensional": (ExtensionalLimitEntry, extensional_jam_angle),
+}
+
+
 def _limit_solution(kind: str, params: dict[str, float]) -> dict:
     """Forward jam angle plus the residual of the defining relation."""
-    if kind == "flexional":
-        spec = FlexionalLimitEntry(**params).spec
-        angle = flexional_jam_angle(spec)
-        residual = _flexional_residual(angle, spec)
-    else:
-        spec = ExtensionalLimitEntry(**params).spec
-        angle = extensional_jam_angle(spec)
-        residual = (angle * (spec.tip_height + spec.mount_height)
-                    - spec.rest_gap)
+    entry, jam_angle = _LIMIT_KINDS[kind]
+    spec = entry(**params).spec
+    angle = jam_angle(spec)
     return {"angle_deg": math.degrees(angle), "angle_rad": angle,
-            "residual": residual,
+            "residual": spec.residual(angle),
             "inputs": {"kind": kind, **params}}
 
 
@@ -378,29 +380,21 @@ def _cmd_simulate_gait(args) -> int:
 
 
 def _recipe_for_part(doc: DesignDoc, part):
-    """(recipe, the document entry it was built from) of one export part."""
+    """(recipe, base film thickness in mm or None) of one export part: a
+    flexure's own film layer, else the process setting."""
     from .geometry import extensional_recipe, flexional_recipe, flexure_recipe
+    film_mm = doc.process.pc_thickness_mm if doc.process is not None else None
     if part.kind == "flexure":
         flex = doc.flexures[part.ref]
-        return flexure_recipe(flex), flex
+        return flexure_recipe(flex), next(
+            (thickness_mm for material, thickness_mm in flex.base.layers
+             if material.kind == "base_film"), film_mm)
     if part.kind == "flexional":
-        entry = doc.flexional_limits[part.ref]
-        return flexional_recipe(entry.spec, count=part.count,
-                                facets=part.facets), entry
-    entry = doc.extensional_limits[part.ref]
+        return flexional_recipe(doc.flexional_limits[part.ref].spec,
+                                count=part.count, facets=part.facets), film_mm
     width = part.width_mm * MM if part.width_mm is not None else None
-    return extensional_recipe(entry.spec, count=part.count,
-                              width=width), entry
-
-
-def _film_thickness_mm(doc: DesignDoc, part, source) -> Optional[float]:
-    if part.kind == "flexure":
-        for material, thickness_mm in source.base.layers:
-            if material.kind == "base_film":
-                return thickness_mm
-    if doc.process is not None:
-        return doc.process.pc_thickness_mm
-    return None
+    return extensional_recipe(doc.extensional_limits[part.ref].spec,
+                              count=part.count, width=width), film_mm
 
 
 def _cmd_export_geometry(args) -> int:
@@ -421,7 +415,7 @@ def _cmd_export_geometry(args) -> int:
             raise
     directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
-    for part, (recipe, source) in zip(parts, recipes):
+    for part, (recipe, film_mm) in zip(parts, recipes):
         mesh = recipe.mesh()
         with _writing(directory / part.file) as tmp:
             byte_count = export_stl(mesh, tmp)  # validates the mesh first
@@ -431,7 +425,7 @@ def _cmd_export_geometry(args) -> int:
             "volume_mm3": mesh.volume(),
             "bbox_mm": {"min": [float(v) for v in lo],
                         "max": [float(v) for v in hi]},
-            "pc_film_thickness_mm": _film_thickness_mm(doc, part, source),
+            "pc_film_thickness_mm": film_mm,
             "process_config": process,
             "triangle_count": len(mesh),
             "stl_bytes": byte_count,
@@ -633,12 +627,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except FlexokitError as exc:
-        line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
-        print(line, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        line = json.dumps({"error": "OSError", "message": str(exc)})
+    except (FlexokitError, OSError, ArithmeticError) as exc:
+        # every OSError subclass reports as the one family name
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        line = json.dumps({"error": name, "message": str(exc)})
         print(line, file=sys.stderr)
         return 2
 

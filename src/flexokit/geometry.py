@@ -33,6 +33,8 @@ M_TO_MM = 1000.0
 # The most triangles one part may have, counted before anything is built:
 # 83x the benchmark's largest part. An export at the bound peaks near 430 MB.
 MAX_PART_TRIANGLES = 2 ** 20
+# STL stores float32 vertices: a larger coordinate would be written as inf.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)),
                         ("attribute", "<u2")])
 
@@ -144,6 +146,12 @@ class Primitive:
             raise GeometryError("extrusion axis must be 'y' or 'z'")
         if not self.hi > self.lo:
             raise GeometryError("extrusion extent must be positive")
+        if not (abs(self.lo) <= _FLOAT32_MAX and abs(self.hi) <= _FLOAT32_MAX
+                and all(abs(u) <= _FLOAT32_MAX and abs(v) <= _FLOAT32_MAX
+                        for u, v in self.polygon)):
+            raise GeometryError(
+                f"coordinates must lie within +/-{_FLOAT32_MAX:g} mm, the "
+                "float32 range of STL")
         if _polygon_area(self.polygon) <= 0:
             raise GeometryError("polygon must be counterclockwise")
 
@@ -172,7 +180,6 @@ class Primitive:
 class SolidRecipe:
     """Disjoint primitives forming one printable part."""
 
-    part_name: str
     primitives: tuple[Primitive, ...]
 
     @property
@@ -247,18 +254,17 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
                 x0 = i * period + (period - rib_w) / 2
                 prims.append(Primitive("rib", _rect(x0, x0 + rib_w, 0.0, width),
                                        "z", t_base, z1))
-    return SolidRecipe(flex.name, tuple(prims))
+    return SolidRecipe(tuple(prims))
 
 
 def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
-                     facets: int = 16, head_thickness: Optional[float] = None,
-                     stem_radius: Optional[float] = None) -> SolidRecipe:
+                     facets: int = 16) -> SolidRecipe:
     """Mushroom pillars: faceted stem plus wider faceted disk head.
 
     Feature axes sit ``spacing`` apart along x. Head thickness and stem
-    radius are printable realization choices, not jamming inputs; they
-    default to half the head radius. All spec lengths are meters (SI);
-    the recipe is meshed in mm.
+    radius are printable realization choices, not jamming inputs; both are
+    fixed at half the head radius. All spec lengths are meters (SI); the
+    recipe is meshed in mm.
     """
     if count < 2:
         raise GeometryError("a jamming limit needs at least 2 features")
@@ -271,10 +277,7 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     r = spec.head_radius * M_TO_MM
     h = spec.stem_height * M_TO_MM
     spacing = spec.spacing * M_TO_MM
-    t_head = r / 2 if head_thickness is None else head_thickness * M_TO_MM
-    r_stem = r / 2 if stem_radius is None else stem_radius * M_TO_MM
-    if not 0 < r_stem <= r:
-        raise GeometryError("stem radius must lie in (0, head radius]")
+    t_head = r_stem = r / 2
     _check_size(count * (4 * facets - 4) * (2 if h > 0 else 1))
     prims = []
     for i in range(count):
@@ -284,7 +287,7 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
                                    "z", 0.0, h))
         prims.append(Primitive("head", _ngon(cx, 0.0, r, facets),
                                "z", h, h + t_head))
-    return SolidRecipe("flexional_limit", tuple(prims))
+    return SolidRecipe(tuple(prims))
 
 
 def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
@@ -326,7 +329,7 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
         pair, side = divmod(i, 2)
         x0 = pair * pitch + side * pair_offset
         prims.append(standoff(x0, shear if side == 0 else -shear))
-    return SolidRecipe("extensional_limit", tuple(prims))
+    return SolidRecipe(tuple(prims))
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,13 @@ class FlexionalLimitSpec:
         if self.stem_height < 0:
             raise GeometryError("stem_height must be nonnegative")
 
+    def residual(self, alpha: float) -> float:
+        """Jam relation at bend angle alpha (radians), zero at the jam angle:
+        the inextensible film keeps ``spacing`` of arc between the stems,
+        bent about a center stem_height + head_radius/sin(alpha/2) deep."""
+        return alpha * (self.stem_height
+                        + self.head_radius / math.sin(alpha / 2)) - self.spacing
+
 
 @dataclass(frozen=True)
 class ExtensionalLimitSpec:
@@ -90,24 +97,20 @@ class ExtensionalLimitSpec:
         """Smallest diagonal for which the tips clear each other at rest."""
         return (self.base_width + 2 * self.tip_radius) / (2 * math.cos(self.incline))
 
-
-def _flexional_residual(alpha: float, spec: FlexionalLimitSpec) -> float:
-    # Inextensible base film: the arc between the two stems keeps length
-    # `spacing` while bending by alpha about a center at head-contact depth
-    # stem_height + head_radius/sin(alpha/2) below the contact point.
-    return alpha * (spec.stem_height
-                    + spec.head_radius / math.sin(alpha / 2)) - spec.spacing
+    def residual(self, beta: float) -> float:
+        """Jam relation at bend angle beta (radians), zero at the jam angle:
+        the lever arm to the tips, turned by beta, closes the rest gap."""
+        return beta * (self.tip_height + self.mount_height) - self.rest_gap
 
 
 def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
     """Bend angle (radians) at which the mushroom heads first touch.
 
-    The angle is the unique root of
-    ``alpha * (stem_height + head_radius / sin(alpha/2)) == spacing``
-    on (0, pi), found by bisection. Raises AlwaysJammedError when the heads
-    already touch straight (spacing <= 2 * head_radius),
-    UnreachableLimitError when no root exists below a half-turn, and
-    GeometryError when the root lies below the bracket's 1e-9 rad floor.
+    The angle is the unique root of ``spec.residual`` on (0, pi), found by
+    bisection. Raises AlwaysJammedError when the heads already touch
+    straight (spacing <= 2 * head_radius), UnreachableLimitError when no
+    root exists below a half-turn, and GeometryError when the root lies
+    below the bracket's 1e-9 rad floor.
     """
     if spec.spacing <= 2 * spec.head_radius:
         raise AlwaysJammedError(
@@ -115,7 +118,7 @@ def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
             f"<= head diameter {2 * spec.head_radius:g} m")
     lo = _BRACKET_EPS
     hi = math.pi - _BRACKET_EPS
-    if _flexional_residual(hi, spec) <= 0:
+    if spec.residual(hi) <= 0:
         raise UnreachableLimitError(
             "features never touch below a half-turn bend "
             f"(spacing {spec.spacing:g} m >= pi * (stem_height + head_radius))")
@@ -123,14 +126,14 @@ def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
     # tall against the head gap makes nonnegative: the root then lies below
     # the bracket. With residual(lo) < 0 < residual(hi), strict monotonicity
     # makes the root unique, so plain bisection converges unconditionally.
-    if not _flexional_residual(lo, spec) < 0:
+    if not spec.residual(lo) < 0:
         raise GeometryError(
             f"jam angle lies below the {_BRACKET_EPS:g} rad solver floor: "
             f"stem_height {spec.stem_height:g} m is too tall for the "
             f"{spec.spacing - 2 * spec.head_radius:g} m gap between heads")
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _flexional_residual(mid, spec) < 0:
+        if spec.residual(mid) < 0:
             lo = mid
         else:
             hi = mid

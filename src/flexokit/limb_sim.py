@@ -67,10 +67,10 @@ class Link:
 
 @dataclass(frozen=True)
 class LimbSpec:
-    """Alternating rigid links and joints, base to foot."""
+    """Alternating rigid links and joints, base to foot; the base sits at
+    the origin, heading along +x."""
 
     segments: tuple[Union[Link, JointDef], ...]
-    base_pose: tuple[float, float, float] = (0.0, 0.0, 0.0)  # x, y, heading
 
     def __post_init__(self):
         if not self.joints:
@@ -198,7 +198,7 @@ def _chain(limb: LimbSpec, theta: np.ndarray, arc_points: int) -> list:
     arcs sampled every ``joint_length / arc_points``); links stay straight.
     The last point, the foot, is closed-form and independent of arc_points.
     """
-    x, y, heading = (np.full(len(theta), v) for v in limb.base_pose)
+    x = y = heading = np.zeros(len(theta))
     points = [(x, y)]
     angles = iter(theta.T)
     for seg in limb.segments:
@@ -223,11 +223,11 @@ def _chain(limb: LimbSpec, theta: np.ndarray, arc_points: int) -> list:
     return points
 
 
-def forward_kinematics(limb: LimbSpec, theta,
-                       arc_points: int = 16) -> tuple[np.ndarray, tuple[float, float]]:
-    """Planar chain pose: the polyline (see ``_chain``) and its endpoint,
-    the foot."""
-    points = _chain(limb, _angle_row(limb, theta), arc_points)
+def forward_kinematics(limb: LimbSpec,
+                       theta) -> tuple[np.ndarray, tuple[float, float]]:
+    """Planar chain pose: the polyline (see ``_chain``, 16 points per
+    joint) and its endpoint, the foot."""
+    points = _chain(limb, _angle_row(limb, theta), 16)
     polyline = np.array([(x[0], y[0]) for x, y in points])
     return polyline, tuple(polyline[-1].tolist())
 

@@ -27,6 +27,7 @@ from .errors import DesignError, TargetRangeError
 
 _REL_TOL = 1e-9
 _MAX_BISECT = 200
+_POINTS_PER_PERIOD = 256  # midpoint samples per rib period, exact model
 
 
 class PlateauUnreachableError(TargetRangeError):
@@ -90,9 +91,11 @@ def section_EI(stack: LaminateStack, width: float) -> SectionStiffness:
     return SectionStiffness(EI=ei, neutral_axis_height=ybar)
 
 
-def _ribbed_stack(flex: FlexureSpec) -> LaminateStack:
-    rib_layer = (flex.resolved_rib_material, flex.ribs.feature_height_mm)
-    return LaminateStack(flex.base.layers + (rib_layer,))
+def _ribbed_EI(flex: FlexureSpec, height_mm: float) -> float:
+    """Rigidity of the flexure's section under a rib height_mm tall."""
+    rib_layer = (flex.resolved_rib_material, height_mm)
+    return section_EI(LaminateStack(flex.base.layers + (rib_layer,)),
+                      flex.width).EI
 
 
 def _section_pair(flex: FlexureSpec) -> tuple[float, float]:
@@ -100,7 +103,7 @@ def _section_pair(flex: FlexureSpec) -> tuple[float, float]:
     ei_low = section_EI(flex.base, flex.width).EI
     if flex.ribs is None or flex.ribs.feature_height_mm == 0:
         return ei_low, ei_low
-    return ei_low, section_EI(_ribbed_stack(flex), flex.width).EI
+    return ei_low, _ribbed_EI(flex, flex.ribs.feature_height_mm)
 
 
 def _ei_eff(ei_low: float, ei_high: float, width_ratio: float) -> float:
@@ -129,18 +132,15 @@ def tip_stiffness(flex: FlexureSpec) -> float:
     return homogenized_EI(flex).k_tip
 
 
-def tip_stiffness_exact(flex: FlexureSpec, points_per_period: int = 256) -> float:
+def tip_stiffness_exact(flex: FlexureSpec) -> float:
     """Tip stiffness from quadrature over the periodic EI(x) profile.
 
     k = 1 / integral_0^L (L - x)^2 / EI(x) dx for a tip-loaded cantilever.
-    Composite midpoint rule, sampled segment-aligned (the integrand jumps at
-    rib edges, so sample points never straddle a jump). Ribs sit centered
-    within each period. points_per_period must be >= 64; at the default the
-    halving convergence check passes below 1e-6 relative.
+    Composite midpoint rule at a fixed 256 samples per rib period, sampled
+    segment-aligned (the integrand jumps at rib edges, so sample points
+    never straddle a jump). Ribs sit centered within each period.
     """
     import numpy as np
-    if points_per_period < 64:
-        raise DesignError("points_per_period must be at least 64")
     ei_low, ei_high = _section_pair(flex)
     length = flex.length
     if flex.ribs is None or ei_high == ei_low:
@@ -158,7 +158,7 @@ def tip_stiffness_exact(flex: FlexureSpec, points_per_period: int = 256) -> floa
             s0, s1 = max(s0, 0.0), min(s1, length)
             if s1 <= s0:
                 continue
-            m = max(1, round(points_per_period * (s1 - s0) / period))
+            m = max(1, round(_POINTS_PER_PERIOD * (s1 - s0) / period))
             xs = s0 + (np.arange(m) + 0.5) * (s1 - s0) / m
             total += float(np.sum((length - xs) ** 2)) * (s1 - s0) / m / ei
     return 1.0 / total
@@ -240,12 +240,7 @@ def solve_feature_height(target_k: float, template: FlexureSpec) -> float:
     k0 = 3 * ei_low / cube
 
     def k_of(height_m: float) -> float:
-        if height_m == 0:
-            return k0
-        stack = LaminateStack(template.base.layers
-                              + ((template.resolved_rib_material,
-                                  height_m / MM),))
-        ei_high = section_EI(stack, template.width).EI
+        ei_high = _ribbed_EI(template, height_m / MM)
         return 3 * _ei_eff(ei_low, ei_high, w) / cube
 
     supremum = plateau_stiffness(template)

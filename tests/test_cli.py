@@ -25,6 +25,22 @@ def read_csv(path):
     return header.split(","), [row.split(",") for row in rows]
 
 
+def mutated_sample(tmp_path, mutate):
+    """Path of a copy of the bundled sample document changed by mutate."""
+    with open(bundled_path("sample_flexure.json")) as f:
+        doc = json.load(f)
+    mutate(doc)
+    path = tmp_path / "sample_flexure.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def one_json_line(capsys):
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)
+
+
 # ------------------------------------------------------------------ validate
 
 def test_validate_clean_document(tmp_path, capsys):
@@ -100,6 +116,26 @@ def test_predict_stiffness_json_format(tmp_path):
     assert run(["predict-stiffness", "-i", bundled_path("sample_flexure.json"),
                 "-o", tmp_path, "--flexure", "plain_plate",
                 "--sweep", "width_ratio=0:1:0.5"]) == 2  # no ribs to sweep
+
+
+@pytest.mark.parametrize("mutate, flags, error", [
+    (lambda doc: doc["flexures"]["sample"].update(length_mm=1e300), [],
+     "OverflowError"),
+    (lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
+        1, 1e300), [], "OverflowError"),
+    (lambda doc: None, ["--sweep", "feature_height_mm=0:1e300:1e297"],
+     "OverflowError"),
+    # L**3 underflows to 0
+    (lambda doc: doc["flexures"]["plain_plate"].update(length_mm=1e-300),
+     ["--flexure", "plain_plate"], "ZeroDivisionError"),
+], ids=["huge_length", "huge_layer", "huge_rib_sweep", "tiny_length"])
+def test_stiffness_arithmetic_errors_exit_2_unwritten(tmp_path, capsys,
+                                                      mutate, flags, error):
+    out = tmp_path / "out"
+    assert run(["predict-stiffness", "-i", mutated_sample(tmp_path, mutate),
+                "-o", out, *flags]) == 2
+    assert one_json_line(capsys)["error"] == error
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- solve-limit
@@ -429,6 +465,24 @@ def test_export_with_a_rejected_late_part_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mutate, index", [
+    (lambda doc: doc["flexures"]["sample"]["ribs"].update(
+        feature_height_mm=1e300), 0),
+    (lambda doc: doc["flexional_limits"]["sample_flexional"].update(
+        spacing_mm=1e300), 2),
+], ids=["huge_rib", "huge_spacing"])
+def test_export_beyond_float32_exits_2_unwritten(tmp_path, capsys, mutate,
+                                                 index):
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", mutated_sample(tmp_path, mutate),
+                "-o", out]) == 2
+    diagnostic = one_json_line(capsys)
+    assert diagnostic["error"] == "GeometryError"
+    assert diagnostic["message"].startswith(f"export.parts[{index}]: ")
+    assert "float32 range" in diagnostic["message"]
+    assert not out.exists()
+
+
 # ------------------------------------------------------- environment override
 
 def test_materials_override_changes_predictions(tmp_path, monkeypatch):
@@ -560,6 +614,13 @@ def test_rejected_command_lines_exit_2_with_one_json_line(tmp_path, capsys,
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert _diagnostic_message(capsys).endswith(message)
     assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["solve-limit", "--flexional", "-o", taken]) == 2
+    assert one_json_line(capsys)["error"] == "OSError"
 
 
 def test_help_and_version_still_exit_0(capsys):

@@ -216,6 +216,106 @@ def test_gait_entry_needs_four_distinct_limbs():
         GaitEntry(("a", "b"), ("c", "d"), (-1.0,))
 
 
+# (document, keys to the changed item, new value, dotted path, message)
+SAMPLE, HIND, QUAD = BUNDLED
+_JOINT = ("limbs", "hind_leg", "segments", 1, "joint")
+_RIBS = ("flexures", "sample", "ribs")
+
+
+@pytest.mark.parametrize("document, keys, value, path, message", [
+    pytest.param(HIND, ("materials", "PLA", "kind"), "resin", "materials.PLA",
+                 "material kind must be one of ('filament', 'base_film')",
+                 id="material_kind"),
+    pytest.param(HIND, ("materials", "PLA", "youngs_modulus_gpa"), 0,
+                 "materials.PLA", "youngs_modulus_gpa must be positive",
+                 id="material_modulus"),
+    pytest.param(SAMPLE, ("flexures", "sample", "base_layers"), [],
+                 "flexures.sample.base_layers",
+                 "expected a non-empty list of [material, thickness_mm]",
+                 id="empty_laminate"),
+    pytest.param(SAMPLE, ("flexures", "sample", "base_layers", 1, 1), 0,
+                 "flexures.sample.base_layers",
+                 "layer thicknesses must be positive", id="zero_layer"),
+    pytest.param(SAMPLE, (*_RIBS, "period_mm"), 0, "flexures.sample.ribs",
+                 "period_mm must be positive", id="rib_period"),
+    pytest.param(SAMPLE, (*_RIBS, "width_ratio"), 1.5, "flexures.sample.ribs",
+                 "width_ratio must lie in [0, 1]", id="rib_width_ratio"),
+    pytest.param(SAMPLE, (*_RIBS, "feature_height_mm"), -1,
+                 "flexures.sample.ribs",
+                 "feature_height_mm must be nonnegative", id="rib_height"),
+    pytest.param(SAMPLE, ("flexures", "sample", "width_mm"), 0,
+                 "flexures.sample",
+                 "flexure length and width must be positive",
+                 id="flexure_size"),
+    pytest.param(SAMPLE, (*_RIBS, "period_mm"), 40, "flexures.sample",
+                 "rib period cannot exceed the flexure length",
+                 id="period_past_length"),
+    pytest.param(SAMPLE, ("flexures", "sample", "base_layers"), [["PC", 0.1]],
+                 "flexures.sample",
+                 "a ribbed flexure needs a rib_material or a printed base "
+                 "layer", id="ribs_without_material"),
+    pytest.param(SAMPLE, ("process", "z_offset_mm"), 0, "process",
+                 "process parameters must be finite and positive",
+                 id="process"),
+    pytest.param(HIND, ("limbs", "hind_leg", "segments", 0, "link_mm"), -1,
+                 "limbs.hind_leg.segments[0]",
+                 "link length must be nonnegative", id="negative_link"),
+    pytest.param(HIND, (*_JOINT, "sense"), 0, "limbs.hind_leg.segments[1].joint",
+                 "joint sense must be +1 or -1", id="joint_sense"),
+    pytest.param(HIND, (*_JOINT, "routing_offset_mm"), 0,
+                 "limbs.hind_leg.segments[1].joint",
+                 "joint length and routing offset must be positive",
+                 id="joint_lengths"),
+    pytest.param(HIND, ("limbs", "hind_leg", "segments"), [{"link_mm": 10}],
+                 "limbs.hind_leg", "a limb needs at least one joint",
+                 id="limb_without_joints"),
+    pytest.param(SAMPLE, ("export", "parts", 0, "kind"), "gear",
+                 "export.parts[0]",
+                 "export kind must be one of ('flexure', 'flexional', "
+                 "'extensional')", id="export_kind"),
+    pytest.param(SAMPLE, ("export", "parts", 2, "count"), 0, "export.parts[2]",
+                 "export needs count >= 1 and facets >= 8", id="export_count"),
+    pytest.param(SAMPLE, ("export", "parts", 2, "facets"), 4,
+                 "export.parts[2]", "export needs count >= 1 and facets >= 8",
+                 id="export_facets"),
+    pytest.param(SAMPLE, ("flexures",), [], "flexures",
+                 "expected a JSON object", id="section_not_object"),
+    pytest.param(SAMPLE, ("flexures", "sample"), 5, "flexures.sample",
+                 "expected a JSON object", id="entry_not_object"),
+    pytest.param(SAMPLE, ("flexures", "sample", "base_layers"), "PLA",
+                 "flexures.sample.base_layers",
+                 "expected a non-empty list of [material, thickness_mm]",
+                 id="layers_not_list"),
+    pytest.param(SAMPLE, ("flexures", "sample", "base_layers", 1), ["PLA"],
+                 "flexures.sample.base_layers[1]",
+                 "expected [material, thickness_mm]", id="layer_not_pair"),
+    pytest.param(HIND, ("limbs", "hind_leg", "segments"), [],
+                 "limbs.hind_leg.segments", "expected a non-empty segment list",
+                 id="empty_segments"),
+    pytest.param(QUAD, ("gait", "pair_a"), ["front_left"], "gait.pair_a",
+                 "expected a pair of limb names", id="gait_pair"),
+    pytest.param(QUAD, ("gait", "pair_b", 1), "tail", "gait.pair_b",
+                 "reference to undefined name 'tail'", id="gait_limb"),
+    pytest.param(QUAD, ("gait", "frequencies_hz", 2), "fast",
+                 "gait.frequencies_hz", "expected a list of numbers",
+                 id="gait_frequency"),
+    pytest.param(SAMPLE, ("export", "parts"), {}, "export.parts",
+                 "expected a list of parts", id="export_parts_not_list"),
+])
+def test_document_rejections_name_the_rule_and_the_field(document, keys,
+                                                         value, path, message):
+    doc = json.loads(bundled_text(document))
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(DesignError) as info:
+        parse_design(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_limit_entries_check_their_geometry_when_built():
     with pytest.raises(GeometryError, match="spacing and head_radius"):
         FlexionalLimitEntry(0.0, 2.0, 4.0)

@@ -123,13 +123,12 @@ def test_mushroom_pair_matches_faceted_volume():
 
 def test_mushroom_realization_options():
     spec = FlexionalLimitSpec(6 * MM, 2 * MM, 4 * MM)
-    tall = flexional_recipe(spec, count=3, facets=24,
-                            head_thickness=2 * MM, stem_radius=1.5 * MM)
+    tall = flexional_recipe(spec, count=3, facets=24)
     mesh = tall.mesh()
     mesh.validate()
     assert len(tall.primitives) == 6
-    hand = 3 * (regular_polygon_area(1.5, 24) * 4.0
-                + regular_polygon_area(2.0, 24) * 2.0)
+    hand = 3 * (regular_polygon_area(1.0, 24) * 4.0
+                + regular_polygon_area(2.0, 24) * 1.0)
     assert tall.analytic_volume_mm3 == pytest.approx(hand, rel=1e-12)
     flat = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 0.0))
     assert [p.kind for p in flat.primitives] == ["head", "head"]
@@ -142,8 +141,6 @@ def test_mushroom_recipe_rejects_bad_requests():
         flexional_recipe(spec, count=1)
     with pytest.raises(GeometryError):
         flexional_recipe(spec, facets=6)
-    with pytest.raises(GeometryError):
-        flexional_recipe(spec, stem_radius=3 * MM)  # wider than the head
     with pytest.raises(AlwaysJammedError):
         flexional_recipe(FlexionalLimitSpec(3.9 * MM, 2 * MM, 4 * MM))
 
@@ -218,6 +215,21 @@ def test_primitives_reject_bad_polygons():
         Primitive("bad", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "z", 1.0, 1.0)
     with pytest.raises(GeometryError):
         Primitive("bad", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "x", 0.0, 1.0)
+
+
+def test_recipes_reject_coordinates_beyond_float32(tmp_path):
+    with pytest.raises(GeometryError, match="float32 range"):
+        flexure_recipe(ribbed_flexure(height=1e300))
+    # its far heads collapse to zero area: the bound comes before winding
+    with pytest.raises(GeometryError, match="float32 range"):
+        flexional_recipe(FlexionalLimitSpec(1e297, 2 * MM, 4 * MM))
+    # the largest float32 still makes a finite STL
+    top = float(np.finfo(np.float32).max)
+    box = Primitive("box", ((0.0, 0.0), (top, 0.0), (top, 1.0), (0.0, 1.0)),
+                    "z", 0.0, 1.0)
+    export_stl(box.mesh(), tmp_path / "box.stl")
+    _, normals, tris, _ = read_stl(tmp_path / "box.stl")
+    assert np.isfinite(normals).all() and np.isfinite(tris).all()
 
 
 def test_concatenate_and_empty_mesh():

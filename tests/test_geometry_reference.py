@@ -161,9 +161,7 @@ def recipes():
         "flush slab": flexure_recipe(ribbed(1.0, 1.0, 12.0, 4.0)),
         "stepped slab": flexure_recipe(ribbed(1.0, 1.0, 13.0, 4.0)),
         "mushrooms": flexional_recipe(flexional),
-        "tall mushrooms": flexional_recipe(
-            flexional, count=3, facets=24, head_thickness=2 * MM,
-            stem_radius=1.5 * MM),
+        "tall mushrooms": flexional_recipe(flexional, count=3, facets=24),
         "stemless mushrooms": flexional_recipe(
             FlexionalLimitSpec(6 * MM, 2 * MM, 0.0), facets=9),
         "standoffs": extensional_recipe(extensional),

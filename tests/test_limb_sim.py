@@ -201,9 +201,6 @@ def test_quarter_turn_arc_endpoint_closed_form():
     radius = 0.01 / (math.pi / 2)
     assert foot[0] == pytest.approx(0.03 + radius, rel=1e-12)
     assert foot[1] == pytest.approx(radius + 0.03, rel=1e-12)
-    # endpoint does not depend on the arc sampling density
-    _, coarse = forward_kinematics(limb, (math.pi / 2,), arc_points=1)
-    assert coarse == pytest.approx(foot, rel=1e-15)
 
 
 def test_arc_endpoint_matches_numeric_heading_integral():
@@ -351,7 +348,7 @@ def test_cycle_rows_equal_single_pull_solves_exactly():
             assert tuple(cycle.jammed[i]) == state.jammed
             assert _scalar_equilibrium(limb, float(pull)) == (
                 state.theta, state.tension, state.jammed)
-            _, foot = forward_kinematics(limb, state.theta, arc_points=1)
+            _, foot = forward_kinematics(limb, state.theta)
             assert tuple(cycle.foot_path[i]) == foot
             profile = curvature_profile(limb, state.theta)
             for s, kappa in zip(cycle.arc_bins, cycle.curvature_map[i]):
