@@ -12,10 +12,11 @@ exactly linear through the origin by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DesignDoc, GaitEntry
+from .core import MM, DesignDoc, GaitEntry
 from .errors import DesignError
 from .limb_sim import limb_from_document, sweep_cycle
 
@@ -35,8 +36,12 @@ def body_speed(gait: GaitEntry, strokes: Mapping[str, float],
     if missing:
         raise DesignError(f"missing stroke metrics for limb(s) {missing}")
     (a0, a1), (b0, b1) = gait.pair_a, gait.pair_b
-    return frequency_hz * ((strokes[a0] + strokes[a1]) / 2
-                           + (strokes[b0] + strokes[b1]) / 2)
+    speed = frequency_hz * ((strokes[a0] + strokes[a1]) / 2
+                            + (strokes[b0] + strokes[b1]) / 2)
+    # finite in mm/s too, the unit the speed curve is written in
+    if not math.isfinite(speed / MM):
+        raise DesignError(f"the body speed at {frequency_hz:g} Hz overflows")
+    return speed
 
 
 def speed_curve(gait: GaitEntry, strokes: Mapping[str, float]) -> SpeedCurve:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import groupby
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +32,42 @@ from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
 _MIN_TRIANGLE_AREA_MM2 = 1e-12
 M_TO_MM = 1000.0
 # The most triangles one part may have, counted before anything is built:
-# 83x the benchmark's largest part. An export at the bound peaks near 430 MB.
+# 83x the benchmark's largest part. An export at the bound peaks near 350 MB.
 MAX_PART_TRIANGLES = 2 ** 20
 # STL stores float32 vertices: a larger coordinate would be written as inf.
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)),
                         ("attribute", "<u2")])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (n, 3) arrays, bit for bit ``np.cross(a, b)``: each
+    component is the difference of two separately rounded products."""
+    out, tmp = np.empty(a.shape), np.empty(len(a))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[:, j], b[:, k], out=out[:, i])
+        np.multiply(a[:, k], b[:, j], out=tmp)
+        out[:, i] -= tmp
+    return out
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _vertex_ids(pts: np.ndarray) -> np.ndarray:
+    """One id per row of ``pts``: equal points (-0.0 == 0.0) share one, and
+    NaN matches none."""
+    order = np.lexsort(pts.T[::-1])
+    ranked = np.take(pts, order, axis=0)
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=new[1:])
+    for c in (1, 2):
+        np.logical_or(new[1:], ranked[1:, c] != ranked[:-1, c], out=new[1:])
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(new)
+    return ids
 
 
 class TriangleMesh:
@@ -56,50 +87,47 @@ class TriangleMesh:
     def __len__(self) -> int:
         return len(self._tri)
 
-    def _cross(self) -> np.ndarray:
-        return np.cross(self._tri[:, 1] - self._tri[:, 0],
-                        self._tri[:, 2] - self._tri[:, 0])
+    def _edge_cross(self) -> np.ndarray:
+        return _cross(self._tri[:, 1] - self._tri[:, 0],
+                      self._tri[:, 2] - self._tri[:, 0])
 
     @property
     def normals(self) -> np.ndarray:
         """Unit outward normals, one per triangle."""
-        n = self._cross()
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
+        return _unit_rows(self._edge_cross())
 
     def areas(self) -> np.ndarray:
-        return 0.5 * np.linalg.norm(self._cross(), axis=1)
+        return 0.5 * np.linalg.norm(self._edge_cross(), axis=1)
 
     def volume(self) -> float:
         """Signed enclosed volume (divergence theorem), mm^3."""
         v0, v1, v2 = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
-        return float(np.einsum("ij,ij->i", v0, np.cross(v1, v2)).sum() / 6.0)
+        return float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         pts = self._tri.reshape(-1, 3)
         return pts.min(axis=0), pts.max(axis=0)
 
-    def validate(self) -> None:
-        """Raise GeometryError unless the mesh is a closed, outward shell."""
+    def validate(self) -> np.ndarray:
+        """Raise GeometryError unless the mesh is a closed, outward shell.
+
+        Returns the edge cross product of each triangle, twice its area
+        along its normal, which ``export_stl`` turns into the normals.
+        """
+        cross = self._edge_cross()
         if len(self._tri) == 0:
-            return
-        small = self.areas() <= _MIN_TRIANGLE_AREA_MM2
+            return cross
+        small = 0.5 * np.linalg.norm(cross, axis=1) <= _MIN_TRIANGLE_AREA_MM2
         if small.any():
             raise GeometryError(
                 f"{int(small.sum())} degenerate triangle(s) below "
                 f"{_MIN_TRIANGLE_AREA_MM2} mm^2")
-        # Vertex ids: equal points (-0.0 == 0.0) share one; NaN matches none.
-        pts = self._tri.reshape(-1, 3)
-        order = np.lexsort(pts.T[::-1])
-        ranked = pts[order]
-        ids = np.empty_like(order)
-        ids[order] = np.cumsum(np.concatenate(
-            ([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
-        tri = ids.reshape(-1, 3)
+        tri = _vertex_ids(self._tri.reshape(-1, 3)).reshape(-1, 3)
         nxt = np.roll(tri, -1, axis=1)
         if (tri == nxt).any():
             raise GeometryError("triangle with repeated vertices")
         # Watertight: each directed edge occurs once, and so does its reverse.
-        m = len(pts) + 1
+        m = tri.size + 1
         keys = np.sort((tri * m + nxt).ravel())
         if ((keys[1:] == keys[:-1]).any()
                 or not np.array_equal(keys, np.sort((nxt * m + tri).ravel()))):
@@ -108,13 +136,7 @@ class TriangleMesh:
                 "exactly two consistently wound triangles")
         if not self.volume() > 0:
             raise GeometryError("mesh volume is not positive (inside out?)")
-
-    @staticmethod
-    def concatenate(meshes: Iterable["TriangleMesh"]) -> "TriangleMesh":
-        arrays = [m.triangles for m in meshes if len(m)]
-        if not arrays:
-            return TriangleMesh(np.empty((0, 3, 3)))
-        return TriangleMesh(np.concatenate(arrays))
+        return cross
 
 
 def _polygon_area(poly: tuple) -> float:
@@ -160,20 +182,30 @@ class Primitive:
         return _polygon_area(self.polygon) * (self.hi - self.lo)
 
     def mesh(self) -> TriangleMesh:
-        # Polygon vertex i is point i at lo and n + i at hi. Each fan step
-        # gives a hi then a lo cap triangle; each side, two triangles.
-        n = len(self.polygon)
-        pts = np.empty((2 * n, 3))
-        pts[:, :2] = self.polygon * 2
-        pts[:n, 2], pts[n:, 2] = self.lo, self.hi
-        j = np.arange(n)
-        k, i = (j + 1) % n, j[1:-1]
-        caps = np.array((0 * i + n, n + i, n + i + 1, 0 * i, i + 1, i)).T
-        sides = np.array((j, k, n + k, j, n + k, n + j)).T
-        faces = np.concatenate((caps, sides)).reshape(-1, 3)
-        if self.axis == "y":
-            pts, faces = pts[:, [0, 2, 1]], faces[:, ::-1]  # mirror: rewind
-        return TriangleMesh(pts[faces])
+        return SolidRecipe((self,)).mesh()
+
+
+def _mesh_run(run: list[Primitive], n: int, axis: str) -> np.ndarray:
+    """Triangles of primitives sharing a vertex count and an axis, in order.
+
+    Polygon vertex i of primitive p is point (p, i) at lo and (p, n + i) at
+    hi. Each fan step gives a hi then a lo cap triangle; each side, two
+    triangles.
+    """
+    polygons = np.array([p.polygon for p in run])
+    pts = np.empty((len(run), 2 * n, 3))
+    pts[:, :n, :2] = pts[:, n:, :2] = polygons
+    extents = np.array([(p.lo, p.hi) for p in run])
+    pts[:, :n, 2] = extents[:, :1]
+    pts[:, n:, 2] = extents[:, 1:]
+    j = np.arange(n)
+    k, i = (j + 1) % n, j[1:-1]
+    caps = np.array((0 * i + n, n + i, n + i + 1, 0 * i, i + 1, i)).T
+    sides = np.array((j, k, n + k, j, n + k, n + j)).T
+    faces = np.concatenate((caps, sides)).reshape(-1, 3)
+    if axis == "y":
+        pts, faces = pts[:, :, [0, 2, 1]], faces[:, ::-1]  # mirror: rewind
+    return pts[:, faces].reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -188,7 +220,14 @@ class SolidRecipe:
         return sum(p.volume_mm3 for p in self.primitives)
 
     def mesh(self) -> TriangleMesh:
-        return TriangleMesh.concatenate(p.mesh() for p in self.primitives)
+        """One array pass per run of consecutive primitives that share a
+        vertex count and an axis; triangles keep the primitives' order."""
+        blocks = [_mesh_run(list(run), n, axis) for (n, axis), run in
+                  groupby(self.primitives, lambda p: (len(p.polygon), p.axis))]
+        if not blocks:
+            return TriangleMesh(np.empty((0, 3, 3)))
+        return TriangleMesh(blocks[0] if len(blocks) == 1
+                            else np.concatenate(blocks))
 
 
 def _check_size(triangles: int) -> None:
@@ -342,10 +381,10 @@ def export_stl(mesh: TriangleMesh, destination) -> int:
     12 float32 values (normal, 3 vertices) and a zero attribute word:
     exactly 84 + 50 * count bytes. Refuses invariant-violating meshes.
     """
-    mesh.validate()
+    cross = mesh.validate()
     header = f"flexokit {__version__} binary STL".encode("ascii")[:80]
     records = np.zeros(len(mesh), dtype=_STL_RECORD)
-    records["normal"] = mesh.normals
+    records["normal"] = _unit_rows(cross)
     records["vertices"] = mesh.triangles
     with open(destination, "wb") as fh:
         fh.write(header.ljust(80, b" ") + struct.pack("<I", len(mesh)))

@@ -73,8 +73,22 @@ class LimbSpec:
     segments: tuple[Union[Link, JointDef], ...]
 
     def __post_init__(self):
-        if not self.joints:
+        joints = self.joints
+        if not joints:
             raise EmptyLimbError("a limb needs at least one joint")
+        # The tendon solve divides pulls by sums of r^2 * (1 / k) and holds
+        # a limb at its caps with the largest k * cap / r, both formed here
+        # in the solver's order of operations.
+        compliance = [j.routing_offset * j.routing_offset
+                      * (1.0 / j.torsional_stiffness) for j in joints]
+        tension = max(j.torsional_stiffness * j.jam_angle / j.routing_offset
+                      for j in joints)
+        if not (min(compliance) > 0 and math.isfinite(sum(compliance))
+                and math.isfinite(tension)
+                and math.isfinite(self.pull_capacity)):
+            raise DesignError(
+                "routing offsets and stiffnesses put the limb's tendon "
+                "compliance, jam tension or full-jam pull out of float range")
 
     @property
     def joints(self) -> tuple[JointDef, ...]:

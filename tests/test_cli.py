@@ -338,6 +338,12 @@ def _set_jam_angle(value):
     ("quadruped.json", "simulate-gait",
      lambda doc: doc["gait"].update(frequencies_hz=[1.0, math.nan]),
      "gait.frequencies_hz[1]: expected a finite number"),
+    ("quadruped.json", "simulate-gait",
+     lambda doc: doc["gait"].update(frequencies_hz=[0.0, 1e308]),
+     "the body speed at 1e+308 Hz overflows"),
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: _first_joint(doc).update(routing_offset_mm=1e308),
+     "compliance, jam tension or full-jam pull out of float range"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
          1, math.inf),
@@ -355,8 +361,8 @@ def _set_jam_angle(value):
          diagonal_mm=0),
      "extensional_limits.sample_extensional: diagonal must be positive"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
-        "infinite_layer", "overflowing_integer", "zero_spacing",
-        "zero_diagonal"])
+        "overflowing_speed", "overflowing_routing_offset", "infinite_layer",
+        "overflowing_integer", "zero_spacing", "zero_diagonal"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
         tmp_path, capsys, document, subcommand, mutate, message):
     with open(bundled_path(document)) as f:

@@ -9,9 +9,10 @@ import pytest
 from helpers import read_stl
 from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
 from flexokit.errors import AlwaysJammedError, GeometryError
-from flexokit.geometry import (Primitive, TriangleMesh, export_stl,
-                               extensional_recipe, flexional_recipe,
-                               flexure_recipe, regular_polygon_area)
+from flexokit.geometry import (Primitive, SolidRecipe, TriangleMesh,
+                               export_stl, extensional_recipe,
+                               flexional_recipe, flexure_recipe,
+                               regular_polygon_area)
 from flexokit.joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
 MM = 1e-3
@@ -233,11 +234,13 @@ def test_recipes_reject_coordinates_beyond_float32(tmp_path):
 
 
 def test_concatenate_and_empty_mesh():
-    empty = TriangleMesh.concatenate([])
+    nothing = SolidRecipe(())
+    empty = nothing.mesh()
     assert len(empty) == 0
     empty.validate()  # vacuously closed
-    a = flexure_recipe(plate_flexure()).mesh()
-    combined = TriangleMesh.concatenate([a, empty])
+    plate = flexure_recipe(plate_flexure())
+    a = plate.mesh()
+    combined = SolidRecipe(plate.primitives + nothing.primitives).mesh()
     assert len(combined) == len(a)
 
 
@@ -272,7 +275,7 @@ def test_stl_round_trips_bit_exactly(tmp_path):
 
 def test_stl_of_empty_mesh_is_header_only(tmp_path):
     out = tmp_path / "empty.stl"
-    written = export_stl(TriangleMesh.concatenate([]), out)
+    written = export_stl(SolidRecipe(()).mesh(), out)
     assert written == 84
     blob = out.read_bytes()
     assert struct.unpack_from("<I", blob, 80) == (0,)

@@ -16,9 +16,10 @@ import pytest
 from flexokit import __version__
 from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
 from flexokit.errors import GeometryError
-from flexokit.geometry import (Primitive, TriangleMesh, export_stl,
-                               extensional_recipe, flexional_recipe,
-                               flexure_recipe)
+from flexokit import geometry
+from flexokit.geometry import (Primitive, SolidRecipe, TriangleMesh,
+                               export_stl, extensional_recipe,
+                               flexional_recipe, flexure_recipe)
 from flexokit.joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
 MM = 1e-3
@@ -189,6 +190,43 @@ def test_stepped_slab_matches_the_rotated_fan_of_its_old_outline():
                (12.0, 1.3), (0.0, 1.3))
     assert np.array_equal(slab.mesh().triangles,
                           loop_mesh(outline, "y", 0.0, 44.0, fan_index=3))
+
+
+def test_interleaved_runs_mesh_to_the_loop_mesh_of_each_primitive(tmp_path):
+    # Vertex counts and axes change between neighbours, so the recipe is
+    # meshed as five runs; the triangles must keep the primitives' order.
+    box = lambda x0, z0: Primitive(
+        "box", ((x0, 0.0), (x0 + 2.0, 0.0), (x0 + 2.0, 3.0), (x0, 3.0)),
+        "z", z0, z0 + 1.5)
+    hexagon = tuple((20.0 + 2.0 * math.cos(a), 5.0 + 2.0 * math.sin(a))
+                    for a in np.linspace(0.0, 2 * math.pi, 6, endpoint=False))
+    slanted = ((30.0, 0.0), (33.0, 0.0), (34.0, 2.5), (31.0, 2.5))
+    nonagon = tuple((50.0 + math.cos(a), 9.0 + 1.5 * math.sin(a))
+                    for a in np.linspace(0.0, 2 * math.pi, 9, endpoint=False))
+    recipe = SolidRecipe((
+        box(0.0, 0.0), Primitive("hex", hexagon, "y", 10.0, 14.0),
+        box(4.0, -2.0), box(8.0, 0.5), Primitive("slant", slanted, "y",
+                                                 -3.0, 1.0),
+        Primitive("nonagon", nonagon, "z", 2.0, 6.0)))
+    expected = np.concatenate([loop_mesh(p.polygon, p.axis, p.lo, p.hi)
+                               for p in recipe.primitives])
+    tri = recipe.mesh().triangles
+    assert np.array_equal(tri, expected)
+    assert_same_export(tri, tmp_path)
+
+
+# Infinite and NaN products make numpy warn in both implementations.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cross_is_bytewise_np_cross():
+    rng = np.random.default_rng(1911)
+    a, b = (rng.standard_normal((4000, 3)) * 10.0 ** rng.integers(
+        -300, 300, (4000, 3)) for _ in range(2))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    for arr in (a, b):
+        hit = rng.random(arr.shape) < 0.2
+        arr[hit] = rng.choice(special, int(hit.sum()))
+    assert geometry._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert geometry._cross(b, a).tobytes() == np.cross(b, a).tobytes()
 
 
 # ------------------------------------------------------- corrupted meshes
