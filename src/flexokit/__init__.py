@@ -27,15 +27,15 @@ _PUBLIC = {
         flexional_jam_angle flexional_inverse extensional_jam_angle
         extensional_inverse""",
     "stiffness": """PlateauUnreachableError SectionStiffness
-        FlexureStiffnessResult section_EI homogenized_EI tip_stiffness
+        FlexureStiffnessResult section_EI homogenized_EI
         tip_stiffness_exact torsional_stiffness plateau_stiffness
         solve_width_ratio solve_feature_height""",
     "limb_sim": """JointDef Link LimbSpec LimbState StrokeMetrics CycleResult
         equilibrium_solve forward_kinematics curvature_profile sweep_cycle
         limb_from_document""",
-    "gait_sim": "SpeedCurve body_speed speed_curve gait_from_document",
+    "gait_sim": "body_speed speed_curve gait_from_document",
     "geometry": """TriangleMesh Primitive SolidRecipe flexure_recipe
-        flexional_recipe extensional_recipe export_stl regular_polygon_area""",
+        flexional_recipe extensional_recipe export_stl""",
 }
 _HOME = {name: module for module, names in _PUBLIC.items()
          for name in names.split()}

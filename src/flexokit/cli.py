@@ -84,6 +84,16 @@ def _writing(path: Path):
     print(f"wrote {path}")
 
 
+@contextmanager
+def _located(path: str):
+    """Prefix ``<path>: `` to the message of a FlexokitError raised inside."""
+    try:
+        yield
+    except FlexokitError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _write_json(path: Path, payload) -> None:
     with _writing(path) as tmp:
         tmp.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
@@ -373,7 +383,7 @@ def _cmd_simulate_gait(args) -> int:
     from .gait_sim import gait_from_document, speed_curve
     doc = _load_document(args.input)
     strokes = gait_from_document(doc, steps=args.steps)
-    points = speed_curve(doc.gait, strokes).points
+    points = speed_curve(doc.gait, strokes)
     _write_table(_out_dir(args), "gait_speed", ["frequency_hz", "speed_mm_s"],
                  [[f, v / MM] for f, v in points], args.format)
     return 0
@@ -408,16 +418,14 @@ def _cmd_export_geometry(args) -> int:
     # stops the export before any directory or file is made.
     recipes = []
     for i, part in enumerate(parts):
-        try:
+        with _located(f"export.parts[{i}]"):
             recipes.append(_recipe_for_part(doc, part))
-        except FlexokitError as exc:
-            exc.args = (f"export.parts[{i}]: {exc}",)
-            raise
     directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
-    for part, (recipe, film_mm) in zip(parts, recipes):
+    for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
         mesh = recipe.mesh()
-        with _writing(directory / part.file) as tmp:
+        with _located(f"export.parts[{i}]"), \
+                _writing(directory / part.file) as tmp:
             byte_count = export_stl(mesh, tmp)  # validates the mesh first
         lo, hi = mesh.bounding_box()
         _write_json(directory / (Path(part.file).stem + ".manifest.json"), {

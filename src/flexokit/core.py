@@ -96,10 +96,6 @@ class LaminateStack:
         return tuple((m, t * MM) for m, t in self.layers)
 
     @property
-    def total_thickness_mm(self) -> float:
-        return sum(t for _, t in self.layers)
-
-    @property
     def printed_thickness_mm(self) -> float:
         """Total thickness of extruded layers (the base film is stock)."""
         return sum(t for m, t in self.layers if m.kind == "filament")
@@ -686,19 +682,6 @@ def serialize_design(doc: DesignDoc) -> str:
 # --------------------------------------------------------------------------
 # Process validation
 
-VALIDATION_CODES = {
-    "bed_temp_peak_band": "ok: bed temperature inside the peak peel-strength band",
-    "bed_temp_ok": "ok: bed temperature inside the recommended adhesion range",
-    "bed_temp_low_adhesion": "warning: bed temperature below the adhesion range",
-    "bed_temp_high": "warning: bed temperature above the adhesion range",
-    "z_offset_ok": "ok: first-layer Z-offset inside the recommended range",
-    "z_offset_out_of_range": "warning: Z-offset outside the recommended range",
-    "nozzle_temp_ok": "ok: nozzle temperature matches the material",
-    "nozzle_temp_mismatch": "warning: nozzle temperature differs from the material",
-    "adhesion_reference": "ok: informational peel-strength baseline",
-}
-
-
 @dataclass(frozen=True)
 class ValidationEntry:
     level: str  # "ok" | "warning"
@@ -728,66 +711,65 @@ class ValidationReport:
                          for e in self.entries) + "\n"
 
 
+_BED_LO, _BED_HI = BED_TEMP_RANGE_C
+_PEAK_LO, _PEAK_HI = BED_TEMP_PEAK_BAND_C
+_Z_LO, _Z_HI = Z_OFFSET_RANGE_MM
+
+# (check, code, level, predicate, message). A check is the config field it
+# reads and is skipped while that field is unset; it reports the first of
+# its rules whose predicate holds for (value, process material). Neither
+# nozzle rule holds when the material declares no nozzle temperature.
+_PROCESS_RULES = (
+    ("bed_temp_c", "bed_temp_low_adhesion", "warning",
+     lambda bed, m: bed < _BED_LO, lambda bed, m:
+     f"bed temperature {bed:g} C is outside recommended adhesion range "
+     f"{_BED_LO:g}-{_BED_HI:g} C; expect weak film bonding"),
+    ("bed_temp_c", "bed_temp_high", "warning",
+     lambda bed, m: bed > _BED_HI, lambda bed, m:
+     f"bed temperature {bed:g} C is outside recommended adhesion range "
+     f"{_BED_LO:g}-{_BED_HI:g} C; the base film may deform"),
+    ("bed_temp_c", "bed_temp_peak_band", "ok",
+     lambda bed, m: _PEAK_LO <= bed <= _PEAK_HI, lambda bed, m:
+     f"bed temperature {bed:g} C sits in the peak peel-strength band "
+     f"{_PEAK_LO:g}-{_PEAK_HI:g} C"),
+    ("bed_temp_c", "bed_temp_ok", "ok",
+     lambda bed, m: True, lambda bed, m:
+     f"bed temperature {bed:g} C is inside the recommended range "
+     f"{_BED_LO:g}-{_BED_HI:g} C"),
+    ("z_offset_mm", "z_offset_ok", "ok",
+     lambda z, m: _Z_LO <= z <= _Z_HI, lambda z, m:
+     f"Z-offset {z:g} mm is inside the recommended range "
+     f"{_Z_LO:g}-{_Z_HI:g} mm"),
+    ("z_offset_mm", "z_offset_out_of_range", "warning",
+     lambda z, m: True, lambda z, m:
+     f"Z-offset {z:g} mm is outside {_Z_LO:g}-{_Z_HI:g} mm; first-layer "
+     "contact pressure will be off (too low bonds poorly, too high "
+     "loses it entirely)"),
+    ("nozzle_temp_c", "nozzle_temp_ok", "ok",
+     lambda t, m: t == m.nozzle_temp_c, lambda t, m:
+     f"nozzle temperature {t:g} C matches {m.name}"),
+    ("nozzle_temp_c", "nozzle_temp_mismatch", "warning",
+     lambda t, m: m.nozzle_temp_c is not None, lambda t, m:
+     f"nozzle temperature {t:g} C differs from {m.name}'s declared "
+     f"{m.nozzle_temp_c:g} C"),
+)
+
+
 def validate_process(config: PrintProcessConfig) -> ValidationReport:
     """Check printer parameters against the recommended process windows.
 
     Validation reports, never aborts: process windows are recommendations,
-    not hard limits. Every entry carries one of the codes documented in
-    VALIDATION_CODES.
+    not hard limits. The report ends with the adhesive peel-strength
+    baseline for reference.
     """
-    entries = []
-    bed = config.bed_temp_c
-    lo, hi = BED_TEMP_RANGE_C
-    peak_lo, peak_hi = BED_TEMP_PEAK_BAND_C
-    if bed < lo:
-        entries.append(ValidationEntry(
-            "warning", "bed_temp_low_adhesion",
-            f"bed temperature {bed:g} C is outside recommended adhesion range "
-            f"{lo:g}-{hi:g} C; expect weak film bonding", bed))
-    elif bed > hi:
-        entries.append(ValidationEntry(
-            "warning", "bed_temp_high",
-            f"bed temperature {bed:g} C is outside recommended adhesion range "
-            f"{lo:g}-{hi:g} C; the base film may deform", bed))
-    elif peak_lo <= bed <= peak_hi:
-        entries.append(ValidationEntry(
-            "ok", "bed_temp_peak_band",
-            f"bed temperature {bed:g} C sits in the peak peel-strength band "
-            f"{peak_lo:g}-{peak_hi:g} C", bed))
-    else:
-        entries.append(ValidationEntry(
-            "ok", "bed_temp_ok",
-            f"bed temperature {bed:g} C is inside the recommended range "
-            f"{lo:g}-{hi:g} C", bed))
-
-    z = config.z_offset_mm
-    zlo, zhi = Z_OFFSET_RANGE_MM
-    if zlo <= z <= zhi:
-        entries.append(ValidationEntry(
-            "ok", "z_offset_ok",
-            f"Z-offset {z:g} mm is inside the recommended range "
-            f"{zlo:g}-{zhi:g} mm", z))
-    else:
-        entries.append(ValidationEntry(
-            "warning", "z_offset_out_of_range",
-            f"Z-offset {z:g} mm is outside {zlo:g}-{zhi:g} mm; first-layer "
-            "contact pressure will be off (too low bonds poorly, too high "
-            "loses it entirely)", z))
-
-    declared = config.material.nozzle_temp_c
-    if config.nozzle_temp_c is not None and declared is not None:
-        if config.nozzle_temp_c == declared:
+    entries, reported = [], set()
+    for check, code, level, holds, message in _PROCESS_RULES:
+        value = getattr(config, check)
+        if (check not in reported and value is not None
+                and holds(value, config.material)):
+            reported.add(check)
             entries.append(ValidationEntry(
-                "ok", "nozzle_temp_ok",
-                f"nozzle temperature {config.nozzle_temp_c:g} C matches "
-                f"{config.material.name}", config.nozzle_temp_c))
-        else:
-            entries.append(ValidationEntry(
-                "warning", "nozzle_temp_mismatch",
-                f"nozzle temperature {config.nozzle_temp_c:g} C differs from "
-                f"{config.material.name}'s declared {declared:g} C",
-                config.nozzle_temp_c))
-
+                level, code, message(value, config.material), value))
     entries.append(ValidationEntry(
         "ok", "adhesion_reference",
         "reference: a well-bonded seam compares to a commercial-adhesive "

@@ -13,17 +13,11 @@ exactly linear through the origin by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import MM, DesignDoc, GaitEntry
 from .errors import DesignError
 from .limb_sim import limb_from_document, sweep_cycle
-
-
-@dataclass(frozen=True)
-class SpeedCurve:
-    points: tuple[tuple[float, float], ...]  # (frequency Hz, speed m/s)
 
 
 def body_speed(gait: GaitEntry, strokes: Mapping[str, float],
@@ -44,10 +38,12 @@ def body_speed(gait: GaitEntry, strokes: Mapping[str, float],
     return speed
 
 
-def speed_curve(gait: GaitEntry, strokes: Mapping[str, float]) -> SpeedCurve:
-    """body_speed evaluated over the gait's frequency list, order preserved."""
-    return SpeedCurve(tuple((f, body_speed(gait, strokes, f))
-                            for f in gait.frequencies_hz))
+def speed_curve(gait: GaitEntry, strokes: Mapping[str, float]
+                ) -> tuple[tuple[float, float], ...]:
+    """(frequency Hz, body speed m/s) over the gait's frequency list, order
+    preserved."""
+    return tuple((f, body_speed(gait, strokes, f))
+                 for f in gait.frequencies_hz)
 
 
 def gait_from_document(doc: DesignDoc, steps: int = 101) -> dict[str, float]:

@@ -51,10 +51,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _vertex_ids(pts: np.ndarray) -> np.ndarray:
     """One id per row of ``pts``: equal points (-0.0 == 0.0) share one, and
     NaN matches none."""
@@ -87,18 +83,6 @@ class TriangleMesh:
     def __len__(self) -> int:
         return len(self._tri)
 
-    def _edge_cross(self) -> np.ndarray:
-        return _cross(self._tri[:, 1] - self._tri[:, 0],
-                      self._tri[:, 2] - self._tri[:, 0])
-
-    @property
-    def normals(self) -> np.ndarray:
-        """Unit outward normals, one per triangle."""
-        return _unit_rows(self._edge_cross())
-
-    def areas(self) -> np.ndarray:
-        return 0.5 * np.linalg.norm(self._edge_cross(), axis=1)
-
     def volume(self) -> float:
         """Signed enclosed volume (divergence theorem), mm^3."""
         v0, v1, v2 = self._tri[:, 0], self._tri[:, 1], self._tri[:, 2]
@@ -114,7 +98,8 @@ class TriangleMesh:
         Returns the edge cross product of each triangle, twice its area
         along its normal, which ``export_stl`` turns into the normals.
         """
-        cross = self._edge_cross()
+        v0 = self._tri[:, 0]
+        cross = _cross(self._tri[:, 1] - v0, self._tri[:, 2] - v0)
         if len(self._tri) == 0:
             return cross
         small = 0.5 * np.linalg.norm(cross, axis=1) <= _MIN_TRIANGLE_AREA_MM2
@@ -244,11 +229,6 @@ def _ngon(cx: float, cy: float, radius: float, facets: int) -> tuple:
     return tuple((cx + radius * math.cos(2 * math.pi * i / facets),
                   cy + radius * math.sin(2 * math.pi * i / facets))
                  for i in range(facets))
-
-
-def regular_polygon_area(radius: float, facets: int) -> float:
-    """Area of the regular polygon inscribed in a circle of ``radius``."""
-    return 0.5 * facets * radius ** 2 * math.sin(2 * math.pi / facets)
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +364,7 @@ def export_stl(mesh: TriangleMesh, destination) -> int:
     cross = mesh.validate()
     header = f"flexokit {__version__} binary STL".encode("ascii")[:80]
     records = np.zeros(len(mesh), dtype=_STL_RECORD)
-    records["normal"] = _unit_rows(cross)
+    records["normal"] = cross / np.linalg.norm(cross, axis=1, keepdims=True)
     records["vertices"] = mesh.triangles
     with open(destination, "wb") as fh:
         fh.write(header.ljust(80, b" ") + struct.pack("<I", len(mesh)))

@@ -161,14 +161,20 @@ def extensional_jam_angle(spec: ExtensionalLimitSpec) -> float:
     """Bend angle (radians) at which the standoff tips first touch.
 
     Closed form: the rest gap between the rounded tips divided by the lever
-    arm from the bending surface to the tips.
+    arm from the bending surface to the tips. Raises GeometryError when a
+    near-zero lever arm makes the angle overflow.
     """
     gap = spec.rest_gap
     if gap <= 0:
         raise ContactAtRestError(
             f"standoff tips touch at rest (gap {gap:g} m); smallest feasible "
             f"diagonal is {spec.min_diagonal:g} m", spec.min_diagonal)
-    return gap / (spec.tip_height + spec.mount_height)
+    angle = gap / (spec.tip_height + spec.mount_height)
+    if angle == math.inf:
+        raise GeometryError(
+            "the jam angle overflows: the lever arm to the tips is too "
+            f"short for the {gap:g} m rest gap")
+    return angle
 
 
 def extensional_inverse(target_beta: float, base_width: float,

@@ -127,11 +127,6 @@ def homogenized_EI(flex: FlexureSpec) -> FlexureStiffnessResult:
         k_torsional=ei_eff / length)
 
 
-def tip_stiffness(flex: FlexureSpec) -> float:
-    """Homogenized cantilever tip stiffness, N/m."""
-    return homogenized_EI(flex).k_tip
-
-
 def tip_stiffness_exact(flex: FlexureSpec) -> float:
     """Tip stiffness from quadrature over the periodic EI(x) profile.
 

@@ -1,10 +1,13 @@
-"""Test-local oracles: STL decoding, random limbs, energy bookkeeping.
+"""Test-local oracles: STL decoding, polygon and triangle measures, random
+limbs, energy bookkeeping.
 
 Everything here is independent of the package internals on purpose; the
-STL reader and the energy helpers only use struct/numpy so they can catch
-mistakes in the production encoders and solvers.
+STL reader, the measures and the energy helpers only use
+math/struct/numpy so they can catch mistakes in the production encoders,
+meshers and solvers.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -33,6 +36,28 @@ def read_stl(path):
         attrs.append(values[12])
         offset += 50
     return header, normals, tris, attrs
+
+
+def regular_polygon_area(radius, facets):
+    """Area of the regular polygon inscribed in a circle of ``radius``."""
+    return 0.5 * facets * radius ** 2 * math.sin(2 * math.pi / facets)
+
+
+def _edge_cross(tri):
+    tri = np.asarray(tri, dtype=np.float64)
+    return np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+
+
+def triangle_areas(tri):
+    """Area of each triangle of an (n, 3, 3) array."""
+    return 0.5 * np.linalg.norm(_edge_cross(tri), axis=1)
+
+
+def unit_normals(tri):
+    """Unit normal of each triangle of an (n, 3, 3) array, along
+    (v1 - v0) x (v2 - v0)."""
+    cross = _edge_cross(tri)
+    return cross / np.linalg.norm(cross, axis=1, keepdims=True)
 
 
 def random_limb(rng, n_joints=None, equal_offsets=False,

@@ -115,7 +115,7 @@ def _check_file(path):
 
 
 @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_any_command_line_ends_in_a_result_or_one_json_line(name, data):
     argv = data.draw(command_lines(name), label="argv")

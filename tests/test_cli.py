@@ -173,7 +173,10 @@ def test_solve_limit_infeasible_geometry_exits_2(tmp_path, capsys):
     ["solve-limit", "--flexional", "--stem-height-mm", "1e10"],
     ["design", "--target", "stem_height", "--angle-deg", "1e-300"],
     ["design", "--target", "stem_height", "--angle-deg", "1e-320"],
-], ids=["tall_stem", "tiny_angle", "subnormal_angle"])
+    # a subnormal lever arm: the extensional angle overflows to inf
+    ["solve-limit", "--extensional", "--mount-height-mm", "1e-320",
+     "--incline-deg", "1e-320"],
+], ids=["tall_stem", "tiny_angle", "subnormal_angle", "subnormal_lever"])
 def test_jam_angle_below_the_solver_floor_exits_2(tmp_path, capsys, argv):
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
@@ -487,6 +490,17 @@ def test_export_beyond_float32_exits_2_unwritten(tmp_path, capsys, mutate,
     assert diagnostic["message"].startswith(f"export.parts[{index}]: ")
     assert "float32 range" in diagnostic["message"]
     assert not out.exists()
+
+
+def test_export_part_refused_at_writing_names_its_path(tmp_path, capsys):
+    # the recipe is built, but its triangles are too thin for export_stl
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][3]
+                          .update(width_mm=1e-300))
+    assert run(["export-geometry", "-i", path, "-o", tmp_path / "out"]) == 2
+    assert one_json_line(capsys) == {
+        "error": "GeometryError",
+        "message": "export.parts[3]: 16 degenerate triangle(s) below "
+                   "1e-12 mm^2"}
 
 
 # ------------------------------------------------------- environment override

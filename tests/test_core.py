@@ -11,9 +11,9 @@ from conftest import bundled_text
 from flexokit.core import (ADHESIVE_BASELINE_N_PER_CM, DEFAULT_MATERIALS,
                            ExtensionalLimitEntry, FlexionalLimitEntry,
                            GaitEntry, JointEntry, LaminateStack, Material,
-                           PrintProcessConfig, VALIDATION_CODES,
-                           parse_design, parse_materials, serialize_design,
-                           to_document, validate_process)
+                           PrintProcessConfig, parse_design,
+                           parse_materials, serialize_design, to_document,
+                           validate_process)
 from flexokit.errors import DanglingReferenceError, DesignError, GeometryError
 
 BUNDLED = ("sample_flexure.json", "hind_leg.json", "quadruped.json")
@@ -189,7 +189,7 @@ def test_laminate_film_must_be_single_and_first():
     with pytest.raises(DesignError):
         LaminateStack(((pc, 0.1), (pc, 0.1)))
     stack = LaminateStack(((pc, 0.1), (pla, 0.2)))
-    assert stack.total_thickness_mm == pytest.approx(0.3)
+    assert sum(t for _, t in stack.layers) == pytest.approx(0.3)
     assert stack.printed_thickness_mm == pytest.approx(0.2)
 
 
@@ -332,14 +332,19 @@ def test_limit_entries_check_their_geometry_when_built():
 
 # ------------------------------------------------------ process validation
 
-def _config(bed=95.0, z=0.02, nozzle=215.0):
+def _config(bed=95.0, z=0.02, nozzle=215.0, material="PLA"):
     return PrintProcessConfig(bed_temp_c=bed, z_offset_mm=z,
-                              material=DEFAULT_MATERIALS["PLA"],
+                              material=DEFAULT_MATERIALS[material],
                               pc_thickness_mm=0.1, nozzle_temp_c=nozzle)
 
 
 def codes(report):
     return [e.code for e in report.entries]
+
+
+CODES = {"bed_temp_peak_band", "bed_temp_ok", "bed_temp_low_adhesion",
+         "bed_temp_high", "z_offset_ok", "z_offset_out_of_range",
+         "nozzle_temp_ok", "nozzle_temp_mismatch", "adhesion_reference"}
 
 
 def test_recommended_settings_validate_clean_with_peak_band():
@@ -398,7 +403,7 @@ def test_every_report_carries_the_adhesion_baseline():
         entry = report.entries[-1]
         assert entry.code == "adhesion_reference"
         assert entry.value == ADHESIVE_BASELINE_N_PER_CM == 11.2
-        assert set(codes(report)) <= set(VALIDATION_CODES)
+        assert set(codes(report)) <= CODES
         assert {e.level for e in report.entries} <= {"ok", "warning"}
 
 
@@ -410,3 +415,150 @@ def test_report_renderings():
     payload = report.to_json()
     assert payload[0]["code"] == "bed_temp_low_adhesion"
     assert payload[-1]["value"] == 11.2
+
+
+# Whole reports pinned literally on both sides of each window end, and for
+# a nozzle temperature that is unset, equal, different or not comparable.
+
+def _entry(level, code, message, value):
+    return {"level": level, "code": code, "message": message, "value": value}
+
+
+BED_95 = _entry("ok", "bed_temp_peak_band", "bed temperature 95 C sits in "
+                "the peak peel-strength band 90-100 C", 95.0)
+Z_002 = _entry("ok", "z_offset_ok", "Z-offset 0.02 mm is inside the "
+               "recommended range 0.01-0.03 mm", 0.02)
+NOZZLE_215 = _entry("ok", "nozzle_temp_ok",
+                    "nozzle temperature 215 C matches PLA", 215.0)
+REFERENCE = _entry("ok", "adhesion_reference", "reference: a well-bonded "
+                   "seam compares to a commercial-adhesive baseline of "
+                   "11.2 N/cm peel strength", 11.2)
+Z_OUT = ("mm is outside 0.01-0.03 mm; first-layer contact pressure will be "
+         "off (too low bonds poorly, too high loses it entirely)")
+
+BOUNDARY_CASES = [
+    ({"bed": 79.9}, [_entry(
+        "warning", "bed_temp_low_adhesion", "bed temperature 79.9 C is "
+        "outside recommended adhesion range 80-100 C; expect weak film "
+        "bonding", 79.9), Z_002, NOZZLE_215, REFERENCE]),
+    ({"bed": 80.0}, [_entry(
+        "ok", "bed_temp_ok", "bed temperature 80 C is inside the "
+        "recommended range 80-100 C", 80.0), Z_002, NOZZLE_215, REFERENCE]),
+    ({"bed": 89.9}, [_entry(
+        "ok", "bed_temp_ok", "bed temperature 89.9 C is inside the "
+        "recommended range 80-100 C", 89.9), Z_002, NOZZLE_215, REFERENCE]),
+    ({"bed": 90.0}, [_entry(
+        "ok", "bed_temp_peak_band", "bed temperature 90 C sits in the peak "
+        "peel-strength band 90-100 C", 90.0), Z_002, NOZZLE_215, REFERENCE]),
+    ({"bed": 100.0}, [_entry(
+        "ok", "bed_temp_peak_band", "bed temperature 100 C sits in the peak "
+        "peel-strength band 90-100 C", 100.0), Z_002, NOZZLE_215,
+        REFERENCE]),
+    ({"bed": 100.1}, [_entry(
+        "warning", "bed_temp_high", "bed temperature 100.1 C is outside "
+        "recommended adhesion range 80-100 C; the base film may deform",
+        100.1), Z_002, NOZZLE_215, REFERENCE]),
+    ({"z": 0.0099}, [BED_95, _entry(
+        "warning", "z_offset_out_of_range", "Z-offset 0.0099 " + Z_OUT,
+        0.0099), NOZZLE_215, REFERENCE]),
+    ({"z": 0.01}, [BED_95, _entry(
+        "ok", "z_offset_ok", "Z-offset 0.01 mm is inside the recommended "
+        "range 0.01-0.03 mm", 0.01), NOZZLE_215, REFERENCE]),
+    ({"z": 0.03}, [BED_95, _entry(
+        "ok", "z_offset_ok", "Z-offset 0.03 mm is inside the recommended "
+        "range 0.01-0.03 mm", 0.03), NOZZLE_215, REFERENCE]),
+    ({"z": 0.031}, [BED_95, _entry(
+        "warning", "z_offset_out_of_range", "Z-offset 0.031 " + Z_OUT,
+        0.031), NOZZLE_215, REFERENCE]),
+    ({"nozzle": None}, [BED_95, Z_002, REFERENCE]),
+    ({}, [BED_95, Z_002, NOZZLE_215, REFERENCE]),
+    ({"nozzle": 230.0}, [BED_95, Z_002, _entry(
+        "warning", "nozzle_temp_mismatch",
+        "nozzle temperature 230 C differs from PLA's declared 215 C", 230.0),
+        REFERENCE]),
+    # PC declares no nozzle temperature, so the set one is not compared
+    ({"material": "PC"}, [BED_95, Z_002, REFERENCE]),
+]
+
+BOUNDARY_TEXT = """\
+[WARNING] bed_temp_low_adhesion: bed temperature 79.9 C is outside recommended adhesion range 80-100 C; expect weak film bonding
+[OK     ] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK     ] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK     ] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_ok: bed temperature 80 C is inside the recommended range 80-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_ok: bed temperature 89.9 C is inside the recommended range 80-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 90 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 100 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[WARNING] bed_temp_high: bed temperature 100.1 C is outside recommended adhesion range 80-100 C; the base film may deform
+[OK     ] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK     ] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK     ] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK     ] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[WARNING] z_offset_out_of_range: Z-offset 0.0099 mm is outside 0.01-0.03 mm; first-layer contact pressure will be off (too low bonds poorly, too high loses it entirely)
+[OK     ] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK     ] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.01 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.03 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK     ] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[WARNING] z_offset_out_of_range: Z-offset 0.031 mm is outside 0.01-0.03 mm; first-layer contact pressure will be off (too low bonds poorly, too high loses it entirely)
+[OK     ] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK     ] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] nozzle_temp_ok: nozzle temperature 215 C matches PLA
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK     ] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK     ] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[WARNING] nozzle_temp_mismatch: nozzle temperature 230 C differs from PLA's declared 215 C
+[OK     ] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+
+[OK] bed_temp_peak_band: bed temperature 95 C sits in the peak peel-strength band 90-100 C
+[OK] z_offset_ok: Z-offset 0.02 mm is inside the recommended range 0.01-0.03 mm
+[OK] adhesion_reference: reference: a well-bonded seam compares to a commercial-adhesive baseline of 11.2 N/cm peel strength
+"""
+
+
+@pytest.mark.parametrize("kwargs,expected", BOUNDARY_CASES, ids=[
+    "-".join(f"{k}={v}" for k, v in kwargs.items()) or "defaults"
+    for kwargs, _ in BOUNDARY_CASES])
+def test_report_json_at_window_edges(kwargs, expected):
+    assert validate_process(_config(**kwargs)).to_json() == expected
+
+
+def test_report_text_at_window_edges():
+    text = "\n".join(validate_process(_config(**kwargs)).to_text()
+                     for kwargs, _ in BOUNDARY_CASES)
+    assert text == BOUNDARY_TEXT

@@ -49,7 +49,7 @@ def test_speed_curve_preserves_frequency_order():
     freqs = (2.0, 0.5, 1.0, 0.0)
     strokes = {"front_left": 10.0, "hind_right": 10.0,
                "front_right": 10.0, "hind_left": 10.0}
-    points = speed_curve(trot(freqs), strokes).points
+    points = speed_curve(trot(freqs), strokes)
     assert tuple(f for f, _ in points) == freqs
     assert points[-1] == (0.0, 0.0)
 
@@ -79,7 +79,7 @@ def test_document_gait_matches_direct_limb_sweeps(quadruped_doc):
                             steps=101)
         assert stroke == cycle.metrics.stroke_distance
     # document frequency list drives the curve
-    points = speed_curve(quadruped_doc.gait, strokes).points
+    points = speed_curve(quadruped_doc.gait, strokes)
     assert [f for f, _ in points] == [0.0, 0.5, 1.0, 1.5, 2.0]
     per_cycle = sum(strokes.values()) / 2
     for f, v in points:

@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import triangle_areas, unit_normals
 from flexokit import __version__
 from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
 from flexokit.errors import GeometryError
@@ -61,7 +62,7 @@ def dict_validate(tri):
     mesh = TriangleMesh(tri)
     if len(tri) == 0:
         return None
-    small = mesh.areas() <= 1e-12
+    small = triangle_areas(mesh.triangles) <= 1e-12
     if small.any():
         return f"{int(small.sum())} degenerate triangle(s) below 1e-12 mm^2"
     index = {}
@@ -90,7 +91,7 @@ def struct_stl(tri):
     header = f"flexokit {__version__} binary STL".encode("ascii")[:80]
     blob = bytearray(header.ljust(80, b" "))
     blob += struct.pack("<I", len(mesh))
-    normals = mesh.normals if len(mesh) else np.empty((0, 3))
+    normals = unit_normals(mesh.triangles) if len(mesh) else np.empty((0, 3))
     for i in range(len(tri)):
         blob += struct.pack("<12f", *normals[i].astype(np.float32),
                             *mesh.triangles[i].reshape(9).astype(np.float32))

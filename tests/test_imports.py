@@ -52,7 +52,7 @@ def test_scalar_subcommands_never_import_numpy(tmp_path, argv):
 def test_every_public_name_resolves_to_its_module_object():
     assert flexokit.__all__[0] == "__version__"
     names = flexokit.__all__[1:]
-    assert len(set(names)) == len(names) == 70
+    assert len(set(names)) == len(names) == 67
     for name in names:
         module = importlib.import_module(f"flexokit.{flexokit._HOME[name]}")
         obj = getattr(flexokit, name)

@@ -2,6 +2,7 @@
 and the console examples with their shown output."""
 
 import ast
+import itertools
 import re
 import shlex
 from collections import Counter
@@ -10,6 +11,8 @@ from importlib import resources
 from pathlib import Path
 
 from flexokit.cli import main
+from flexokit.core import (DEFAULT_MATERIALS, PrintProcessConfig,
+                           validate_process)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # A trailing comment that quotes a value: a number, then at most a unit
@@ -123,3 +126,17 @@ def test_console_examples_run_and_print_what_they_show(tmp_path, monkeypatch,
             assert _shown(shown, actual), (command, actual)
             checked[program] += 1
     assert checked == {"flexokit": 2, "cat": 4, "head": 1, "ls": 1}
+
+
+def test_validation_code_table_matches_the_emitted_codes():
+    listed = dict(re.findall(r"^\| `(\w+)` \| (ok|warning) \|",
+                             README.read_text("utf-8"), re.MULTILINE))
+    emitted = {}
+    for bed, z, nozzle, material in itertools.product(
+            (50.0, 80.0, 85.0, 90.0, 95.0, 100.0, 105.0),
+            (0.005, 0.01, 0.02, 0.03, 0.05), (None, 215.0, 240.0),
+            ("PLA", "ABS", "PC")):
+        report = validate_process(PrintProcessConfig(
+            bed, z, DEFAULT_MATERIALS[material], 0.1, nozzle))
+        emitted.update((e.code, e.level) for e in report.entries)
+    assert listed == emitted

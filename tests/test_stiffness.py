@@ -17,7 +17,7 @@ from flexokit.errors import DesignError, TargetRangeError
 from flexokit.stiffness import (PlateauUnreachableError, homogenized_EI,
                                 plateau_stiffness, section_EI,
                                 solve_feature_height, solve_width_ratio,
-                                tip_stiffness, tip_stiffness_exact,
+                                tip_stiffness_exact,
                                 torsional_stiffness)
 
 MM = 1e-3
@@ -57,12 +57,12 @@ def test_composite_section_rigidities(ribbed_template):
 
 
 def test_tip_stiffness_across_width_ratios(ribbed_template):
-    assert tip_stiffness(with_ribs(ribbed_template, width_ratio=0.0)) == \
-        pytest.approx(K_BARE, rel=1e-12)
-    assert tip_stiffness(with_ribs(ribbed_template, width_ratio=1.0)) == \
-        pytest.approx(K_FULL, rel=1e-12)
+    assert homogenized_EI(with_ribs(ribbed_template, width_ratio=0.0)) \
+        .k_tip == pytest.approx(K_BARE, rel=1e-12)
+    assert homogenized_EI(with_ribs(ribbed_template, width_ratio=1.0)) \
+        .k_tip == pytest.approx(K_FULL, rel=1e-12)
     bare = dataclasses.replace(ribbed_template, ribs=None)
-    assert tip_stiffness(bare) == pytest.approx(K_BARE, rel=1e-12)
+    assert homogenized_EI(bare).k_tip == pytest.approx(K_BARE, rel=1e-12)
 
 
 def test_torsional_stiffness_for_joint_segments(ribbed_template):
@@ -95,17 +95,17 @@ def test_homogenized_matches_quadrature_for_short_periods(ribbed_template):
     # agreement tightens as length/period grows; 0.5% is the contract at 20
     for period_mm, tol in ((1.5, 0.005), (1.0, 0.002), (0.5, 5e-4)):
         flex = with_ribs(ribbed_template, period_mm=period_mm)
-        hom = tip_stiffness(flex)
+        hom = homogenized_EI(flex).k_tip
         exact = tip_stiffness_exact(flex)
         assert abs(hom - exact) / exact < tol
 
 
 def test_stiffness_monotone_in_width_ratio_and_height(ribbed_template):
-    ks = [tip_stiffness(with_ribs(ribbed_template, width_ratio=w / 10))
-          for w in range(11)]
+    ks = [homogenized_EI(with_ribs(ribbed_template, width_ratio=w / 10))
+          .k_tip for w in range(11)]
     assert all(b > a for a, b in zip(ks, ks[1:]))
-    ks = [tip_stiffness(with_ribs(ribbed_template, feature_height_mm=t))
-          for t in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    ks = [homogenized_EI(with_ribs(ribbed_template, feature_height_mm=t))
+          .k_tip for t in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
     assert all(b > a for a, b in zip(ks, ks[1:]))
 
 
@@ -113,10 +113,11 @@ def test_plateau_bounds_rib_height_gains(ribbed_template):
     plateau = plateau_stiffness(ribbed_template)
     assert plateau == pytest.approx(K_PLATEAU_HALF, rel=1e-12)
     for t in (0.5, 1.0, 2.0, 5.0, 20.0):
-        assert tip_stiffness(with_ribs(ribbed_template,
-                                       feature_height_mm=t)) < plateau
+        assert homogenized_EI(with_ribs(
+            ribbed_template, feature_height_mm=t)).k_tip < plateau
     # 2 mm ribs already sit within 2% of the supremum
-    k2 = tip_stiffness(with_ribs(ribbed_template, feature_height_mm=2.0))
+    k2 = homogenized_EI(with_ribs(ribbed_template,
+                                  feature_height_mm=2.0)).k_tip
     assert k2 == pytest.approx(63.966696534819484, rel=1e-12)
     assert (plateau - k2) / plateau < 0.02
     assert plateau_stiffness(with_ribs(ribbed_template, width_ratio=1.0)) \
@@ -130,7 +131,8 @@ def test_plateau_bounds_rib_height_gains(ribbed_template):
 def test_width_ratio_solver_hits_target(ribbed_template):
     solved = solve_width_ratio(50.0, ribbed_template)
     assert solved == pytest.approx(0.36307032827316443, rel=1e-6)
-    achieved = tip_stiffness(with_ribs(ribbed_template, width_ratio=solved))
+    achieved = homogenized_EI(with_ribs(ribbed_template,
+                                        width_ratio=solved)).k_tip
     assert achieved == pytest.approx(50.0, rel=1e-9)
     # endpoints resolve without bisection
     assert solve_width_ratio(K_BARE, ribbed_template) == 0.0
@@ -153,8 +155,8 @@ def test_width_ratio_solver_range_errors(ribbed_template):
 def test_feature_height_solver_hits_target(ribbed_template):
     solved = solve_feature_height(60.0, ribbed_template)
     assert solved == pytest.approx(0.4162731043249434 * MM, rel=1e-6)
-    achieved = tip_stiffness(with_ribs(ribbed_template,
-                                       feature_height_mm=solved / MM))
+    achieved = homogenized_EI(with_ribs(
+        ribbed_template, feature_height_mm=solved / MM)).k_tip
     assert achieved == pytest.approx(60.0, rel=1e-9)
     # 200 N/m sits between the half-coverage plateau and full coverage,
     # so it is reachable by width ratio but not by height at w = 0.5
