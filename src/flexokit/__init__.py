@@ -26,10 +26,9 @@ _PUBLIC = {
     "joint_limits": """FlexionalLimitSpec ExtensionalLimitSpec
         flexional_jam_angle flexional_inverse extensional_jam_angle
         extensional_inverse""",
-    "stiffness": """PlateauUnreachableError SectionStiffness
-        FlexureStiffnessResult section_EI homogenized_EI
-        tip_stiffness_exact torsional_stiffness plateau_stiffness
-        solve_width_ratio solve_feature_height""",
+    "stiffness": """PlateauUnreachableError FlexureStiffnessResult
+        section_EI homogenized_EI tip_stiffness_exact torsional_stiffness
+        plateau_stiffness solve_width_ratio solve_feature_height""",
     "limb_sim": """JointDef Link LimbSpec LimbState StrokeMetrics CycleResult
         equilibrium_solve forward_kinematics curvature_profile sweep_cycle
         limb_from_document""",

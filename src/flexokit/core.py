@@ -91,11 +91,6 @@ class LaminateStack:
                 raise DesignError("layer thicknesses must be positive")
 
     @property
-    def layers_si(self) -> tuple[tuple[Material, float], ...]:
-        """Layers with thickness in meters."""
-        return tuple((m, t * MM) for m, t in self.layers)
-
-    @property
     def printed_thickness_mm(self) -> float:
         """Total thickness of extruded layers (the base film is stock)."""
         return sum(t for m, t in self.layers if m.kind == "filament")
@@ -120,10 +115,6 @@ class RibPattern:
     @property
     def period(self) -> float:
         return self.period_mm * MM
-
-    @property
-    def feature_height(self) -> float:
-        return self.feature_height_mm * MM
 
 
 @dataclass(frozen=True)
@@ -302,6 +293,9 @@ class GaitEntry:
 
 
 EXPORT_KINDS = ("flexure", "flexional", "extensional")
+# Fewest features a jamming limit part has, and fewest facets per round one.
+MIN_FEATURES = 2
+MIN_FACETS = 8
 
 
 @dataclass(frozen=True)
@@ -318,8 +312,9 @@ class ExportPart:
     def __post_init__(self):
         if self.kind not in EXPORT_KINDS:
             raise DesignError(f"export kind must be one of {EXPORT_KINDS}")
-        if self.count < 1 or self.facets < 8:
-            raise DesignError("export needs count >= 1 and facets >= 8")
+        if self.count < MIN_FEATURES or self.facets < MIN_FACETS:
+            raise DesignError(f"export needs count >= {MIN_FEATURES} and "
+                              f"facets >= {MIN_FACETS}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import FlexureSpec
+from .core import MIN_FACETS, MIN_FEATURES, FlexureSpec
 from .errors import AlwaysJammedError, GeometryError
 from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
                            extensional_jam_angle)
@@ -142,7 +142,6 @@ class Primitive:
     rib, standoff, faceted cylinder) and the stepped slab's reflex corner.
     """
 
-    kind: str
     polygon: tuple[tuple[float, float], ...]
     axis: str
     lo: float
@@ -165,9 +164,6 @@ class Primitive:
     @property
     def volume_mm3(self) -> float:
         return _polygon_area(self.polygon) * (self.hi - self.lo)
-
-    def mesh(self) -> TriangleMesh:
-        return SolidRecipe((self,)).mesh()
 
 
 def _mesh_run(run: list[Primitive], n: int, axis: str) -> np.ndarray:
@@ -246,8 +242,7 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
         raise GeometryError(
             "nothing to print: the laminate has no extruded layers")
     ribs = flex.ribs
-    prims = [Primitive("plate", _rect(0.0, length, 0.0, width), "z",
-                       0.0, t_base)]
+    prims = [Primitive(_rect(0.0, length, 0.0, width), "z", 0.0, t_base)]
     if ribs is not None and ribs.feature_height_mm > 0 and ribs.width_ratio > 0:
         period = ribs.period_mm
         n = int(math.floor(length / period + 1e-9))
@@ -258,20 +253,19 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
             # the fused part as one prism instead.
             x1 = n * period
             if x1 >= length - 1e-9 * period:
-                prims = [Primitive("plate+slab",
-                                   _rect(0.0, length, 0.0, width), "z",
+                prims = [Primitive(_rect(0.0, length, 0.0, width), "z",
                                    0.0, z1)]
             else:
                 # listed from its reflex corner, the cap fan's origin
                 step = ((x1, t_base), (x1, z1), (0.0, z1), (0.0, 0.0),
                         (length, 0.0), (length, t_base))
-                prims = [Primitive("plate+slab", step, "y", 0.0, width)]
+                prims = [Primitive(step, "y", 0.0, width)]
         else:
             _check_size(12 * (1 + n))
             rib_w = ribs.width_ratio * period
             for i in range(n):
                 x0 = i * period + (period - rib_w) / 2
-                prims.append(Primitive("rib", _rect(x0, x0 + rib_w, 0.0, width),
+                prims.append(Primitive(_rect(x0, x0 + rib_w, 0.0, width),
                                        "z", t_base, z1))
     return SolidRecipe(tuple(prims))
 
@@ -285,10 +279,11 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     fixed at half the head radius. All spec lengths are meters (SI); the
     recipe is meshed in mm.
     """
-    if count < 2:
-        raise GeometryError("a jamming limit needs at least 2 features")
-    if facets < 8:
-        raise GeometryError("facets must be at least 8")
+    if count < MIN_FEATURES:
+        raise GeometryError(
+            f"a jamming limit needs at least {MIN_FEATURES} features")
+    if facets < MIN_FACETS:
+        raise GeometryError(f"facets must be at least {MIN_FACETS}")
     if spec.spacing <= 2 * spec.head_radius:
         raise AlwaysJammedError(
             "adjacent heads intersect at rest: spacing must exceed the "
@@ -302,10 +297,9 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     for i in range(count):
         cx = i * spacing
         if h > 0:
-            prims.append(Primitive("stem", _ngon(cx, 0.0, r_stem, facets),
+            prims.append(Primitive(_ngon(cx, 0.0, r_stem, facets),
                                    "z", 0.0, h))
-        prims.append(Primitive("head", _ngon(cx, 0.0, r, facets),
-                               "z", h, h + t_head))
+        prims.append(Primitive(_ngon(cx, 0.0, r, facets), "z", h, h + t_head))
     return SolidRecipe(tuple(prims))
 
 
@@ -322,8 +316,9 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
     sides). ``width`` is the extrusion depth across the flexure, defaulting
     to the base width.
     """
-    if count < 2:
-        raise GeometryError("a jamming limit needs at least 2 features")
+    if count < MIN_FEATURES:
+        raise GeometryError(
+            f"a jamming limit needs at least {MIN_FEATURES} features")
     _check_size(12 * count)
     extensional_jam_angle(spec)  # raises ContactAtRestError when infeasible
     L = spec.diagonal * M_TO_MM
@@ -341,7 +336,7 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
     def standoff(x0: float, lean: float) -> Primitive:
         poly = ((x0, 0.0), (x0 + b, 0.0),
                 (x0 + b + lean, h1), (x0 + lean, h1))
-        return Primitive("standoff", poly, "y", 0.0, depth)
+        return Primitive(poly, "y", 0.0, depth)
 
     prims = []
     for i in range(count):

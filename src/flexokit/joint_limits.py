@@ -27,7 +27,24 @@ from .errors import (
 # Bisection bracket inset. The jam-angle residual is monotone on (0, pi), so
 # any positive inset that excludes the singular endpoints works.
 _BRACKET_EPS = 1e-9
-_BISECT_ITERATIONS = 200
+
+
+def _bisect(side, lo: float, hi: float) -> float:
+    """Root of an increasing ``side`` on (lo, hi) by bisection.
+
+    ``side(x)`` is negative left of the root, 0 when x is close enough, and
+    positive otherwise. Stops when the midpoint is no longer strictly
+    inside the bracket, so lo and hi are adjacent floats.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        s = side(mid)
+        if s == 0:
+            return mid
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 @dataclass(frozen=True)
@@ -131,13 +148,8 @@ def flexional_jam_angle(spec: FlexionalLimitSpec) -> float:
             f"jam angle lies below the {_BRACKET_EPS:g} rad solver floor: "
             f"stem_height {spec.stem_height:g} m is too tall for the "
             f"{spec.spacing - 2 * spec.head_radius:g} m gap between heads")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if spec.residual(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # A sign, not the residual: many angles next to the root give exactly 0.
+    return _bisect(lambda a: -1 if spec.residual(a) < 0 else 1, lo, hi)
 
 
 def flexional_inverse(target_alpha: float, head_radius: float,

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from .core import MM, FlexureSpec, LaminateStack
 from .errors import DesignError, TargetRangeError
+from .joint_limits import _bisect
 
 _REL_TOL = 1e-9
-_MAX_BISECT = 200
 _POINTS_PER_PERIOD = 256  # midpoint samples per rib period, exact model
 
 
@@ -35,21 +35,9 @@ class PlateauUnreachableError(TargetRangeError):
 
     Raising the ribs cannot reach it: past a few times the base thickness
     the bare segments dominate the compliance, so k(height) saturates at
-    ``supremum`` (this is exactly the regime where rib height stops being a
-    useful control knob).
+    ``bounds[1]`` (this is exactly the regime where rib height stops being
+    a useful control knob).
     """
-
-    def __init__(self, message: str, bounds: tuple):
-        super().__init__(message, bounds)
-        self.supremum = bounds[1]
-
-
-@dataclass(frozen=True)
-class SectionStiffness:
-    """Bending rigidity of one cross-section about its neutral axis."""
-
-    EI: float                  # N*m^2
-    neutral_axis_height: float  # m, from the laminate bottom
 
 
 @dataclass(frozen=True)
@@ -58,7 +46,6 @@ class FlexureStiffnessResult:
     EI_high: float      # ribbed-section rigidity, N*m^2
     EI_eff: float       # homogenized rigidity, N*m^2
     k_tip: float        # cantilever tip stiffness, N/m
-    k_torsional: float  # whole-flexure torsional stiffness, N*m/rad
 
     def __post_init__(self):
         slack = 1 + 1e-9
@@ -67,8 +54,8 @@ class FlexureStiffnessResult:
             raise DesignError("inconsistent stiffness result")
 
 
-def section_EI(stack: LaminateStack, width: float) -> SectionStiffness:
-    """Transformed-section rigidity of a laminate cross-section.
+def section_EI(stack: LaminateStack, width: float) -> float:
+    """Transformed-section rigidity (N*m^2) of a laminate cross-section.
 
     ybar = sum(E_i A_i y_i) / sum(E_i A_i);
     EI   = sum(E_i (I_i + A_i (y_i - ybar)^2)).
@@ -78,8 +65,8 @@ def section_EI(stack: LaminateStack, width: float) -> SectionStiffness:
     y0 = 0.0
     ea = eay = 0.0
     rows = []  # (E, A, y_center, I_own)
-    for material, t in stack.layers_si:
-        e = material.youngs_modulus
+    for material, t_mm in stack.layers:
+        e, t = material.youngs_modulus, t_mm * MM
         a = width * t
         yc = y0 + t / 2
         rows.append((e, a, yc, width * t ** 3 / 12))
@@ -87,20 +74,19 @@ def section_EI(stack: LaminateStack, width: float) -> SectionStiffness:
         eay += e * a * yc
         y0 += t
     ybar = eay / ea
-    ei = sum(e * (i_own + a * (yc - ybar) ** 2) for e, a, yc, i_own in rows)
-    return SectionStiffness(EI=ei, neutral_axis_height=ybar)
+    return sum(e * (i_own + a * (yc - ybar) ** 2) for e, a, yc, i_own in rows)
 
 
 def _ribbed_EI(flex: FlexureSpec, height_mm: float) -> float:
     """Rigidity of the flexure's section under a rib height_mm tall."""
     rib_layer = (flex.resolved_rib_material, height_mm)
     return section_EI(LaminateStack(flex.base.layers + (rib_layer,)),
-                      flex.width).EI
+                      flex.width)
 
 
 def _section_pair(flex: FlexureSpec) -> tuple[float, float]:
     """(EI_low, EI_high) for the bare and ribbed sections of a flexure."""
-    ei_low = section_EI(flex.base, flex.width).EI
+    ei_low = section_EI(flex.base, flex.width)
     if flex.ribs is None or flex.ribs.feature_height_mm == 0:
         return ei_low, ei_low
     return ei_low, _ribbed_EI(flex, flex.ribs.feature_height_mm)
@@ -120,11 +106,9 @@ def homogenized_EI(flex: FlexureSpec) -> FlexureStiffnessResult:
     ei_low, ei_high = _section_pair(flex)
     w = flex.ribs.width_ratio if flex.ribs is not None else 0.0
     ei_eff = _ei_eff(ei_low, ei_high, w) if ei_high > ei_low else ei_low
-    length = flex.length
     return FlexureStiffnessResult(
         EI_low=ei_low, EI_high=ei_high, EI_eff=ei_eff,
-        k_tip=3 * ei_eff / length ** 3,
-        k_torsional=ei_eff / length)
+        k_tip=3 * ei_eff / flex.length ** 3)
 
 
 def tip_stiffness_exact(flex: FlexureSpec) -> float:
@@ -180,21 +164,15 @@ def plateau_stiffness(flex: FlexureSpec) -> float:
     w = flex.ribs.width_ratio
     if w >= 1:
         return math.inf
-    ei_low = section_EI(flex.base, flex.width).EI
+    ei_low = section_EI(flex.base, flex.width)
     return 3 * ei_low / ((1 - w) * flex.length ** 3)
 
 
 def _bisect_for_target(k_of, lo: float, hi: float, target: float) -> float:
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        k = k_of(mid)
-        if abs(k - target) / target < _REL_TOL:
-            return mid
-        if k < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def side(x: float) -> float:
+        k = k_of(x)
+        return 0 if abs(k - target) / target < _REL_TOL else k - target
+    return _bisect(side, lo, hi)
 
 
 def solve_width_ratio(target_k: float, template: FlexureSpec) -> float:
@@ -230,7 +208,7 @@ def solve_feature_height(target_k: float, template: FlexureSpec) -> float:
     if template.ribs is None or template.ribs.width_ratio <= 0:
         raise DesignError("template needs ribs with width_ratio > 0")
     w = template.ribs.width_ratio
-    ei_low = section_EI(template.base, template.width).EI
+    ei_low = section_EI(template.base, template.width)
     cube = template.length ** 3
     k0 = 3 * ei_low / cube
 
@@ -250,10 +228,13 @@ def solve_feature_height(target_k: float, template: FlexureSpec) -> float:
             f"{k0:g} N/m; ribs only stiffen", (k0, supremum))
     if target_k == k0:
         return 0.0
+    # The search stops at 1 m of rib. The plateau check above lets through
+    # targets just below the supremum, and those past k(0.512 m), within
+    # ~1.7e-10 relative of it on the sample flexure, end here.
     hi = 1e-3
     while k_of(hi) < target_k:
         hi *= 2
-        if hi > 1.0:  # 1 m of rib; the plateau guard makes this unreachable
+        if hi > 1.0:
             raise PlateauUnreachableError(
                 f"target {target_k:g} N/m is not reachable by rib height",
                 (k0, supremum))

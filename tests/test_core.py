@@ -274,9 +274,13 @@ _RIBS = ("flexures", "sample", "ribs")
                  "export kind must be one of ('flexure', 'flexional', "
                  "'extensional')", id="export_kind"),
     pytest.param(SAMPLE, ("export", "parts", 2, "count"), 0, "export.parts[2]",
-                 "export needs count >= 1 and facets >= 8", id="export_count"),
+                 "export needs count >= 2 and facets >= 8", id="export_count"),
+    # one feature has no neighbour to jam against
+    pytest.param(SAMPLE, ("export", "parts", 2, "count"), 1, "export.parts[2]",
+                 "export needs count >= 2 and facets >= 8",
+                 id="export_count_one"),
     pytest.param(SAMPLE, ("export", "parts", 2, "facets"), 4,
-                 "export.parts[2]", "export needs count >= 1 and facets >= 8",
+                 "export.parts[2]", "export needs count >= 2 and facets >= 8",
                  id="export_facets"),
     pytest.param(SAMPLE, ("flexures",), [], "flexures",
                  "expected a JSON object", id="section_not_object"),

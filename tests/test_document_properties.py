@@ -143,7 +143,7 @@ def documents(draw):
             part = {"kind": kind,
                     "ref": draw(st.sampled_from(sorted(pools[kind]))),
                     "file": draw(NAMES) + ".stl"}
-            _optional(draw, part, "count", st.integers(1, 9))
+            _optional(draw, part, "count", st.integers(2, 9))
             _optional(draw, part, "facets", st.integers(8, 64))
             _optional(draw, part, "width_mm", POSITIVE)
             parts.append(part)

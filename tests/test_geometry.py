@@ -61,7 +61,7 @@ def test_ribbed_flexure_centers_one_rib_per_period():
     recipe = flexure_recipe(ribbed_flexure())
     mesh = recipe.mesh()
     mesh.validate()
-    ribs = [p for p in recipe.primitives if p.kind == "rib"]
+    ribs = [p for p in recipe.primitives if p.lo > 0]  # above the plate
     assert len(ribs) == 6
     assert len(mesh) == 12 * 7
     hand = 30 * 44 * 0.2 + 6 * (2.5 * 44 * 1.0)
@@ -74,10 +74,10 @@ def test_ribbed_flexure_centers_one_rib_per_period():
 
 
 def test_zero_size_rib_patterns_degenerate_to_the_plate():
-    plate = flexure_recipe(ribbed_flexure(height=0.0))
-    assert [p.kind for p in plate.primitives] == ["plate"]
-    plate = flexure_recipe(ribbed_flexure(width_ratio=0.0))
-    assert [p.kind for p in plate.primitives] == ["plate"]
+    for plate in (flexure_recipe(ribbed_flexure(height=0.0)),
+                  flexure_recipe(ribbed_flexure(width_ratio=0.0))):
+        assert [(p.axis, p.lo, p.hi) for p in plate.primitives] == [
+            ("z", 0.0, 0.2)]
 
 
 def test_fused_ribs_mesh_as_one_stepped_prism():
@@ -85,7 +85,9 @@ def test_fused_ribs_mesh_as_one_stepped_prism():
     flex = FlexureSpec("fused", 13.0, 44.0, LaminateStack(((PLA, 0.3),)),
                        RibPattern(4.0, 1.0, 1.0))
     recipe = flexure_recipe(flex)
-    assert [p.kind for p in recipe.primitives] == ["plate+slab"]
+    # one prism extruded across the width
+    assert [(p.axis, p.lo, p.hi) for p in recipe.primitives] == [
+        ("y", 0.0, 44.0)]
     mesh = recipe.mesh()
     mesh.validate()
     assert len(mesh) == 20  # hexagonal cross-section prism
@@ -131,7 +133,8 @@ def test_mushroom_realization_options():
                 + regular_polygon_area(2.0, 24) * 1.0)
     assert tall.analytic_volume_mm3 == pytest.approx(hand, rel=1e-12)
     flat = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 0.0))
-    assert [p.kind for p in flat.primitives] == ["head", "head"]
+    # no stems: two heads, each r / 2 thick from the base
+    assert [(p.lo, p.hi) for p in flat.primitives] == [(0.0, 1.0), (0.0, 1.0)]
     flat.mesh().validate()
 
 
@@ -185,8 +188,9 @@ def test_standoff_row_counts_and_width_override():
 # ------------------------------------------------------------ mesh plumbing
 
 def test_mesh_validation_catches_open_and_inverted_shells():
-    box = Primitive("box", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-                    "z", 0.0, 1.0).mesh()
+    box = SolidRecipe((Primitive(
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), "z", 0.0, 1.0),
+    )).mesh()
     box.validate()
     open_shell = TriangleMesh(box.triangles[:-1])
     with pytest.raises(GeometryError, match="watertight"):
@@ -210,11 +214,11 @@ def test_mesh_normals_are_unit_and_outward():
 
 def test_primitives_reject_bad_polygons():
     with pytest.raises(GeometryError):
-        Primitive("bad", ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)), "z", 0.0, 1.0)
+        Primitive(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)), "z", 0.0, 1.0)
     with pytest.raises(GeometryError):
-        Primitive("bad", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "z", 1.0, 1.0)
+        Primitive(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "z", 1.0, 1.0)
     with pytest.raises(GeometryError):
-        Primitive("bad", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "x", 0.0, 1.0)
+        Primitive(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "x", 0.0, 1.0)
 
 
 def test_recipes_reject_coordinates_beyond_float32(tmp_path):
@@ -225,9 +229,9 @@ def test_recipes_reject_coordinates_beyond_float32(tmp_path):
         flexional_recipe(FlexionalLimitSpec(1e297, 2 * MM, 4 * MM))
     # the largest float32 still makes a finite STL
     top = float(np.finfo(np.float32).max)
-    box = Primitive("box", ((0.0, 0.0), (top, 0.0), (top, 1.0), (0.0, 1.0)),
+    box = Primitive(((0.0, 0.0), (top, 0.0), (top, 1.0), (0.0, 1.0)),
                     "z", 0.0, 1.0)
-    export_stl(box.mesh(), tmp_path / "box.stl")
+    export_stl(SolidRecipe((box,)).mesh(), tmp_path / "box.stl")
     _, normals, tris, _ = read_stl(tmp_path / "box.stl")
     assert np.isfinite(normals).all() and np.isfinite(tris).all()
 

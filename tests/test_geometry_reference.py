@@ -142,7 +142,7 @@ def test_random_convex_prisms_match_the_loop_mesh(axis, tmp_path):
         polygon = random_convex_polygon(rng)
         lo = float(rng.uniform(-5.0, 5.0))
         hi = lo + float(rng.uniform(0.1, 10.0))
-        tri = Primitive("p", polygon, axis, lo, hi).mesh().triangles
+        tri = SolidRecipe((Primitive(polygon, axis, lo, hi),)).mesh().triangles
         assert np.array_equal(tri, loop_mesh(polygon, axis, lo, hi))
         assert_same_export(tri, tmp_path)
 
@@ -189,7 +189,7 @@ def test_stepped_slab_matches_the_rotated_fan_of_its_old_outline():
     (slab,) = flexure_recipe(flex).primitives
     outline = ((0.0, 0.0), (13.0, 0.0), (13.0, 0.3), (12.0, 0.3),
                (12.0, 1.3), (0.0, 1.3))
-    assert np.array_equal(slab.mesh().triangles,
+    assert np.array_equal(SolidRecipe((slab,)).mesh().triangles,
                           loop_mesh(outline, "y", 0.0, 44.0, fan_index=3))
 
 
@@ -197,7 +197,7 @@ def test_interleaved_runs_mesh_to_the_loop_mesh_of_each_primitive(tmp_path):
     # Vertex counts and axes change between neighbours, so the recipe is
     # meshed as five runs; the triangles must keep the primitives' order.
     box = lambda x0, z0: Primitive(
-        "box", ((x0, 0.0), (x0 + 2.0, 0.0), (x0 + 2.0, 3.0), (x0, 3.0)),
+        ((x0, 0.0), (x0 + 2.0, 0.0), (x0 + 2.0, 3.0), (x0, 3.0)),
         "z", z0, z0 + 1.5)
     hexagon = tuple((20.0 + 2.0 * math.cos(a), 5.0 + 2.0 * math.sin(a))
                     for a in np.linspace(0.0, 2 * math.pi, 6, endpoint=False))
@@ -205,10 +205,9 @@ def test_interleaved_runs_mesh_to_the_loop_mesh_of_each_primitive(tmp_path):
     nonagon = tuple((50.0 + math.cos(a), 9.0 + 1.5 * math.sin(a))
                     for a in np.linspace(0.0, 2 * math.pi, 9, endpoint=False))
     recipe = SolidRecipe((
-        box(0.0, 0.0), Primitive("hex", hexagon, "y", 10.0, 14.0),
-        box(4.0, -2.0), box(8.0, 0.5), Primitive("slant", slanted, "y",
-                                                 -3.0, 1.0),
-        Primitive("nonagon", nonagon, "z", 2.0, 6.0)))
+        box(0.0, 0.0), Primitive(hexagon, "y", 10.0, 14.0),
+        box(4.0, -2.0), box(8.0, 0.5), Primitive(slanted, "y", -3.0, 1.0),
+        Primitive(nonagon, "z", 2.0, 6.0)))
     expected = np.concatenate([loop_mesh(p.polygon, p.axis, p.lo, p.hi)
                                for p in recipe.primitives])
     tri = recipe.mesh().triangles
@@ -233,8 +232,9 @@ def test_cross_is_bytewise_np_cross():
 # ------------------------------------------------------- corrupted meshes
 
 def corruptions():
-    box = Primitive("box", ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-                    "z", 0.0, 1.0).mesh().triangles
+    box = SolidRecipe((Primitive(
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), "z", 0.0, 1.0),
+    )).mesh().triangles
     shell = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 4 * MM),
                              facets=12).mesh().triangles
     cases = {"intact box": box, "intact mushrooms": shell,

@@ -68,6 +68,27 @@ def test_flexional_root_satisfies_defining_relation():
         assert abs(residual) < 1e-10
 
 
+# Exact floats of the bisection: a change to its arithmetic or to where it
+# stops moves at least one of these.
+FLEXIONAL_PINS = [
+    pytest.param(FlexionalLimitSpec(6e-3, 2e-3, 4e-3), "0.4899282978480516",
+                 id="readme"),
+    pytest.param(FlexionalLimitSpec(6e-3, 2e-3, 0.0), "2.9915631364441992",
+                 id="zero_stem"),
+    # root ~2e-9 rad: (spacing - 2 r) / stem_height, just above the floor
+    pytest.param(FlexionalLimitSpec(4.000002e-3, 2e-3, 1.0),
+                 "1.99999999942704e-09", id="near_floor"),
+    # root ~pi - 1e-6 rad: spacing just under pi * head_radius
+    pytest.param(FlexionalLimitSpec(1e-3 * (math.pi - 1e-6), 1e-3, 0.0),
+                 "3.1415916535893995", id="near_pi"),
+]
+
+
+@pytest.mark.parametrize("spec,expected", FLEXIONAL_PINS)
+def test_flexional_jam_angle_floats_are_pinned(spec, expected):
+    assert repr(flexional_jam_angle(spec)) == expected
+
+
 @pytest.mark.parametrize("l_mm,expected", sorted(EXTENSIONAL_REFERENCE.items()))
 def test_extensional_jam_angles_match_reference(l_mm, expected):
     angle = extensional_jam_angle(extensional(l_mm))

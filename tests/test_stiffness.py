@@ -40,10 +40,9 @@ def with_ribs(template, **changes):
 
 def test_single_layer_section_matches_hand_formula():
     pla = DEFAULT_MATERIALS["PLA"]
-    section = section_EI(LaminateStack(((pla, 0.2),)), 44 * MM)
+    ei = section_EI(LaminateStack(((pla, 0.2),)), 44 * MM)
     # E w t^3 / 12 for one homogeneous layer
-    assert section.EI == pytest.approx(102.66666666666669e-6, rel=1e-12)
-    assert section.neutral_axis_height == pytest.approx(0.1 * MM, rel=1e-12)
+    assert ei == pytest.approx(102.66666666666669e-6, rel=1e-12)
 
 
 def test_composite_section_rigidities(ribbed_template):
@@ -52,8 +51,9 @@ def test_composite_section_rigidities(ribbed_template):
     assert result.EI_high == pytest.approx(EI_HIGH, rel=1e-12)
     assert result.EI_eff == pytest.approx(EI_EFF_HALF, rel=1e-12)
     assert result.k_tip == pytest.approx(K_HALF, rel=1e-12)
-    assert result.k_torsional == pytest.approx(EI_EFF_HALF / (30 * MM),
-                                               rel=1e-12)
+    # the whole flexure as one joint
+    assert torsional_stiffness(ribbed_template, ribbed_template.length) \
+        == pytest.approx(EI_EFF_HALF / (30 * MM), rel=1e-12)
 
 
 def test_tip_stiffness_across_width_ratios(ribbed_template):
@@ -139,6 +139,33 @@ def test_width_ratio_solver_hits_target(ribbed_template):
     assert solve_width_ratio(K_FULL, ribbed_template) == 1.0
 
 
+# Exact floats of both inverse solvers on the sample flexure at 50 and
+# 60 N/m, and 1e-12 relative inside each end of the attainable range: a
+# change to the bisection's arithmetic or to where it stops moves them.
+K_FULL_INSIDE = K_FULL * (1 - 1e-12)
+K_BARE_INSIDE = K_BARE * (1 + 1e-12)
+SOLVER_PINS = [
+    pytest.param(solve_width_ratio, 50.0, "0.3630703277885914", id="w_50"),
+    pytest.param(solve_width_ratio, 60.0, "0.47106573916971684", id="w_60"),
+    pytest.param(solve_width_ratio, K_BARE_INSIDE, "9.313225746154785e-10",
+                 id="w_bare_end"),
+    pytest.param(solve_width_ratio, K_FULL_INSIDE, "0.999999999992724",
+                 id="w_full_end"),
+    pytest.param(solve_feature_height, 50.0, "0.00015250496193766594",
+                 id="h_50"),
+    pytest.param(solve_feature_height, 60.0, "0.0004162731021642685",
+                 id="h_60"),
+    pytest.param(solve_feature_height, K_BARE_INSIDE, "1.1641532182693482e-13",
+                 id="h_bare_end"),
+]
+
+
+@pytest.mark.parametrize("solve,target,expected", SOLVER_PINS)
+def test_inverse_solver_floats_are_pinned(ribbed_template, solve, target,
+                                          expected):
+    assert repr(solve(target, ribbed_template)) == expected
+
+
 def test_width_ratio_solver_range_errors(ribbed_template):
     with pytest.raises(TargetRangeError) as info:
         solve_width_ratio(5000.0, ribbed_template)
@@ -166,9 +193,15 @@ def test_feature_height_solver_hits_target(ribbed_template):
 def test_feature_height_solver_plateau_guard(ribbed_template):
     with pytest.raises(PlateauUnreachableError) as info:
         solve_feature_height(200.0, ribbed_template)
-    assert info.value.supremum == pytest.approx(K_PLATEAU_HALF, rel=1e-12)
+    assert info.value.bounds[1] == pytest.approx(K_PLATEAU_HALF, rel=1e-12)
     with pytest.raises(PlateauUnreachableError):
         solve_feature_height(K_PLATEAU_HALF, ribbed_template)
+    # Just below the supremum, yet above what the tallest rib the height
+    # search tries (0.512 m) reaches.
+    for gap in (1e-12, 1e-11):
+        with pytest.raises(PlateauUnreachableError,
+                           match="not reachable by rib height"):
+            solve_feature_height(K_PLATEAU_HALF * (1 - gap), ribbed_template)
     with pytest.raises(TargetRangeError):
         solve_feature_height(10.0, ribbed_template)  # below the bare part
 
@@ -177,4 +210,4 @@ def test_stiffness_result_rejects_inconsistent_values():
     from flexokit.stiffness import FlexureStiffnessResult
     with pytest.raises(DesignError):
         FlexureStiffnessResult(EI_low=2.0, EI_high=1.0, EI_eff=3.0,
-                               k_tip=1.0, k_torsional=1.0)
+                               k_tip=1.0)
