@@ -75,13 +75,26 @@ _CHUNK_CELLS = 1 << 16
 # Small plumbing helpers
 
 @contextmanager
-def _writing(path: Path):
-    """Yield a temporary sibling of ``path`` to write; then move it into
-    place and report ``wrote <path>``."""
-    tmp = path.with_name(path.name + ".tmp")
-    yield tmp
-    os.replace(tmp, path)
-    print(f"wrote {path}")
+def _staging():
+    """Yield ``stage(path)``, which names a temporary sibling of ``path``
+    to write. When the block ends, each staged file moves into place, in
+    the order first staged, and ``wrote <path>`` is reported; when it
+    raises, every temporary is removed and nothing moves."""
+    staged: dict[Path, Path] = {}
+
+    def stage(path: Path) -> Path:
+        staged[path] = path.with_name(path.name + ".tmp")
+        return staged[path]
+
+    try:
+        yield stage
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for path, tmp in staged.items():
+        os.replace(tmp, path)
+        print(f"wrote {path}")
 
 
 @contextmanager
@@ -94,9 +107,13 @@ def _located(path: str):
         raise
 
 
+def _json_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
 def _write_json(path: Path, payload) -> None:
-    with _writing(path) as tmp:
-        tmp.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
+    with _staging() as stage:
+        stage(path).write_bytes(_json_bytes(payload))
 
 
 def _write_table(directory: Path, stem: str, header: list[str], rows,
@@ -118,8 +135,8 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
     # once per distinct bit pattern (-0.0 stays apart from 0.0) and joins
     # the cells' pieces in C. Chunks bound the text held in memory.
     chunk_rows = max(1, _CHUNK_CELLS // max(1, table.shape[-1]))
-    with _writing(directory / f"{stem}.csv") as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _staging() as stage, open(stage(directory / f"{stem}.csv"), "w",
+                                   encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), chunk_rows):
             block = table[start:start + chunk_rows]
@@ -422,23 +439,26 @@ def _cmd_export_geometry(args) -> int:
             recipes.append(_recipe_for_part(doc, part))
     directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
-    for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
-        mesh = recipe.mesh()
-        with _located(f"export.parts[{i}]"), \
-                _writing(directory / part.file) as tmp:
-            byte_count = export_stl(mesh, tmp)  # validates the mesh first
-        lo, hi = mesh.bounding_box()
-        _write_json(directory / (Path(part.file).stem + ".manifest.json"), {
-            "part_name": part.ref,
-            "volume_mm3": mesh.volume(),
-            "bbox_mm": {"min": [float(v) for v in lo],
-                        "max": [float(v) for v in hi]},
-            "pc_film_thickness_mm": film_mm,
-            "process_config": process,
-            "triangle_count": len(mesh),
-            "stl_bytes": byte_count,
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-        })
+    # A part that export_stl refuses leaves no file of any part behind.
+    with _staging() as stage:
+        for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
+            mesh = recipe.mesh()
+            with _located(f"export.parts[{i}]"):
+                # validates the mesh first, and measures its volume
+                byte_count = export_stl(mesh, stage(directory / part.file))
+            lo, hi = mesh.bounding_box()
+            manifest = directory / (Path(part.file).stem + ".manifest.json")
+            stage(manifest).write_bytes(_json_bytes({
+                "part_name": part.ref,
+                "volume_mm3": mesh.volume(),
+                "bbox_mm": {"min": [float(v) for v in lo],
+                            "max": [float(v) for v in hi]},
+                "pc_film_thickness_mm": film_mm,
+                "process_config": process,
+                "triangle_count": len(mesh),
+                "stl_bytes": byte_count,
+                "generated_at": datetime.now(timezone.utc).isoformat(),
+            }))
     return 0
 
 

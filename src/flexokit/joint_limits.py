@@ -174,7 +174,7 @@ def extensional_jam_angle(spec: ExtensionalLimitSpec) -> float:
 
     Closed form: the rest gap between the rounded tips divided by the lever
     arm from the bending surface to the tips. Raises GeometryError when a
-    near-zero lever arm makes the angle overflow.
+    lever arm short against the gap makes the angle, in degrees, overflow.
     """
     gap = spec.rest_gap
     if gap <= 0:
@@ -182,7 +182,7 @@ def extensional_jam_angle(spec: ExtensionalLimitSpec) -> float:
             f"standoff tips touch at rest (gap {gap:g} m); smallest feasible "
             f"diagonal is {spec.min_diagonal:g} m", spec.min_diagonal)
     angle = gap / (spec.tip_height + spec.mount_height)
-    if angle == math.inf:
+    if not math.isfinite(math.degrees(angle)):
         raise GeometryError(
             "the jam angle overflows: the lever arm to the tips is too "
             f"short for the {gap:g} m rest gap")

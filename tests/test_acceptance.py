@@ -351,7 +351,8 @@ def test_exported_meshes_are_watertight_and_stl_bytes_exact(sample_doc,
     # facing standoff tips sit exactly one rest gap apart
     spec = sample_doc.extensional_limits["sample_extensional"].spec
     pair = extensional_recipe(spec, count=2)
-    tips = sorted(x for p in pair.primitives for (x, z) in p.polygon if z > 0)
+    tips = sorted(x for p in pair.primitives
+                  for (x, z) in p.polygons.reshape(-1, 2).tolist() if z > 0)
     assert tips[2] - tips[1] == pytest.approx(spec.rest_gap / MM, abs=1e-9)
 
 

@@ -176,7 +176,11 @@ def test_solve_limit_infeasible_geometry_exits_2(tmp_path, capsys):
     # a subnormal lever arm: the extensional angle overflows to inf
     ["solve-limit", "--extensional", "--mount-height-mm", "1e-320",
      "--incline-deg", "1e-320"],
-], ids=["tall_stem", "tiny_angle", "subnormal_angle", "subnormal_lever"])
+    # a finite angle of ~1e308 rad that overflows in degrees
+    ["solve-limit", "--extensional", "--diagonal-mm", "1e308",
+     "--incline-deg", "1e-320"],
+], ids=["tall_stem", "tiny_angle", "subnormal_angle", "subnormal_lever",
+        "huge_angle"])
 def test_jam_angle_below_the_solver_floor_exits_2(tmp_path, capsys, argv):
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     diagnostic = json.loads(capsys.readouterr().err)
@@ -496,11 +500,30 @@ def test_export_part_refused_at_writing_names_its_path(tmp_path, capsys):
     # the recipe is built, but its triangles are too thin for export_stl
     path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][3]
                           .update(width_mm=1e-300))
-    assert run(["export-geometry", "-i", path, "-o", tmp_path / "out"]) == 2
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
     assert one_json_line(capsys) == {
         "error": "GeometryError",
         "message": "export.parts[3]: 16 degenerate triangle(s) below "
                    "1e-12 mm^2"}
+    # parts 0-2 were written, but none of their files is left behind
+    assert list(out.iterdir()) == []
+
+
+def test_export_part_collapsed_in_float32_exits_2_unwritten(tmp_path,
+                                                            capsys):
+    # Valid in float64, but at x = 1e9 mm float32 steps are 64 mm: the
+    # far head's vertices are written onto each other.
+    path = mutated_sample(tmp_path, lambda doc: doc["flexional_limits"][
+        "sample_flexional"].update(spacing_mm=1e9, stem_height_mm=0))
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
+    assert one_json_line(capsys) == {
+        "error": "GeometryError",
+        "message": "export.parts[2]: mesh is not watertight: an edge is not "
+                   "shared by exactly two consistently wound triangles"}
+    assert not (out / "flexional_limit.stl").exists()
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------------------- environment override

@@ -29,6 +29,12 @@ def ribbed_flexure(width_ratio=0.5, height=1.0):
                        RibPattern(5.0, width_ratio, height))
 
 
+def prisms(recipe):
+    """(axis, lo, hi) of every prism of a recipe, batch by batch."""
+    return [(p.axis, lo, hi) for p in recipe.primitives
+            for lo, hi in zip(p.lo.tolist(), p.hi.tolist())]
+
+
 # ----------------------------------------------------------------- flexures
 
 def test_plain_plate_is_a_single_box():
@@ -61,23 +67,23 @@ def test_ribbed_flexure_centers_one_rib_per_period():
     recipe = flexure_recipe(ribbed_flexure())
     mesh = recipe.mesh()
     mesh.validate()
-    ribs = [p for p in recipe.primitives if p.lo > 0]  # above the plate
-    assert len(ribs) == 6
+    plate, ribs = recipe.primitives
+    assert plate.lo.tolist() == [0.0] and (ribs.lo > 0).all()  # above it
+    assert len(ribs.polygons) == 6
     assert len(mesh) == 12 * 7
     hand = 30 * 44 * 0.2 + 6 * (2.5 * 44 * 1.0)
     assert recipe.analytic_volume_mm3 == pytest.approx(hand, rel=1e-12)
     assert mesh.volume() == pytest.approx(hand, rel=1e-12)
     # first rib centered in [0, 5): spans [1.25, 3.75] in x
-    xs = {v[0] for v in ribs[0].polygon}
+    xs = set(ribs.polygons[0, :, 0].tolist())
     assert xs == {1.25, 3.75}
-    assert ribs[0].lo == pytest.approx(0.2) and ribs[0].hi == pytest.approx(1.2)
+    assert ribs.lo[0] == pytest.approx(0.2) and ribs.hi[0] == pytest.approx(1.2)
 
 
 def test_zero_size_rib_patterns_degenerate_to_the_plate():
     for plate in (flexure_recipe(ribbed_flexure(height=0.0)),
                   flexure_recipe(ribbed_flexure(width_ratio=0.0))):
-        assert [(p.axis, p.lo, p.hi) for p in plate.primitives] == [
-            ("z", 0.0, 0.2)]
+        assert prisms(plate) == [("z", 0.0, 0.2)]
 
 
 def test_fused_ribs_mesh_as_one_stepped_prism():
@@ -86,8 +92,7 @@ def test_fused_ribs_mesh_as_one_stepped_prism():
                        RibPattern(4.0, 1.0, 1.0))
     recipe = flexure_recipe(flex)
     # one prism extruded across the width
-    assert [(p.axis, p.lo, p.hi) for p in recipe.primitives] == [
-        ("y", 0.0, 44.0)]
+    assert prisms(recipe) == [("y", 0.0, 44.0)]
     mesh = recipe.mesh()
     mesh.validate()
     assert len(mesh) == 20  # hexagonal cross-section prism
@@ -128,13 +133,13 @@ def test_mushroom_realization_options():
     tall = flexional_recipe(spec, count=3, facets=24)
     mesh = tall.mesh()
     mesh.validate()
-    assert len(tall.primitives) == 6
+    assert len(prisms(tall)) == 6
     hand = 3 * (regular_polygon_area(1.0, 24) * 4.0
                 + regular_polygon_area(2.0, 24) * 1.0)
     assert tall.analytic_volume_mm3 == pytest.approx(hand, rel=1e-12)
     flat = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 0.0))
     # no stems: two heads, each r / 2 thick from the base
-    assert [(p.lo, p.hi) for p in flat.primitives] == [(0.0, 1.0), (0.0, 1.0)]
+    assert prisms(flat) == [("z", 0.0, 1.0), ("z", 0.0, 1.0)]
     flat.mesh().validate()
 
 
@@ -157,8 +162,8 @@ def test_standoff_pair_reproduces_the_rest_gap():
     shear = 7.0 * math.cos(math.radians(45.0))
     h1 = 7.0 * math.sin(math.radians(45.0))
     # facing top edges: right edge of the left prism, left edge of the right
-    tips = sorted(x for p in recipe.primitives for (x, z) in p.polygon
-                  if z > 0)
+    tips = sorted(x for p in recipe.primitives
+                  for (x, z) in p.polygons.reshape(-1, 2).tolist() if z > 0)
     gap = tips[2] - tips[1]
     assert gap == pytest.approx(spec.rest_gap / MM, abs=1e-9)
     lo, hi = mesh.bounding_box()
@@ -174,7 +179,7 @@ def test_standoff_row_counts_and_width_override():
     recipe = extensional_recipe(spec, count=5, width=20 * MM)
     mesh = recipe.mesh()
     mesh.validate()
-    assert len(recipe.primitives) == 5
+    assert len(prisms(recipe)) == 5
     _, hi = mesh.bounding_box()
     assert hi[1] == pytest.approx(20.0, rel=1e-12)
     with pytest.raises(GeometryError):
@@ -189,7 +194,7 @@ def test_standoff_row_counts_and_width_override():
 
 def test_mesh_validation_catches_open_and_inverted_shells():
     box = SolidRecipe((Primitive(
-        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), "z", 0.0, 1.0),
+        [((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))], "z", 0.0, 1.0),
     )).mesh()
     box.validate()
     open_shell = TriangleMesh(box.triangles[:-1])
@@ -213,12 +218,25 @@ def test_mesh_normals_are_unit_and_outward():
 
 
 def test_primitives_reject_bad_polygons():
-    with pytest.raises(GeometryError):
-        Primitive(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)), "z", 0.0, 1.0)
-    with pytest.raises(GeometryError):
-        Primitive(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "z", 1.0, 1.0)
-    with pytest.raises(GeometryError):
-        Primitive(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), "x", 0.0, 1.0)
+    ccw, cw = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), \
+        ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+    Primitive([ccw, ccw], "z", [0.0, 1.0], [1.0, 2.0])
+    # one bad row refuses the whole batch
+    with pytest.raises(GeometryError, match="counterclockwise"):
+        Primitive([ccw, cw], "z", 0.0, 1.0)
+    with pytest.raises(GeometryError, match="extent must be positive"):
+        Primitive([ccw, ccw], "z", [0.0, 1.0], [1.0, 1.0])
+    with pytest.raises(GeometryError, match="axis"):
+        Primitive([ccw], "x", 0.0, 1.0)
+    with pytest.raises(GeometryError, match=r"\(P, n, 2\)"):
+        Primitive(ccw, "z", 0.0, 1.0)
+    # a batch's arrays are its own, and read-only
+    polygons = np.array([ccw])
+    batch = Primitive(polygons, "z", 0.0, 1.0)
+    polygons[0, 0, 0] = 0.5
+    assert batch.polygons[0, 0, 0] == 0.0
+    assert not batch.polygons.flags.writeable
+    assert batch.lo.tolist() == [0.0] and not batch.hi.flags.writeable
 
 
 def test_recipes_reject_coordinates_beyond_float32(tmp_path):
@@ -227,9 +245,15 @@ def test_recipes_reject_coordinates_beyond_float32(tmp_path):
     # its far heads collapse to zero area: the bound comes before winding
     with pytest.raises(GeometryError, match="float32 range"):
         flexional_recipe(FlexionalLimitSpec(1e297, 2 * MM, 4 * MM))
+    clockwise = ((0.0, 0.0), (0.0, 1.0), (1e39, 0.0))
+    with pytest.raises(GeometryError, match="float32 range"):
+        Primitive([clockwise], "z", 0.0, 1.0)
+    with pytest.raises(GeometryError, match="float32 range"):
+        Primitive([((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))], "z", 0.0,
+                  [math.inf])
     # the largest float32 still makes a finite STL
     top = float(np.finfo(np.float32).max)
-    box = Primitive(((0.0, 0.0), (top, 0.0), (top, 1.0), (0.0, 1.0)),
+    box = Primitive([((0.0, 0.0), (top, 0.0), (top, 1.0), (0.0, 1.0))],
                     "z", 0.0, 1.0)
     export_stl(SolidRecipe((box,)).mesh(), tmp_path / "box.stl")
     _, normals, tris, _ = read_stl(tmp_path / "box.stl")
