@@ -123,7 +123,9 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
-    ``inf``, ``-inf`` and ``nan`` written as Python writes them.
+    ``inf``, ``-inf`` and ``nan`` written as Python writes them. Each
+    distinct value of a chunk is formatted once, and a run of adjacent
+    columns that hold the same bits in every row is formatted as one.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
@@ -131,24 +133,32 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
         _write_json(directory / f"{stem}.json",
                     [dict(zip(header, row)) for row in table.tolist()])
         return
-    # Cycle tables repeat most of their values, so each chunk takes repr
-    # once per distinct bit pattern (-0.0 stays apart from 0.0) and joins
-    # the cells' pieces in C. Chunks bound the text held in memory.
-    chunk_rows = max(1, _CHUNK_CELLS // max(1, table.shape[-1]))
+    # Cycle tables repeat most of their values and many of their columns,
+    # so repr runs once per distinct bit pattern (-0.0 stays apart from
+    # 0.0) of the first column of each run, gathered a chunk at a time;
+    # the cells' pieces are joined in C. Chunks bound the memory held.
+    width = len(header)
+    bits = table.view(np.int64).reshape(len(table), width)
+    starts = np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]
+    first = np.flatnonzero(starts)      # the column that stands for a run
+    run = np.cumsum(starts) - 1         # each column's run
+    chunk_rows = max(1, _CHUNK_CELLS // len(first))
+    line_rows = max(1, _CHUNK_CELLS // width)
     with _staging() as stage, open(stage(directory / f"{stem}.csv"), "w",
                                    encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), chunk_rows):
-            block = table[start:start + chunk_rows]
-            bits, inverse = np.unique(block.view(np.int64),
-                                      return_inverse=True)
-            texts = list(map(repr, bits.view(np.float64).tolist()))
+        for start in range(0, len(bits), chunk_rows):
+            block = bits[start:start + chunk_rows, first]
+            values, inverse = np.unique(block, return_inverse=True)
+            texts = list(map(repr, values.view(np.float64).tolist()))
             pieces = np.array([t + "," for t in texts]
                               + [t + "\n" for t in texts], dtype=object)
             # numpy 1.x returns the inverse flat, 2.x in the block's shape
             inverse = inverse.reshape(block.shape)
-            inverse[:, -1] += len(texts)
-            fh.write("".join(pieces[inverse].ravel().tolist()))
+            for at in range(0, len(block), line_rows):
+                cells = inverse[at:at + line_rows, run]
+                cells[:, -1] += len(texts)
+                fh.write("".join(pieces[cells].ravel().tolist()))
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:
@@ -447,7 +457,7 @@ def _cmd_export_geometry(args) -> int:
                 # validates the mesh first, and measures its volume
                 byte_count = export_stl(mesh, stage(directory / part.file))
             lo, hi = mesh.bounding_box()
-            manifest = directory / (Path(part.file).stem + ".manifest.json")
+            manifest = directory / part.manifest
             stage(manifest).write_bytes(_json_bytes({
                 "part_name": part.ref,
                 "volume_mm3": mesh.volume(),

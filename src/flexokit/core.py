@@ -14,6 +14,7 @@ import math
 import operator
 from collections import ChainMap
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from pathlib import PurePath
 from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
 from .errors import DanglingReferenceError, DesignError, GeometryError
@@ -316,6 +317,11 @@ class ExportPart:
             raise DesignError(f"export needs count >= {MIN_FEATURES} and "
                               f"facets >= {MIN_FACETS}")
 
+    @property
+    def manifest(self) -> str:
+        """Name of the part's manifest file in the output directory."""
+        return PurePath(self.file).stem + ".manifest.json"
+
 
 @dataclass(frozen=True)
 class ExportOptions:
@@ -594,11 +600,17 @@ def _export(raw: Any, pools: dict[str, dict]) -> ExportOptions:
     if not isinstance(raw_parts, list):
         raise DesignError("expected a list of parts", "export.parts")
     parts = []
+    writer: dict[PurePath, int] = {}  # each file path, and the part writing it
     for i, rp in enumerate(raw_parts):
         pp = f"export.parts[{i}]"
         part = _read(ExportPart, rp, pp)
         if part.ref not in pools[part.kind]:
             raise DanglingReferenceError(part.ref, f"{pp}.ref")
+        for path in (PurePath(part.file), PurePath(part.manifest)):
+            if path in writer:
+                raise DesignError(f"writes {path}, as export.parts"
+                                  f"[{writer[path]}] does", f"{pp}.file")
+            writer[path] = i
         parts.append(part)
     return _build(ExportOptions, "export", dict(values, parts=tuple(parts)))
 

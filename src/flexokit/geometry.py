@@ -90,13 +90,18 @@ def _vertex_ids(tri: np.ndarray) -> np.ndarray:
 
 
 class TriangleMesh:
-    """Immutable triangle soup: vertices shaped (n_triangles, 3, 3), mm."""
+    """Immutable triangle soup: vertices shaped (n_triangles, 3, 3), mm.
+
+    A float64 array is held without a copy, through a read-only view; the
+    caller's array stays writable, and must not be written while the mesh
+    is in use.
+    """
 
     def __init__(self, triangles: np.ndarray):
         tri = np.asarray(triangles, dtype=np.float64)
         if tri.ndim != 3 or tri.shape[1:] != (3, 3):
             raise GeometryError("triangles must be shaped (n, 3, 3)")
-        self._tri = tri
+        self._tri = tri.view()
         self._tri.setflags(write=False)
         self._volume: Optional[float] = None
 

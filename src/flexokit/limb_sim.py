@@ -292,10 +292,11 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
         max_pull = limb.pull_capacity
     if not max_pull >= 0:
         raise DesignError("max_pull must be nonnegative")
+    # Each row's solve, chain and profile read only its own pull, so the
+    # release rows are the pull rows in reverse: solve the pull grid and
+    # mirror every per-step array once.
     up = np.linspace(0.0, max_pull, steps)
-    pulls = np.concatenate([up, up[-2::-1]])
-    theta, tension, jammed, _ = _solve(limb, pulls)
-
+    theta, tension, jammed, _ = _solve(limb, up)
     foot_path = np.column_stack(_chain(limb, theta, 1)[-1])
     distance = float(foot_path[:, 0].max() - foot_path[:, 0].min())
     ratio = distance / max_pull if max_pull > 0 else 0.0
@@ -303,10 +304,12 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     ends, kappa = _profile(limb, theta)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
-    return CycleResult(pulls=pulls, theta=theta, tension=tension,
-                       jammed=jammed, foot_path=foot_path,
+    cycle = np.r_[:steps, steps - 2:-1:-1]
+    return CycleResult(pulls=up[cycle], theta=theta[cycle],
+                       tension=tension[cycle], jammed=jammed[cycle],
+                       foot_path=foot_path[cycle],
                        metrics=StrokeMetrics(distance, ratio),
-                       curvature_map=kappa[:, segment], arc_bins=bins)
+                       curvature_map=kappa[cycle][:, segment], arc_bins=bins)
 
 
 def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:

@@ -478,6 +478,30 @@ def test_export_with_a_rejected_late_part_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file, message", [
+    ("sample_flexure.stl", "writes sample_flexure.stl, as export.parts[0] "
+                           "does"),
+    ("./sample_flexure.stl", "writes sample_flexure.stl, as export.parts[0] "
+                             "does"),
+    # the STL paths differ, but both parts write the same manifest
+    ("sample_flexure.bin", "writes sample_flexure.manifest.json, as "
+                           "export.parts[0] does"),
+    ("sample_flexure.manifest.json", "writes sample_flexure.manifest.json, "
+                                     "as export.parts[0] does"),
+], ids=["same_stl", "same_stl_spelled_apart", "same_manifest",
+        "stl_on_a_manifest"])
+def test_export_parts_writing_one_path_exit_2_unwritten(tmp_path, capsys,
+                                                        file, message):
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][1]
+                          .update(file=file))
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
+    assert one_json_line(capsys) == {
+        "error": "DesignError",
+        "message": f"export.parts[1].file: {message}"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutate, index", [
     (lambda doc: doc["flexures"]["sample"]["ribs"].update(
         feature_height_mm=1e300), 0),

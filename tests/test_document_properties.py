@@ -138,11 +138,12 @@ def documents(draw):
     kinds_available = sorted(k for k, pool in pools.items() if pool)
     if kinds_available:
         parts = []
-        for _ in range(draw(st.integers(0, 3))):
+        # no two parts may write one STL or manifest path
+        for stem in draw(st.lists(NAMES, max_size=3, unique=True)):
             kind = draw(st.sampled_from(kinds_available))
             part = {"kind": kind,
                     "ref": draw(st.sampled_from(sorted(pools[kind]))),
-                    "file": draw(NAMES) + ".stl"}
+                    "file": stem + ".stl"}
             _optional(draw, part, "count", st.integers(2, 9))
             _optional(draw, part, "facets", st.integers(8, 64))
             _optional(draw, part, "width_mm", POSITIVE)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ def test_mesh_validation_catches_open_and_inverted_shells():
     degenerate = np.zeros((1, 3, 3))
     with pytest.raises(GeometryError, match="degenerate"):
         TriangleMesh(degenerate).validate()
+
+
+def test_mesh_holds_a_float64_array_read_only_without_freezing_it():
+    # np.zeros leaves the pages of a 2^20-triangle array untouched, so only
+    # a copy would allocate
+    tri = np.zeros((1 << 20, 3, 3))
+    tracemalloc.start()
+    try:
+        mesh = TriangleMesh(tri)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert np.shares_memory(mesh.triangles, tri)
+    assert tri.flags.writeable and not mesh.triangles.flags.writeable
+    tri[0, 0, 0] = 1.0  # the caller's array is still its own to write
 
 
 def test_mesh_normals_are_unit_and_outward():

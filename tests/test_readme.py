@@ -3,12 +3,17 @@ and the console examples with their shown output."""
 
 import ast
 import itertools
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+
+import pytest
 
 from flexokit.cli import main
 from flexokit.core import (DEFAULT_MATERIALS, PrintProcessConfig,
@@ -140,3 +145,26 @@ def test_validation_code_table_matches_the_emitted_codes():
             bed, z, DEFAULT_MATERIALS[material], 0.1, nozzle))
         emitted.update((e.code, e.level) for e in report.entries)
     assert listed == emitted
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_cycle_at_the_cell_bound_peaks_near_the_quoted_memory(tmp_path):
+    # The bounds paragraph quotes the peak resident memory of a 1-bin
+    # hind-leg cycle at the cell bound. A child process runs that case and
+    # reports its own peak; the quote leaves room for other hosts and numpy
+    # builds, not for a writer or solver that holds the table again.
+    found = re.search(r"1-bin `simulate-limb` of the hind leg \(([\d,]+) "
+                      r"steps\) peaks at\s+(\d+) MB",
+                      README.read_text("utf-8"))
+    steps, quoted_mb = found.group(1).replace(",", ""), int(found.group(2))
+    document = resources.files("flexokit") / "data" / "hind_leg.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "flexokit.cli", "simulate-limb",
+         "-i", str(document), "--steps", steps, "--arc-bins", "1",
+         "-o", str(tmp_path)], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
+    assert child.returncode == 0
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    peak_mb = usage.ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+    assert peak_mb <= 1.5 * quoted_mb, (peak_mb, quoted_mb)

@@ -2,13 +2,16 @@
 
 The jam angle of a stem height from ``flexional_inverse`` is the angle the
 height was designed for, and a width ratio or rib height from the stiffness
-solvers gives the target tip stiffness.
+solvers gives the target tip stiffness. Every row of a limb cycle is the
+single-pull equilibrium of its pull, bit for bit, and the release half
+mirrors the pull half.
 """
 
 import dataclasses
 import math
 import sys
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,8 @@ from flexokit.core import (MM, DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
                            RibPattern)
 from flexokit.joint_limits import (FlexionalLimitSpec, flexional_inverse,
                                    flexional_jam_angle)
+from flexokit.limb_sim import (JointDef, LimbSpec, Link, equilibrium_solve,
+                               sweep_cycle)
 from flexokit.stiffness import (_REL_TOL, homogenized_EI, plateau_stiffness,
                                 solve_feature_height, solve_width_ratio)
 
@@ -90,3 +95,47 @@ def test_feature_height_round_trips_through_tip_stiffness(flex, share):
     height_mm = solve_feature_height(target, flex) / MM
     k = homogenized_EI(_with_ribs(flex, feature_height_mm=height_mm)).k_tip
     assert abs(k - target) / target < _REL_TOL
+
+
+@st.composite
+def limbs(draw):
+    """mm-scale links and Nmm/rad joints of either sense; a shared routing
+    offset makes joints of equal k / r jam at one pull."""
+    shared = draw(st.one_of(st.none(), st.floats(0.001, 0.008)))
+    segments = [Link(draw(st.floats(0.0, 0.03)))]
+    for _ in range(draw(st.integers(1, 5))):
+        segments.append(JointDef(
+            torsional_stiffness=draw(st.floats(0.005, 0.1)),
+            joint_length=draw(st.floats(0.005, 0.025)),
+            jam_angle=math.radians(draw(st.floats(5.0, 170.0))),
+            routing_offset=shared or draw(st.floats(0.001, 0.008)),
+            sense=draw(st.sampled_from((-1, 1)))))
+        segments.append(Link(draw(st.floats(0.0, 0.03))))
+    return LimbSpec(tuple(segments))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@given(limb=limbs(), steps=st.one_of(st.sampled_from((2, 3)),
+                                     st.integers(50, 300)),
+       share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+       arc_bins=st.integers(1, 9))
+@settings(max_examples=100, deadline=None, database=None)
+def test_cycle_rows_are_single_pull_solves_mirrored(limb, steps, share,
+                                                    arc_bins):
+    cycle = sweep_cycle(limb, max_pull=share * limb.pull_capacity,
+                        steps=steps, arc_bins=arc_bins)
+    rows = 2 * steps - 1
+    assert len(cycle.pulls) == rows
+    for r in range(rows):
+        state = equilibrium_solve(limb, float(cycle.pulls[r]))
+        assert (_bits(cycle.theta[r]) == _bits(state.theta)).all()
+        assert _bits(cycle.tension[r]) == _bits(state.tension)
+        assert tuple(cycle.jammed[r].tolist()) == state.jammed
+    # row r is row 2 * steps - 2 - r: each table reads the same reversed
+    for table in (cycle.pulls, cycle.theta, cycle.tension, cycle.foot_path,
+                  cycle.curvature_map):
+        assert (_bits(table) == _bits(table[::-1])).all()
+    assert (cycle.jammed == cycle.jammed[::-1]).all()

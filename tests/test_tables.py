@@ -1,8 +1,9 @@
 """The CLI table writer against the per-row writer it replaced.
 
-``_write_table`` formats each distinct float of a chunk once. The oracle
-here is the plain writer, one ``repr`` per cell; a second check reads
-every written cell back with ``float`` and compares bits with the input.
+``_write_table`` formats each distinct float of a chunk once, and each run
+of adjacent columns holding the same bits once. The oracle here is the
+plain writer, one ``repr`` per cell; a second check reads every written
+cell back with ``float`` and compares bits with the input.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
 """
@@ -27,6 +28,13 @@ SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1e16, 1e22, -1e22, 0.1,
            1 / 3, 11.666666666666666]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+# Quiet NaNs of both signs and two payloads.
+NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                 0xFFF800000000BEEF], dtype=np.uint64).view(np.float64)
+# Neighbouring columns that a float compare finds equal, or a NaN compare
+# unordered, but whose bits differ: the writer must keep them apart.
+TWINS = [(0.0, -0.0), (-0.0, 0.0), (NANS[0], NANS[1]), (NANS[2], NANS[3]),
+         (NANS[1], NANS[2])]
 
 
 def bundled_path(name: str) -> str:
@@ -77,13 +85,25 @@ def tables(draw):
     else:
         cells = draw(st.lists(FLOATS, min_size=rows * cols,
                               max_size=rows * cols))
-    return np.array(cells, dtype=np.float64).reshape(rows, cols)
+    table = np.array(cells, dtype=np.float64).reshape(rows, cols)
+    if draw(st.booleans()):
+        # runs of repeated columns, as in a cycle's curvature map
+        repeats = draw(st.lists(st.integers(1, 4), min_size=cols,
+                                max_size=cols))
+        table = np.repeat(table, repeats, axis=1)
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(TWINS))
+        at = draw(st.integers(0, table.shape[1]))
+        twins = np.repeat([[a, b]], rows, axis=0)
+        table = np.concatenate([table[:, :at], twins, table[:, at:]], axis=1)
+    return table
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans())
 def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list):
-    # small chunks put boundaries inside the table, on and off its end
+    # small chunks put boundaries inside the table, on and off its end,
+    # whether counted in full cells or in one column per run
     check_table(table, chunk_cells, as_list)
 
 
@@ -107,6 +127,38 @@ def test_default_chunk_boundaries(cols, extra_rows):
     table = rng.choice(SPECIAL + list(rng.standard_normal(200)),
                        size=(2 * chunk_rows + extra_rows, cols))
     check_table(table)
+
+
+@pytest.mark.parametrize("document, limb", [
+    ("hind_leg.json", "hind_leg"), ("quadruped.json", "hind_right")])
+@pytest.mark.parametrize("steps", [2, 101, 1465])
+@pytest.mark.parametrize("arc_bins", [1, 64])
+def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
+                                               steps, arc_bins):
+    # cycle tables repeat whole columns (the map's bins within one segment)
+    # and whole rows (release mirrors pull)
+    from flexokit.core import MM, parse_design
+    from flexokit.limb_sim import limb_from_document, sweep_cycle
+    doc = parse_design(Path(bundled_path(document)).read_text("utf-8"))
+    spec = limb_from_document(doc, limb)
+    cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate-limb", "-i", bundled_path(document),
+                         "--limb", limb, "--steps", str(steps),
+                         "--arc-bins", str(arc_bins),
+                         "-o", str(tmp_path)]) == 0
+    joints = [f"theta_{i}_rad" for i in range(len(spec.joints))]
+    trajectory = reference_csv(
+        ["pull_mm", "foot_x_mm", "foot_y_mm", *joints, "tension_N"],
+        np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
+                         cycle.theta, cycle.tension]))
+    curvature = reference_csv(
+        ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
+        np.column_stack([cycle.pulls / MM, cycle.curvature_map]))
+    assert (tmp_path / f"{limb}_trajectory.csv").read_text("utf-8") \
+        == trajectory
+    assert (tmp_path / f"{limb}_curvature.csv").read_text("utf-8") \
+        == curvature
 
 
 def test_negative_zero_and_nan_keep_their_text():
