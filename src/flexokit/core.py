@@ -606,7 +606,12 @@ def _export(raw: Any, pools: dict[str, dict]) -> ExportOptions:
         part = _read(ExportPart, rp, pp)
         if part.ref not in pools[part.kind]:
             raise DanglingReferenceError(part.ref, f"{pp}.ref")
-        for path in (PurePath(part.file), PurePath(part.manifest)):
+        # one name, so that every file lands in the output directory itself
+        name = PurePath(part.file)
+        if name.parts != (name.name,) or name.name == "..":
+            raise DesignError(f"{part.file!r} is not a plain file name",
+                              f"{pp}.file")
+        for path in (name, PurePath(part.manifest)):
             if path in writer:
                 raise DesignError(f"writes {path}, as export.parts"
                                   f"[{writer[path]}] does", f"{pp}.file")

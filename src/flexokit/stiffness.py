@@ -28,6 +28,10 @@ from .joint_limits import _bisect
 
 _REL_TOL = 1e-9
 _POINTS_PER_PERIOD = 256  # midpoint samples per rib period, exact model
+_PASS_SAMPLES = 1 << 13   # midpoint samples summed per numpy pass
+# Most rib periods the exact model integrates, above the ~87,000 of the
+# largest ribbed flexure export-geometry meshes (MAX_PART_TRIANGLES).
+MAX_RIB_PERIODS = 1 << 17
 
 
 class PlateauUnreachableError(TargetRangeError):
@@ -117,7 +121,12 @@ def tip_stiffness_exact(flex: FlexureSpec) -> float:
     k = 1 / integral_0^L (L - x)^2 / EI(x) dx for a tip-loaded cantilever.
     Composite midpoint rule at a fixed 256 samples per rib period, sampled
     segment-aligned (the integrand jumps at rib edges, so sample points
-    never straddle a jump). Ribs sit centered within each period.
+    never straddle a jump). Ribs sit centered within each period. Raises
+    DesignError past ``MAX_RIB_PERIODS`` periods.
+
+    Each segment's samples are summed as one row of a C-contiguous block
+    of segments with the same sample count, which rounds as ``np.sum`` of
+    that segment alone, and the segments' terms are added left to right.
     """
     import numpy as np
     ei_low, ei_high = _section_pair(flex)
@@ -126,21 +135,32 @@ def tip_stiffness_exact(flex: FlexureSpec) -> float:
         return 3 * ei_low / length ** 3
     period = flex.ribs.period
     w = flex.ribs.width_ratio
-    total = 0.0
-    n_periods = int(math.ceil(length / period - 1e-12))
-    for i in range(n_periods):
-        p0 = i * period
-        a = p0 + (1 - w) * period / 2
-        b = p0 + (1 + w) * period / 2
-        for s0, s1, ei in ((p0, a, ei_low), (a, b, ei_high),
-                           (b, p0 + period, ei_low)):
-            s0, s1 = max(s0, 0.0), min(s1, length)
-            if s1 <= s0:
-                continue
-            m = max(1, round(_POINTS_PER_PERIOD * (s1 - s0) / period))
-            xs = s0 + (np.arange(m) + 0.5) * (s1 - s0) / m
-            total += float(np.sum((length - xs) ** 2)) * (s1 - s0) / m / ei
-    return 1.0 / total
+    periods = length / period - 1e-12
+    if periods > MAX_RIB_PERIODS:
+        raise DesignError(
+            f"exact stiffness of {flex.name!r} spans {periods:.6g} rib "
+            f"periods, more than {MAX_RIB_PERIODS}")
+    # Each period's bare, ribbed and bare segment, in x order, clipped to
+    # the flexure.
+    p0 = np.arange(math.ceil(periods)) * period
+    a = p0 + (1 - w) * period / 2
+    b = p0 + (1 + w) * period / 2
+    s0 = np.maximum(np.stack((p0, a, b), axis=1).ravel(), 0.0)
+    s1 = np.minimum(np.stack((a, b, p0 + period), axis=1).ravel(), length)
+    ei = np.tile((ei_low, ei_high, ei_low), len(p0))
+    kept = s1 > s0
+    s0, span, ei = s0[kept], (s1 - s0)[kept], ei[kept]
+    m = np.maximum(np.rint(_POINTS_PER_PERIOD * span / period), 1).astype(int)
+    sums = np.empty(len(span))
+    for n in set(m.tolist()):
+        rows = np.flatnonzero(m == n)
+        at = np.arange(n) + 0.5
+        step = _PASS_SAMPLES // n
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            xs = s0[r, None] + at * span[r, None] / n
+            sums[r] = ((length - xs) ** 2).sum(axis=1)
+    return 1.0 / float(np.cumsum(sums * span / m / ei)[-1])
 
 
 def torsional_stiffness(flex: FlexureSpec, joint_length: float) -> float:

@@ -1,5 +1,5 @@
 """Test-local oracles: STL decoding, polygon and triangle measures, random
-limbs, energy bookkeeping.
+limbs, energy bookkeeping, the per-period exact stiffness quadrature.
 
 Everything here is independent of the package internals on purpose; the
 STL reader, the measures and the energy helpers only use
@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from flexokit.limb_sim import JointDef, LimbSpec, Link, equilibrium_solve
+from flexokit.stiffness import homogenized_EI
 
 
 def read_stl(path):
@@ -132,3 +133,34 @@ def grid_search_two_joint(limb: LimbSpec, pull: float, points: int = 200001):
               + 0.5 * j2.torsional_stiffness * phi2 ** 2)
     i = int(np.argmin(energy))
     return float(phi1[i]), float(phi2[i]), float(energy[i])
+
+
+def tip_stiffness_per_period(flex) -> float:
+    """``stiffness.tip_stiffness_exact`` as one loop step per rib period.
+
+    The same midpoint rule, 256 samples per period, each segment summed by
+    its own ``np.sum`` and the segments added left to right; the array
+    version must equal it bit for bit.
+    """
+    result = homogenized_EI(flex)
+    ei_low, ei_high = result.EI_low, result.EI_high
+    length = flex.length
+    if flex.ribs is None or ei_high == ei_low:
+        return 3 * ei_low / length ** 3
+    period = flex.ribs.period
+    w = flex.ribs.width_ratio
+    total = 0.0
+    n_periods = int(math.ceil(length / period - 1e-12))
+    for i in range(n_periods):
+        p0 = i * period
+        a = p0 + (1 - w) * period / 2
+        b = p0 + (1 + w) * period / 2
+        for s0, s1, ei in ((p0, a, ei_low), (a, b, ei_high),
+                           (b, p0 + period, ei_low)):
+            s0, s1 = max(s0, 0.0), min(s1, length)
+            if s1 <= s0:
+                continue
+            m = max(1, round(256 * (s1 - s0) / period))
+            xs = s0 + (np.arange(m) + 0.5) * (s1 - s0) / m
+            total += float(np.sum((length - xs) ** 2)) * (s1 - s0) / m / ei
+    return 1.0 / total

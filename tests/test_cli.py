@@ -35,6 +35,12 @@ def mutated_sample(tmp_path, mutate):
     return path
 
 
+def _sample_with(mutate):
+    """An argv entry for a test to resolve: the path of the sample document
+    changed by mutate, written under the test's tmp_path."""
+    return lambda tmp_path: mutated_sample(tmp_path, mutate)
+
+
 def one_json_line(capsys):
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
@@ -502,6 +508,23 @@ def test_export_parts_writing_one_path_exit_2_unwritten(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("file", [
+    "{tmp_path}/absolute.stl", "../escape.stl", "sub/x.stl", "", ".", "..",
+    "/",
+], ids=["absolute", "parent", "subdirectory", "empty", "dot", "dot_dot",
+        "root"])
+def test_export_parts_outside_the_out_dir_exit_2_unwritten(tmp_path, capsys,
+                                                           file):
+    file = file.format(tmp_path=tmp_path)
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][1]
+                          .update(file=file))
+    assert run(["export-geometry", "-i", path, "-o", tmp_path / "out"]) == 2
+    assert one_json_line(capsys) == {
+        "error": "DesignError",
+        "message": f"export.parts[1].file: {file!r} is not a plain file name"}
+    assert list(tmp_path.rglob("*")) == [path]
+
+
 @pytest.mark.parametrize("mutate, index", [
     (lambda doc: doc["flexures"]["sample"]["ribs"].update(
         feature_height_mm=1e300), 0),
@@ -756,11 +779,18 @@ def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
       "--arc-bins", "1000000000"], "more than 4194304"),
     (["simulate-gait", "-i", bundled_path("quadruped.json"),
       "--steps", "100000000000"], "more than 4194304"),
+    (["predict-stiffness", "-i", _sample_with(
+        lambda doc: doc["flexures"]["sample"]["ribs"].update(
+            period_mm=1e-4))], "more than 131072"),
+    (["predict-stiffness", "-i", _sample_with(_oversized_ribs)],
+     "more than 131072"),
 ], ids=["nan_start", "infinite_stop", "tiny_step", "overflowing_span",
         "stiffness_tiny_step", "huge_steps", "huge_arc_bins",
-        "huge_gait_steps"])
+        "huge_gait_steps", "stiffness_fine_period",
+        "stiffness_billion_periods"])
 def test_unbounded_sweeps_and_cycles_exit_2(tmp_path, capsys, argv,
                                             message):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert message in _diagnostic_message(capsys)
     assert not (tmp_path / "out").exists()

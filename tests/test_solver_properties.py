@@ -12,7 +12,7 @@ import math
 import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexokit.core import (MM, DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
@@ -22,7 +22,9 @@ from flexokit.joint_limits import (FlexionalLimitSpec, flexional_inverse,
 from flexokit.limb_sim import (JointDef, LimbSpec, Link, equilibrium_solve,
                                sweep_cycle)
 from flexokit.stiffness import (_REL_TOL, homogenized_EI, plateau_stiffness,
-                                solve_feature_height, solve_width_ratio)
+                                solve_feature_height, solve_width_ratio,
+                                tip_stiffness_exact)
+from helpers import tip_stiffness_per_period
 
 EPS = sys.float_info.epsilon
 
@@ -95,6 +97,43 @@ def test_feature_height_round_trips_through_tip_stiffness(flex, share):
     height_mm = solve_feature_height(target, flex) / MM
     k = homogenized_EI(_with_ribs(flex, feature_height_mm=height_mm)).k_tip
     assert abs(k - target) / target < _REL_TOL
+
+
+def _ribbed(length, period, width_ratio, height=0.8):
+    return FlexureSpec(
+        "r", length, 20.0,
+        LaminateStack(((DEFAULT_MATERIALS["PC"], 0.125),
+                       (DEFAULT_MATERIALS["PLA"], 0.3))),
+        RibPattern(period, width_ratio, height))
+
+
+@st.composite
+def ribbed_flexures(draw):
+    """Flexures of 1 to 100 rib periods whose last period is cut anywhere,
+    down to a sliver that gets fewer than 8 samples, or a single one."""
+    film = draw(st.floats(0.05, 0.3))
+    filament = DEFAULT_MATERIALS[draw(st.sampled_from(("PLA", "ABS")))]
+    period = draw(_log_uniform(0.05, 20.0))
+    whole = draw(st.integers(1, 99))
+    cut = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                         _log_uniform(1e-7, 0.05)))
+    width_ratio = draw(st.one_of(st.sampled_from((0.0, 1.0)),
+                                 st.floats(0.0, 1.0)))
+    return FlexureSpec(
+        "r", period * (whole + cut), draw(st.floats(5.0, 50.0)),
+        LaminateStack(((DEFAULT_MATERIALS["PC"], film), (filament, 0.3))),
+        RibPattern(period, width_ratio, draw(st.floats(0.0, 3.0))))
+
+
+# The last period's first segment is cut to 1e-3 and 2e-2 of a period:
+# 1 and 5 samples.
+@example(flex=_ribbed(2.0 * (3 + 1e-3), 2.0, 0.5))
+@example(flex=_ribbed(2.0 * (3 + 2e-2), 2.0, 0.5))
+@given(flex=ribbed_flexures())
+@settings(max_examples=300, deadline=None, database=None)
+def test_exact_stiffness_equals_its_per_period_loop(flex):
+    assert (tip_stiffness_exact(flex).hex()
+            == tip_stiffness_per_period(flex).hex())
 
 
 @st.composite
