@@ -29,7 +29,7 @@ _PUBLIC = {
     "stiffness": """PlateauUnreachableError FlexureStiffnessResult
         section_EI homogenized_EI tip_stiffness_exact torsional_stiffness
         plateau_stiffness solve_width_ratio solve_feature_height""",
-    "limb_sim": """JointDef Link LimbSpec LimbState StrokeMetrics CycleResult
+    "limb_sim": """LimbSpec LimbState StrokeMetrics CycleResult
         equilibrium_solve forward_kinematics curvature_profile sweep_cycle
         limb_from_document""",
     "gait_sim": "body_speed speed_curve gait_from_document",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -79,7 +80,8 @@ def _staging():
     """Yield ``stage(path)``, which names a temporary sibling of ``path``
     to write. When the block ends, each staged file moves into place, in
     the order first staged, and ``wrote <path>`` is reported; when it
-    raises, every temporary is removed and nothing moves."""
+    raises, or a destination is a directory, every temporary is removed and
+    nothing moves. A move that still fails removes the temporaries left."""
     staged: dict[Path, Path] = {}
 
     def stage(path: Path) -> Path:
@@ -88,13 +90,17 @@ def _staging():
 
     try:
         yield stage
+        for path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+            print(f"wrote {path}")
     except BaseException:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
         raise
-    for path, tmp in staged.items():
-        os.replace(tmp, path)
-        print(f"wrote {path}")
 
 
 @contextmanager
@@ -391,7 +397,7 @@ def _cmd_simulate_limb(args) -> int:
                         arc_bins=args.arc_bins)
     directory = _out_dir(args)
     header = ["pull_mm", "foot_x_mm", "foot_y_mm",
-              *(f"theta_{i}_rad" for i in range(len(limb.joints))),
+              *(f"theta_{i}_rad" for i in range(len(limb.stiffness))),
               "tension_N"]
     _write_table(directory, f"{name}_trajectory", header,
                  np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,

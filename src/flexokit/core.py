@@ -219,6 +219,7 @@ class LinkEntry:
     """Rigid link between joints of a limb."""
 
     length_mm: float = field(metadata={"key": "link_mm"})
+    is_joint = False  # a class constant, not a document key
 
     def __post_init__(self):
         if self.length_mm < 0:
@@ -244,12 +245,16 @@ class JointEntry:
     jam_angle_deg: Optional[float] = None
     torsional_stiffness_nm_per_rad: Optional[float] = None
     comment: str = ""
+    is_joint = True  # a class constant, not a document key
 
     def __post_init__(self):
         if self.sense not in (1, -1):
             raise DesignError("joint sense must be +1 or -1")
         if not (self.joint_length_mm > 0 and self.routing_offset_mm > 0):
             raise DesignError("joint length and routing offset must be positive")
+        if not (self.torsional_stiffness_nm_per_rad is None
+                or self.torsional_stiffness_nm_per_rad > 0):
+            raise DesignError("torsional_stiffness_nm_per_rad must be positive")
         limit_refs = (self.flexional_limit is not None) + \
             (self.extensional_limit is not None)
         if limit_refs > 1:
@@ -269,12 +274,8 @@ class LimbEntry:
     comment: str = ""
 
     def __post_init__(self):
-        if not any(isinstance(s, JointEntry) for s in self.segments):
+        if not any(s.is_joint for s in self.segments):
             raise DesignError("a limb needs at least one joint")
-
-    @property
-    def joints(self) -> tuple[JointEntry, ...]:
-        return tuple(s for s in self.segments if isinstance(s, JointEntry))
 
 
 @dataclass(frozen=True)
@@ -680,8 +681,8 @@ def serialize_design(doc: DesignDoc) -> str:
         "extensional_limits": {name: to_document(e)
                                for name, e in doc.extensional_limits.items()},
         "limbs": {name: to_document(limb, segments=[
-                      to_document(s) if isinstance(s, LinkEntry)
-                      else {"joint": to_document(s)} for s in limb.segments])
+                      {"joint": to_document(s)} if s.is_joint
+                      else to_document(s) for s in limb.segments])
                   for name, limb in doc.limbs.items()},
         "export": doc.export.parts and to_document(
             doc.export, parts=[to_document(p) for p in doc.export.parts]),

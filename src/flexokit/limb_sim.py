@@ -12,22 +12,27 @@ elastic energy sum(k_i theta_i^2 / 2) subject to the tendon constraint
 sum(sense_i * r_i * theta_i) = pull and the jam caps. It is found exactly by
 an active-set sweep: unjammed joints satisfy k_i theta_i = T r_i, jammed
 joints sit at their cap carrying reaction moment at least the elastic one.
+
+A limb (``LimbSpec``) is a set of columns: per segment, base to foot, its
+length and whether it is a joint; per joint, the stiffness, jam angle,
+routing offset and sense of its pseudo-rigid body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import MM, DesignDoc, JointEntry, LinkEntry
+from .core import MM, DesignDoc
 from .errors import DesignError, EmptyLimbError, OverPullError
 from .joint_limits import extensional_jam_angle, flexional_jam_angle
 from .stiffness import torsional_stiffness
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
+_STRAIGHT = 1e-12   # rad; a joint bent less is drawn as a straight segment
 # The most cells one cycle may hold: rows (2 * steps - 1) times the arc bins
 # of its curvature map plus the segments of the profile that map is read
 # from. That is 16x the 3999 x 64 curvature cells of the benchmark's largest
@@ -37,72 +42,63 @@ MAX_CYCLE_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
-class JointDef:
-    """One pseudo-rigid-body joint. SI units, cap in radians."""
-
-    torsional_stiffness: float   # N*m/rad
-    joint_length: float          # m
-    jam_angle: float             # rad, magnitude of the hard cap
-    routing_offset: float        # m, tendon moment arm
-    sense: int = 1               # +1 if positive rotation shortens the tendon
-
-    def __post_init__(self):
-        if not (self.torsional_stiffness > 0 and self.joint_length > 0
-                and self.jam_angle > 0 and self.routing_offset > 0):
-            raise DesignError("joint parameters must be positive")
-        if self.sense not in (1, -1):
-            raise DesignError("joint sense must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class Link:
-    """Rigid link of a limb."""
-
-    length: float  # m
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise DesignError("link length must be nonnegative")
-
-
-@dataclass(frozen=True)
 class LimbSpec:
-    """Alternating rigid links and joints, base to foot; the base sits at
-    the origin, heading along +x."""
+    """A limb as columns, base to foot, in SI units (caps in radians); the
+    base sits at the origin, heading along +x. Per segment: ``lengths`` and
+    ``is_joint`` (False for a rigid link). Per joint: ``stiffness``
+    (N*m/rad), ``jam_angle`` (the hard cap's magnitude), ``routing_offset``
+    (the tendon moment arm) and ``sense`` (+1 if positive rotation shortens
+    the tendon)."""
 
-    segments: tuple[Union[Link, JointDef], ...]
+    lengths: tuple[float, ...]
+    is_joint: tuple[bool, ...]
+    stiffness: tuple[float, ...]
+    jam_angle: tuple[float, ...]
+    routing_offset: tuple[float, ...]
+    sense: tuple[int, ...]
 
     def __post_init__(self):
-        joints = self.joints
-        if not joints:
+        n = sum(self.is_joint)
+        if not n:
             raise EmptyLimbError("a limb needs at least one joint")
+        k, cap, r = self.stiffness, self.jam_angle, self.routing_offset
+        joint_lengths = [s for s, joint in zip(self.lengths, self.is_joint)
+                         if joint]
+        if not (len(self.lengths) == len(self.is_joint)
+                and len(k) == len(cap) == len(r) == len(self.sense) == n
+                and all(v > 0 for v in (*k, *cap, *r, *joint_lengths))
+                and set(self.sense) <= {1, -1}
+                and all(s >= 0 for s in self.lengths)):
+            raise DesignError("a limb needs one positive stiffness, jam "
+                              "angle, routing offset and length per joint, "
+                              "senses of +1 or -1 and nonnegative links")
         # The tendon solve divides pulls by sums of r^2 * (1 / k) and holds
         # a limb at its caps with the largest k * cap / r, both formed here
-        # in the solver's order of operations.
-        compliance = [j.routing_offset * j.routing_offset
-                      * (1.0 / j.torsional_stiffness) for j in joints]
-        tension = max(j.torsional_stiffness * j.jam_angle / j.routing_offset
-                      for j in joints)
+        # in the solver's order of operations. The foot path and stroke (in
+        # mm) stay within twice the limb's length, a joint's arc radius
+        # within its length / _STRAIGHT, its curvature within cap / length.
+        compliance = [ri * ri * (1.0 / ki) for ki, ri in zip(k, r)]
+        tension = max(ki * ci / ri for ki, ci, ri in zip(k, cap, r))
         if not (min(compliance) > 0 and math.isfinite(sum(compliance))
                 and math.isfinite(tension)
-                and math.isfinite(self.pull_capacity)):
+                and math.isfinite(self.pull_capacity)
+                and math.isfinite(2 * self.total_length / MM)
+                and all(math.isfinite(si / _STRAIGHT)
+                        and math.isfinite(ci / si)
+                        for ci, si in zip(cap, joint_lengths))):
             raise DesignError(
-                "routing offsets and stiffnesses put the limb's tendon "
-                "compliance, jam tension or full-jam pull out of float range")
-
-    @property
-    def joints(self) -> tuple[JointDef, ...]:
-        return tuple(s for s in self.segments if isinstance(s, JointDef))
+                "lengths, routing offsets and stiffnesses put the limb's "
+                "length in mm, arc radius, curvature, tendon compliance, jam "
+                "tension or full-jam pull out of float range")
 
     @property
     def total_length(self) -> float:
-        return sum(s.length if isinstance(s, Link) else s.joint_length
-                   for s in self.segments)
+        return sum(self.lengths)
 
     @property
     def pull_capacity(self) -> float:
         """Largest admissible tendon pull: every joint at its cap."""
-        return sum(j.routing_offset * j.jam_angle for j in self.joints)
+        return sum(r * c for r, c in zip(self.routing_offset, self.jam_angle))
 
 
 @dataclass(frozen=True)
@@ -144,10 +140,9 @@ def _solve(limb: LimbSpec, pulls):
     passes, and pulls sharing a jammed set share its two sums. Pulls come
     back clamped to the jam capacity.
     """
-    joints = limb.joints
-    k = np.array([j.torsional_stiffness for j in joints])
-    r = np.array([j.routing_offset for j in joints])
-    cap = np.array([j.jam_angle for j in joints])
+    k = np.array(limb.stiffness)
+    r = np.array(limb.routing_offset)
+    cap = np.array(limb.jam_angle)
     capacity = float(r @ cap)
     pulls = np.asarray(pulls, dtype=float)
     if (pulls < 0).any():
@@ -158,7 +153,7 @@ def _solve(limb: LimbSpec, pulls):
                             f"capacity {capacity:g} m")
     pulls = np.minimum(pulls, capacity)
 
-    jammed = np.zeros((len(pulls), len(joints)), dtype=bool)
+    jammed = np.zeros((len(pulls), len(k)), dtype=bool)
     phi = np.zeros(jammed.shape)
     tension = np.zeros(len(pulls))
     moving = np.ones(len(pulls), dtype=bool)
@@ -181,8 +176,7 @@ def _solve(limb: LimbSpec, pulls):
         jammed[at] |= newly
         moving[at] = newly.any(axis=1)
     phi = np.minimum(phi, cap)
-    sense = np.array([j.sense for j in joints])
-    return sense * phi, tension, phi >= cap, pulls
+    return np.array(limb.sense) * phi, tension, phi >= cap, pulls
 
 
 def equilibrium_solve(limb: LimbSpec, pull: float) -> LimbState:
@@ -199,8 +193,8 @@ def equilibrium_solve(limb: LimbSpec, pull: float) -> LimbState:
 
 def _angle_row(limb: LimbSpec, theta) -> np.ndarray:
     theta = np.array([theta], dtype=float)
-    if theta.shape[1] != len(limb.joints):
-        raise DesignError(f"expected {len(limb.joints)} joint angles, "
+    if theta.shape[1] != len(limb.stiffness):
+        raise DesignError(f"expected {len(limb.stiffness)} joint angles, "
                           f"got {theta.shape[1]}")
     return theta
 
@@ -215,22 +209,22 @@ def _chain(limb: LimbSpec, theta: np.ndarray, arc_points: int) -> list:
     x = y = heading = np.zeros(len(theta))
     points = [(x, y)]
     angles = iter(theta.T)
-    for seg in limb.segments:
-        if isinstance(seg, Link):
-            x = x + seg.length * np.cos(heading)
-            y = y + seg.length * np.sin(heading)
-            if seg.length > 0:
+    for length, bent in zip(limb.lengths, limb.is_joint):
+        if not bent:
+            x = x + length * np.cos(heading)
+            y = y + length * np.sin(heading)
+            if length > 0:
                 points.append((x, y))
             continue
         th = next(angles)
-        straight = np.abs(th) < 1e-12
-        radius = seg.joint_length / np.where(straight, 1.0, th)
+        straight = np.abs(th) < _STRAIGHT
+        radius = length / np.where(straight, 1.0, th)
         x0, y0, h0 = x, y, heading
         for i in range(1, arc_points + 1):
             t = i / arc_points
-            x = np.where(straight, x0 + t * seg.joint_length * np.cos(h0),
+            x = np.where(straight, x0 + t * length * np.cos(h0),
                          x0 + radius * (np.sin(h0 + t * th) - np.sin(h0)))
-            y = np.where(straight, y0 + t * seg.joint_length * np.sin(h0),
+            y = np.where(straight, y0 + t * length * np.sin(h0),
                          y0 + radius * (np.cos(h0) - np.cos(h0 + t * th)))
             points.append((x, y))
         heading = np.where(straight, h0, h0 + th)
@@ -249,11 +243,9 @@ def forward_kinematics(limb: LimbSpec,
 def _profile(limb: LimbSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Arc length at each segment's far end, and curvature (rows, segments):
     theta_i / joint_length_i over joint i, zero on links."""
-    lengths = [s.length if isinstance(s, Link) else s.joint_length
-               for s in limb.segments]
-    bent = [isinstance(s, JointDef) for s in limb.segments]
+    lengths, bent = np.array(limb.lengths), np.array(limb.is_joint)
     kappa = np.zeros((len(theta), len(lengths)))
-    kappa[:, bent] = theta / np.array(lengths)[bent]
+    kappa[:, bent] = theta / lengths[bent]
     return np.cumsum(lengths), kappa
 
 
@@ -284,7 +276,7 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
         raise DesignError("a sweep needs at least 2 steps")
     if arc_bins < 1:
         raise DesignError("a curvature map needs at least 1 arc bin")
-    cells = (2 * steps - 1) * (arc_bins + len(limb.segments))
+    cells = (2 * steps - 1) * (arc_bins + len(limb.lengths))
     if cells > MAX_CYCLE_CELLS:
         raise DesignError(f"a cycle of {steps} steps and {arc_bins} arc bins "
                           f"holds {cells} cells, more than {MAX_CYCLE_CELLS}")
@@ -321,18 +313,18 @@ def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:
     """
     if name not in doc.limbs:
         raise DesignError(f"document defines no limb named {name!r}")
-    segments = []
+    lengths, is_joint, joints = [], [], []
     for seg in doc.limbs[name].segments:
-        if isinstance(seg, LinkEntry):
-            segments.append(Link(seg.length_mm * MM))
+        is_joint.append(seg.is_joint)
+        if not seg.is_joint:
+            lengths.append(seg.length_mm * MM)
             continue
-        assert isinstance(seg, JointEntry)
-        joint_length = seg.joint_length_mm * MM
+        lengths.append(seg.joint_length_mm * MM)
         if seg.torsional_stiffness_nm_per_rad is not None:
             k_theta = seg.torsional_stiffness_nm_per_rad
         else:
             k_theta = torsional_stiffness(doc.flexures[seg.flexure],
-                                          joint_length)
+                                          lengths[-1])
         if seg.jam_angle_deg is not None:
             cap = math.radians(seg.jam_angle_deg)
         elif seg.flexional_limit is not None:
@@ -341,9 +333,5 @@ def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:
         else:
             cap = extensional_jam_angle(
                 doc.extensional_limits[seg.extensional_limit].spec)
-        segments.append(JointDef(torsional_stiffness=k_theta,
-                                 joint_length=joint_length,
-                                 jam_angle=cap,
-                                 routing_offset=seg.routing_offset_mm * MM,
-                                 sense=seg.sense))
-    return LimbSpec(tuple(segments))
+        joints.append((k_theta, cap, seg.routing_offset_mm * MM, seg.sense))
+    return LimbSpec(tuple(lengths), tuple(is_joint), *zip(*joints))

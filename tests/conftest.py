@@ -10,10 +10,12 @@ from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
                            RibPattern, parse_design)
 
 # Processes the tests start (``python -m flexokit.cli``) import the package
-# from this checkout, as the tests do, with or without PYTHONPATH set.
+# from this checkout, as the tests do, with or without PYTHONPATH set, and
+# fail on a numpy overflow warning, as pyproject.toml makes the tests do.
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
     str(Path(__file__).resolve().parents[1] / "src"),
     os.environ.get("PYTHONPATH"))))
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def bundled_text(name: str) -> str:

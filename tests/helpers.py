@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from flexokit.limb_sim import JointDef, LimbSpec, Link, equilibrium_solve
+from flexokit.limb_sim import LimbSpec, equilibrium_solve
 from flexokit.stiffness import homogenized_EI
 
 
@@ -61,29 +61,45 @@ def unit_normals(tri):
     return cross / np.linalg.norm(cross, axis=1, keepdims=True)
 
 
+def si_limb(links, stiffness, joint_length, jam_angle, routing_offset,
+            sense=None) -> LimbSpec:
+    """A LimbSpec from SI values, joint by joint: link ``links[i]`` (m)
+    comes before joint i, and ``links`` holds one more length when a link
+    follows the last joint. Senses default to +1."""
+    lengths, is_joint = [], []
+    for i, link in enumerate(links):
+        lengths.append(link)
+        is_joint.append(False)
+        if i < len(joint_length):
+            lengths.append(joint_length[i])
+            is_joint.append(True)
+    return LimbSpec(tuple(lengths), tuple(is_joint), tuple(stiffness),
+                    tuple(jam_angle), tuple(routing_offset),
+                    tuple(sense or [1] * len(stiffness)))
+
+
 def random_limb(rng, n_joints=None, equal_offsets=False,
                 wide_caps=False) -> LimbSpec:
     """A physically sensible random limb: mm-scale links, Nmm/rad joints."""
     if n_joints is None:
         n_joints = int(rng.integers(1, 5))
-    segments = [Link(float(rng.uniform(0.005, 0.03)))]
+    links = [float(rng.uniform(0.005, 0.03))]
     shared_offset = float(rng.uniform(0.001, 0.008))
+    joints = []
     for _ in range(n_joints):
         cap_deg = rng.uniform(60.0, 170.0) if wide_caps else rng.uniform(5.0, 120.0)
-        segments.append(JointDef(
-            torsional_stiffness=float(rng.uniform(0.005, 0.1)),
-            joint_length=float(rng.uniform(0.005, 0.025)),
-            jam_angle=float(np.radians(cap_deg)),
-            routing_offset=shared_offset if equal_offsets
-            else float(rng.uniform(0.001, 0.008)),
-            sense=int(rng.choice((-1, 1)))))
-        segments.append(Link(float(rng.uniform(0.005, 0.03))))
-    return LimbSpec(tuple(segments))
+        joints.append((float(rng.uniform(0.005, 0.1)),
+                       float(rng.uniform(0.005, 0.025)),
+                       float(np.radians(cap_deg)),
+                       shared_offset if equal_offsets
+                       else float(rng.uniform(0.001, 0.008)),
+                       int(rng.choice((-1, 1)))))
+        links.append(float(rng.uniform(0.005, 0.03)))
+    return si_limb(links, *zip(*joints))
 
 
 def elastic_energy(limb: LimbSpec, theta) -> float:
-    return sum(0.5 * j.torsional_stiffness * t ** 2
-               for j, t in zip(limb.joints, theta))
+    return sum(0.5 * k * t ** 2 for k, t in zip(limb.stiffness, theta))
 
 
 def jam_event_pulls(limb: LimbSpec):
@@ -93,10 +109,9 @@ def jam_event_pulls(limb: LimbSpec):
     T, so its magnitude is min(cap, T*r/k) and the pull consumed at tension
     T follows in closed form. Joint j jams at T = k_j*cap_j/r_j.
     """
-    joints = limb.joints
-    k = np.array([j.torsional_stiffness for j in joints])
-    r = np.array([j.routing_offset for j in joints])
-    cap = np.array([j.jam_angle for j in joints])
+    k = np.array(limb.stiffness)
+    r = np.array(limb.routing_offset)
+    cap = np.array(limb.jam_angle)
     pulls = []
     for t_star in k * cap / r:
         pulls.append(float(np.sum(r * np.minimum(cap, t_star * r / k))))
@@ -122,15 +137,15 @@ def grid_search_two_joint(limb: LimbSpec, pull: float, points: int = 200001):
     Scans the feasible segment of the tendon constraint line in magnitude
     space and returns (phi_1, phi_2, energy) at the grid minimum.
     """
-    j1, j2 = limb.joints
-    r1, r2 = j1.routing_offset, j2.routing_offset
-    lo = max(0.0, (pull - r2 * j2.jam_angle) / r1)
-    hi = min(j1.jam_angle, pull / r1)
+    k1, k2 = limb.stiffness
+    cap1, cap2 = limb.jam_angle
+    r1, r2 = limb.routing_offset
+    lo = max(0.0, (pull - r2 * cap2) / r1)
+    hi = min(cap1, pull / r1)
     assert hi >= lo, "pull infeasible for this limb"
     phi1 = np.linspace(lo, hi, points)
     phi2 = (pull - r1 * phi1) / r2
-    energy = (0.5 * j1.torsional_stiffness * phi1 ** 2
-              + 0.5 * j2.torsional_stiffness * phi2 ** 2)
+    energy = 0.5 * k1 * phi1 ** 2 + 0.5 * k2 * phi2 ** 2
     i = int(np.argmin(energy))
     return float(phi1[i]), float(phi2[i]), float(energy[i])
 

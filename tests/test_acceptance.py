@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from helpers import (elastic_energy, grid_search_two_joint, jam_event_pulls,
-                     random_limb, read_stl, tendon_work, unit_normals)
+                     random_limb, read_stl, si_limb, tendon_work,
+                     unit_normals)
 from flexokit.cli import main
 from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, GaitEntry,
                            LaminateStack, PrintProcessConfig, RibPattern,
@@ -29,9 +30,8 @@ from flexokit.geometry import (export_stl, extensional_recipe,
 from flexokit.joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
                                    extensional_inverse, extensional_jam_angle,
                                    flexional_inverse, flexional_jam_angle)
-from flexokit.limb_sim import (JointDef, Link, LimbSpec, curvature_profile,
-                               equilibrium_solve, limb_from_document,
-                               sweep_cycle)
+from flexokit.limb_sim import (curvature_profile, equilibrium_solve,
+                               limb_from_document, sweep_cycle)
 from flexokit.stiffness import (homogenized_EI, plateau_stiffness,
                                 solve_feature_height, solve_width_ratio,
                                 tip_stiffness_exact)
@@ -179,18 +179,15 @@ def test_homogenized_stiffness_tracks_exact_profile_and_plateau(
 
 def test_tendon_equilibrium_matches_brute_force_energy_minimization():
     # hand-checked pair: 60 and 30 Nmm/rad on equal 2 mm moment arms
-    j1 = JointDef(torsional_stiffness=0.06, joint_length=0.01,
-                  jam_angle=10.0, routing_offset=0.002)
-    j2 = JointDef(torsional_stiffness=0.03, joint_length=0.01,
-                  jam_angle=10.0, routing_offset=0.002)
-    limb = LimbSpec((Link(0.03), j1, Link(0.03), j2, Link(0.03)))
+    limb = si_limb((0.03, 0.03, 0.03), stiffness=(0.06, 0.03),
+                   joint_length=(0.01, 0.01), jam_angle=(10.0, 10.0),
+                   routing_offset=(0.002, 0.002))
     state = equilibrium_solve(limb, 0.002)
     assert state.tension == 10.0
     assert state.theta[0] == pytest.approx(1 / 3, abs=1e-15)
     assert state.theta[1] == pytest.approx(2 / 3, abs=1e-15)
 
-    capped = LimbSpec((Link(0.03), j1, Link(0.03),
-                       dataclasses.replace(j2, jam_angle=0.5), Link(0.03)))
+    capped = dataclasses.replace(limb, jam_angle=(10.0, 0.5))
     state = equilibrium_solve(capped, 0.002)
     assert state.tension == 15.0
     assert state.theta == (0.5, 0.5)
@@ -204,10 +201,9 @@ def test_tendon_equilibrium_matches_brute_force_energy_minimization():
         phi1, phi2, grid_energy = grid_search_two_joint(limb, pull)
         energy = elastic_energy(limb, state.theta)
         assert energy <= grid_energy * (1 + 1e-9) + 1e-18
-        a, b = limb.joints
-        span_lo = max(0.0, (pull - b.routing_offset * b.jam_angle)
-                      / a.routing_offset)
-        span_hi = min(a.jam_angle, pull / a.routing_offset)
+        (cap_a, cap_b), (r_a, r_b) = limb.jam_angle, limb.routing_offset
+        span_lo = max(0.0, (pull - r_b * cap_b) / r_a)
+        span_hi = min(cap_a, pull / r_a)
         spacing = (span_hi - span_lo) / 200000
         assert abs(abs(state.theta[0]) - phi1) <= spacing + 1e-12
 
@@ -215,8 +211,8 @@ def test_tendon_equilibrium_matches_brute_force_energy_minimization():
         limb = random_limb(rng)
         pull = float(rng.uniform(0.0, 1.0)) * limb.pull_capacity
         state = equilibrium_solve(limb, pull)
-        routed = sum(j.routing_offset * j.sense * t
-                     for j, t in zip(limb.joints, state.theta))
+        routed = sum(r * s * t for r, s, t in zip(
+            limb.routing_offset, limb.sense, state.theta))
         assert abs(routed - pull) < 1e-9
 
     for _ in range(25):
@@ -237,9 +233,8 @@ def test_soft_joints_lead_and_stroke_grows_with_the_extension_cap(
         first_jam = jam_event_pulls(limb)[0]
         for frac in (0.2, 0.5, 0.9):
             state = equilibrium_solve(limb, frac * first_jam)
-            by_stiffness = sorted(range(len(limb.joints)),
-                                  key=lambda i:
-                                  limb.joints[i].torsional_stiffness)
+            by_stiffness = sorted(range(len(limb.stiffness)),
+                                  key=limb.stiffness.__getitem__)
             mags = [abs(state.theta[i]) for i in by_stiffness]
             assert all(a > b for a, b in zip(mags, mags[1:]))
 
@@ -264,15 +259,8 @@ def test_soft_joints_lead_and_stroke_grows_with_the_extension_cap(
                        2.2803357911702906]
     strokes, ratios = [], []
     for beta in betas:
-        replaced = False
-        segments = []
-        for seg in limb.segments:
-            if isinstance(seg, JointDef) and not replaced:
-                segments.append(dataclasses.replace(seg, jam_angle=beta))
-                replaced = True
-            else:
-                segments.append(seg)
-        variant = dataclasses.replace(limb, segments=tuple(segments))
+        variant = dataclasses.replace(
+            limb, jam_angle=(beta, *limb.jam_angle[1:]))
         metrics = sweep_cycle(variant, steps=201).metrics
         strokes.append(metrics.stroke_distance / MM)
         ratios.append(metrics.stroke_ratio)

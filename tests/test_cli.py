@@ -357,6 +357,33 @@ def _set_jam_angle(value):
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(routing_offset_mm=1e308),
      "compliance, jam tension or full-jam pull out of float range"),
+    ("hind_leg.json", "validate",
+     lambda doc: _first_joint(doc).update(torsional_stiffness_nm_per_rad=0),
+     "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
+     "be positive"),
+    ("hind_leg.json", "validate",
+     lambda doc: _first_joint(doc).update(torsional_stiffness_nm_per_rad=-0.5),
+     "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
+     "be positive"),
+    # the foot path and the curvature header, in mm, would overflow
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: [s.update(link_mm=1e308)
+                  for s in doc["limbs"]["hind_leg"]["segments"]
+                  if "link_mm" in s],
+     "arc radius, curvature, tendon compliance, jam tension or full-jam "
+     "pull out of float range"),
+    # the jam angle over a subnormal joint length overflows as a curvature
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: _first_joint(doc).update(joint_length_mm=1e-310,
+                                          torsional_stiffness_nm_per_rad=0.03),
+     "arc radius, curvature, tendon compliance, jam tension or full-jam "
+     "pull out of float range"),
+    # a joint bent a hair past 1e-12 rad would overflow its arc radius
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: _first_joint(doc).update(joint_length_mm=1e300,
+                                          torsional_stiffness_nm_per_rad=0.03),
+     "arc radius, curvature, tendon compliance, jam tension or full-jam "
+     "pull out of float range"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
          1, math.inf),
@@ -374,8 +401,11 @@ def _set_jam_angle(value):
          diagonal_mm=0),
      "extensional_limits.sample_extensional: diagonal must be positive"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
-        "overflowing_speed", "overflowing_routing_offset", "infinite_layer",
-        "overflowing_integer", "zero_spacing", "zero_diagonal"])
+        "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
+        "negative_stiffness", "overflowing_links", "subnormal_joint_length",
+        "overflowing_arc_radius",
+        "infinite_layer", "overflowing_integer", "zero_spacing",
+        "zero_diagonal"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
         tmp_path, capsys, document, subcommand, mutate, message):
     with open(bundled_path(document)) as f:
@@ -555,6 +585,17 @@ def test_export_part_refused_at_writing_names_its_path(tmp_path, capsys):
                    "1e-12 mm^2"}
     # parts 0-2 were written, but none of their files is left behind
     assert list(out.iterdir()) == []
+
+
+def test_export_onto_a_directory_exits_2_unwritten(tmp_path, capsys):
+    # the second part's STL path is taken by a directory
+    out = tmp_path / "out"
+    (out / "plain_plate.stl").mkdir(parents=True)
+    assert run(["export-geometry", "-i", bundled_path("sample_flexure.json"),
+                "-o", out]) == 2
+    assert one_json_line(capsys)["error"] == "OSError"
+    assert [p.name for p in out.iterdir()] == ["plain_plate.stl"]
+    assert list((out / "plain_plate.stl").iterdir()) == []
 
 
 def test_export_part_collapsed_in_float32_exits_2_unwritten(tmp_path,

@@ -39,7 +39,8 @@ def test_parse_keeps_document_units(hind_leg_doc):
     ext = hind_leg_doc.extensional_limits["extension_20deg"]
     assert ext.incline_deg == 45.0
     assert ext.spec.incline == pytest.approx(math.pi / 4, rel=1e-15)
-    joints = hind_leg_doc.limbs["hind_leg"].joints
+    joints = [s for s in hind_leg_doc.limbs["hind_leg"].segments
+              if s.is_joint]
     assert [j.sense for j in joints] == [-1, -1]
     assert [j.routing_offset_mm for j in joints] == [2.5, 6.0]
 
@@ -164,7 +165,7 @@ def test_readme_joint_example_parses():
     doc = json.loads(bundled_text("hind_leg.json"))
     segments = doc["limbs"]["hind_leg"]["segments"]
     segments[3] = examples[0]
-    joint = parse_design(json.dumps(doc)).limbs["hind_leg"].joints[1]
+    joint = parse_design(json.dumps(doc)).limbs["hind_leg"].segments[3]
     assert joint == JointEntry(**examples[0]["joint"])
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from flexokit.core import GaitEntry
+from flexokit import gait_sim
 from flexokit.errors import DesignError
 from flexokit.gait_sim import body_speed, gait_from_document, speed_curve
 from flexokit.limb_sim import limb_from_document, sweep_cycle
@@ -84,6 +85,21 @@ def test_document_gait_matches_direct_limb_sweeps(quadruped_doc):
     per_cycle = sum(strokes.values()) / 2
     for f, v in points:
         assert v == pytest.approx(f * per_cycle, rel=1e-12, abs=1e-18)
+
+
+def test_each_distinct_limb_is_simulated_once(quadruped_doc, monkeypatch):
+    # the four legs resolve to two equal pairs of LimbSpec values
+    swept = []
+
+    def counting_sweep(limb, **kwargs):
+        swept.append(limb)
+        return sweep_cycle(limb, **kwargs)
+
+    monkeypatch.setattr(gait_sim, "sweep_cycle", counting_sweep)
+    strokes = gait_from_document(quadruped_doc, steps=11)
+    assert len(strokes) == 4 and len(swept) == 2
+    assert swept[0] != swept[1]
+    assert limb_from_document(quadruped_doc, "front_left") in swept
 
 
 def test_document_without_gait_is_rejected(hind_leg_doc):

@@ -7,22 +7,20 @@ import numpy as np
 import pytest
 
 from helpers import (elastic_energy, grid_search_two_joint, jam_event_pulls,
-                     random_limb, tendon_work)
+                     random_limb, si_limb, tendon_work)
 from flexokit.errors import DesignError, EmptyLimbError, OverPullError
-from flexokit.limb_sim import (JointDef, Link, LimbSpec, curvature_profile,
-                               equilibrium_solve, forward_kinematics,
-                               limb_from_document, sweep_cycle)
+from flexokit.limb_sim import (curvature_profile, equilibrium_solve,
+                               forward_kinematics, limb_from_document,
+                               sweep_cycle)
 
 MM = 1e-3
 
 
 def two_joint_limb(cap2=10.0):
     """The hand-checked pair: 60 and 30 Nmm/rad, equal 2 mm moment arms."""
-    j1 = JointDef(torsional_stiffness=0.06, joint_length=0.01,
-                  jam_angle=10.0, routing_offset=0.002)
-    j2 = JointDef(torsional_stiffness=0.03, joint_length=0.01,
-                  jam_angle=cap2, routing_offset=0.002)
-    return LimbSpec((Link(0.03), j1, Link(0.03), j2, Link(0.03)))
+    return si_limb((0.03, 0.03, 0.03), stiffness=(0.06, 0.03),
+                   joint_length=(0.01, 0.01), jam_angle=(10.0, cap2),
+                   routing_offset=(0.002, 0.002))
 
 
 # ------------------------------------------------------------- equilibrium
@@ -55,10 +53,7 @@ def test_zero_pull_is_identity():
 
 def test_negative_sense_flips_sign_only():
     limb = two_joint_limb()
-    flipped = dataclasses.replace(
-        limb, segments=tuple(
-            dataclasses.replace(s, sense=-1) if isinstance(s, JointDef) else s
-            for s in limb.segments))
+    flipped = dataclasses.replace(limb, sense=(-1, -1))
     state = equilibrium_solve(flipped, 0.002)
     assert state.tension == 10.0
     assert state.theta[0] == pytest.approx(-1 / 3, abs=1e-15)
@@ -72,7 +67,20 @@ def test_overpull_and_empty_limb_rejected():
     with pytest.raises(DesignError):
         equilibrium_solve(limb, -1e-6)
     with pytest.raises(EmptyLimbError):
-        LimbSpec((Link(0.03), Link(0.02)))
+        si_limb((0.03, 0.02), (), (), (), ())
+
+
+@pytest.mark.parametrize("columns", [
+    {"stiffness": (0.06, 0.0)}, {"jam_angle": (10.0, -0.5)},
+    {"routing_offset": (math.nan, 0.002)}, {"sense": (1, 0)},
+    {"lengths": (0.03, 0.01, -0.03, 0.01, 0.03)},
+    {"lengths": (math.nan, 0.01, 0.03, 0.01, 0.03)},
+    {"lengths": (0.03, 0.0, 0.03, 0.01, 0.03)}, {"stiffness": (0.06,)},
+], ids=["zero_stiffness", "negative_cap", "nan_offset", "zero_sense",
+        "negative_link", "nan_link", "zero_joint_length", "missing_stiffness"])
+def test_limb_columns_are_checked(columns):
+    with pytest.raises(DesignError, match="needs one positive stiffness"):
+        dataclasses.replace(two_joint_limb(), **columns)
 
 
 def test_full_capacity_puts_every_joint_on_its_stop():
@@ -93,10 +101,8 @@ def test_grid_oracle_agrees_on_two_joint_instances():
         state = equilibrium_solve(limb, pull)
         phi = [abs(t) for t in state.theta]
         g1, g2, e_grid = grid_search_two_joint(limb, pull)
-        j1, j2 = limb.joints
-        span = (min(j1.jam_angle, pull / j1.routing_offset)
-                - max(0.0, (pull - j2.routing_offset * j2.jam_angle)
-                      / j1.routing_offset))
+        (cap1, cap2), (r1, r2) = limb.jam_angle, limb.routing_offset
+        span = min(cap1, pull / r1) - max(0.0, (pull - r2 * cap2) / r1)
         resolution = span / 200000 + 1e-15
         assert abs(phi[0] - g1) <= resolution
         assert abs(phi[1] - g2) <= resolution
@@ -109,8 +115,8 @@ def test_constraint_residual_on_random_limbs():
         limb = random_limb(rng)
         pull = float(rng.uniform(0.0, 1.0)) * limb.pull_capacity
         state = equilibrium_solve(limb, pull)
-        recovered = sum(j.sense * j.routing_offset * t
-                        for j, t in zip(limb.joints, state.theta))
+        recovered = sum(s * r * t for s, r, t in zip(
+            limb.sense, limb.routing_offset, state.theta))
         assert abs(recovered - pull) < 1e-9
 
 
@@ -154,8 +160,7 @@ def test_softer_joint_leads_at_equal_offsets():
     for _ in range(10):
         limb = random_limb(rng, n_joints=3, equal_offsets=True,
                            wide_caps=True)
-        k = [j.torsional_stiffness for j in limb.joints]
-        order = np.argsort(k)  # softest first
+        order = np.argsort(limb.stiffness)  # softest first
         first_jam = jam_event_pulls(limb)[0]
         for frac in (0.2, 0.5, 0.9):
             state = equilibrium_solve(limb, frac * first_jam)
@@ -165,11 +170,9 @@ def test_softer_joint_leads_at_equal_offsets():
 
 
 def test_softer_joint_reaches_target_angle_at_smaller_pull():
-    j_soft = JointDef(torsional_stiffness=0.02, joint_length=0.01,
-                      jam_angle=2.0, routing_offset=0.003)
-    j_stiff = JointDef(torsional_stiffness=0.05, joint_length=0.01,
-                       jam_angle=2.0, routing_offset=0.003)
-    limb = LimbSpec((Link(0.02), j_soft, Link(0.02), j_stiff))
+    limb = si_limb((0.02, 0.02), stiffness=(0.02, 0.05),
+                   joint_length=(0.01, 0.01), jam_angle=(2.0, 2.0),
+                   routing_offset=(0.003, 0.003))
     target = 0.4
     pulls = np.linspace(0.0, limb.pull_capacity, 4001)
     first_soft = first_stiff = None
@@ -194,9 +197,8 @@ def test_straight_chain_lands_on_the_x_axis():
 
 
 def test_quarter_turn_arc_endpoint_closed_form():
-    joint = JointDef(torsional_stiffness=0.05, joint_length=0.01,
-                     jam_angle=3.0, routing_offset=0.002)
-    limb = LimbSpec((Link(0.03), joint, Link(0.03)))
+    limb = si_limb((0.03, 0.03), stiffness=(0.05,), joint_length=(0.01,),
+                   jam_angle=(3.0,), routing_offset=(0.002,))
     _, foot = forward_kinematics(limb, (math.pi / 2,))
     radius = 0.01 / (math.pi / 2)
     assert foot[0] == pytest.approx(0.03 + radius, rel=1e-12)
@@ -206,23 +208,22 @@ def test_quarter_turn_arc_endpoint_closed_form():
 def test_arc_endpoint_matches_numeric_heading_integral():
     rng = np.random.default_rng(17)
     limb = random_limb(rng, n_joints=3)
-    theta = [float(j.sense) * float(rng.uniform(0.1, 1.2))
-             for j in limb.joints]
+    theta = [float(s) * float(rng.uniform(0.1, 1.2)) for s in limb.sense]
     _, foot = forward_kinematics(limb, theta)
 
     # midpoint-rule integration of (cos h, sin h) along the arc length
     x = y = heading = 0.0
     it = iter(theta)
-    for seg in limb.segments:
-        if isinstance(seg, Link):
-            x += seg.length * math.cos(heading)
-            y += seg.length * math.sin(heading)
+    for length, bent in zip(limb.lengths, limb.is_joint):
+        if not bent:
+            x += length * math.cos(heading)
+            y += length * math.sin(heading)
             continue
         th = next(it)
         n = 20000
-        ds = seg.joint_length / n
+        ds = length / n
         s = (np.arange(n) + 0.5) * ds
-        h = heading + th * s / seg.joint_length
+        h = heading + th * s / length
         x += float(np.cos(h).sum()) * ds
         y += float(np.sin(h).sum()) * ds
         heading += th
@@ -231,15 +232,14 @@ def test_arc_endpoint_matches_numeric_heading_integral():
 
 
 def test_curvature_profile_integrates_back_to_joint_angles():
-    joint = JointDef(torsional_stiffness=0.05, joint_length=0.01,
-                     jam_angle=3.0, routing_offset=0.002)
-    limb = LimbSpec((Link(0.01), joint, Link(0.005)))
+    limb = si_limb((0.01, 0.005), stiffness=(0.05,), joint_length=(0.01,),
+                   jam_angle=(3.0,), routing_offset=(0.002,))
     profile = curvature_profile(limb, (0.5,))
     assert profile == [(0.0, 0.01, 0.0), (0.01, 0.02, 50.0), (0.02, 0.025, 0.0)]
     rng = np.random.default_rng(19)
     for _ in range(20):
         rl = random_limb(rng)
-        theta = [float(rng.uniform(-1.0, 1.0)) for _ in rl.joints]
+        theta = [float(rng.uniform(-1.0, 1.0)) for _ in rl.stiffness]
         spans = [(s1 - s0) * kappa
                  for s0, s1, kappa in curvature_profile(rl, theta)
                  if kappa != 0.0]
@@ -309,9 +309,9 @@ def test_curvature_map_rows_match_states():
 
 def _scalar_equilibrium(limb, pull):
     """Reference: the active-set loop for one pull, with the same sums."""
-    k = np.array([j.torsional_stiffness for j in limb.joints])
-    r = np.array([j.routing_offset for j in limb.joints])
-    cap = np.array([j.jam_angle for j in limb.joints])
+    k = np.array(limb.stiffness)
+    r = np.array(limb.routing_offset)
+    cap = np.array(limb.jam_angle)
     pull = min(pull, float(r @ cap))
     jammed = np.zeros(len(k), dtype=bool)
     while True:
@@ -327,7 +327,7 @@ def _scalar_equilibrium(limb, pull):
             break
         jammed |= newly
     phi = np.minimum(phi, cap)
-    sense = np.array([j.sense for j in limb.joints])
+    sense = np.array(limb.sense)
     return tuple((sense * phi).tolist()), tension, tuple((phi >= cap).tolist())
 
 
@@ -340,7 +340,7 @@ def test_cycle_rows_equal_single_pull_solves_exactly():
         cycle = sweep_cycle(limb, max_pull=fraction * limb.pull_capacity,
                             steps=int(rng.integers(3, 40)), arc_bins=9)
         most_jams = max(most_jams, int(cycle.jammed.sum(axis=1).max()))
-        senses.update(j.sense for j in limb.joints)
+        senses.update(limb.sense)
         for i, pull in enumerate(cycle.pulls):
             state = equilibrium_solve(limb, float(pull))
             assert tuple(cycle.theta[i]) == state.theta
@@ -361,19 +361,14 @@ def test_cycle_rows_equal_single_pull_solves_exactly():
 
 def test_document_limb_resolution(hind_leg_doc):
     limb = limb_from_document(hind_leg_doc, "hind_leg")
-    assert len(limb.joints) == 2
-    ext, flx = limb.joints
+    assert limb.is_joint == (False, True, False, True, False)
     # stiffness from the referenced flexures via EI_eff / joint_length
-    assert ext.torsional_stiffness == pytest.approx(0.02733021390374332,
-                                                    rel=1e-12)
-    assert flx.torsional_stiffness == pytest.approx(0.012891767068273094,
-                                                    rel=1e-12)
+    assert limb.stiffness == pytest.approx(
+        (0.02733021390374332, 0.012891767068273094), rel=1e-12)
     # caps from the referenced jamming geometry
-    assert math.degrees(ext.jam_angle) == pytest.approx(20.0003661255078,
-                                                        rel=1e-9)
-    assert math.degrees(flx.jam_angle) == pytest.approx(89.9995218941837,
-                                                        rel=1e-9)
-    assert (ext.sense, flx.sense) == (-1, -1)
+    assert [math.degrees(c) for c in limb.jam_angle] == pytest.approx(
+        [20.0003661255078, 89.9995218941837], rel=1e-9)
+    assert limb.sense == (-1, -1)
     with pytest.raises(DesignError):
         limb_from_document(hind_leg_doc, "missing_leg")
 
@@ -386,21 +381,20 @@ def test_document_limb_explicit_overrides(hind_leg_doc):
     joint["jam_angle_deg"] = 45.0
     joint["torsional_stiffness_nm_per_rad"] = 0.5
     doc = parse_design(json.dumps(raw))
-    ext = limb_from_document(doc, "hind_leg").joints[0]
-    assert ext.jam_angle == pytest.approx(math.radians(45.0), rel=1e-15)
-    assert ext.torsional_stiffness == 0.5
+    limb = limb_from_document(doc, "hind_leg")
+    assert limb.jam_angle[0] == pytest.approx(math.radians(45.0), rel=1e-15)
+    assert limb.stiffness[0] == 0.5
 
 
 def test_hind_leg_flexion_jams_before_extension(hind_leg_doc):
     limb = limb_from_document(hind_leg_doc, "hind_leg")
-    ext, flx = limb.joints
-    t_ext = ext.torsional_stiffness * ext.jam_angle / ext.routing_offset
-    t_flx = flx.torsional_stiffness * flx.jam_angle / flx.routing_offset
+    t_ext, t_flx = (k * cap / r for k, cap, r in zip(
+        limb.stiffness, limb.jam_angle, limb.routing_offset))
     assert t_flx < t_ext
     cycle = sweep_cycle(limb, steps=201)
     theta, jammed = cycle.theta[:201], cycle.jammed[:201]
     first_flx = next(i for i, row in enumerate(jammed) if row[1])
     # flexion hits its stop while extension still has angle in reserve;
     # extension only reaches its cap at the very top of the pull
-    assert abs(theta[first_flx][0]) < 0.999 * ext.jam_angle
-    assert abs(theta[-1][0]) == pytest.approx(ext.jam_angle, rel=1e-12)
+    assert abs(theta[first_flx][0]) < 0.999 * limb.jam_angle[0]
+    assert abs(theta[-1][0]) == pytest.approx(limb.jam_angle[0], rel=1e-12)

@@ -19,12 +19,11 @@ from flexokit.core import (MM, DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
                            RibPattern)
 from flexokit.joint_limits import (FlexionalLimitSpec, flexional_inverse,
                                    flexional_jam_angle)
-from flexokit.limb_sim import (JointDef, LimbSpec, Link, equilibrium_solve,
-                               sweep_cycle)
+from flexokit.limb_sim import equilibrium_solve, sweep_cycle
 from flexokit.stiffness import (_REL_TOL, homogenized_EI, plateau_stiffness,
                                 solve_feature_height, solve_width_ratio,
                                 tip_stiffness_exact)
-from helpers import tip_stiffness_per_period
+from helpers import si_limb, tip_stiffness_per_period
 
 EPS = sys.float_info.epsilon
 
@@ -141,16 +140,15 @@ def limbs(draw):
     """mm-scale links and Nmm/rad joints of either sense; a shared routing
     offset makes joints of equal k / r jam at one pull."""
     shared = draw(st.one_of(st.none(), st.floats(0.001, 0.008)))
-    segments = [Link(draw(st.floats(0.0, 0.03)))]
+    links, joints = [draw(st.floats(0.0, 0.03))], []
     for _ in range(draw(st.integers(1, 5))):
-        segments.append(JointDef(
-            torsional_stiffness=draw(st.floats(0.005, 0.1)),
-            joint_length=draw(st.floats(0.005, 0.025)),
-            jam_angle=math.radians(draw(st.floats(5.0, 170.0))),
-            routing_offset=shared or draw(st.floats(0.001, 0.008)),
-            sense=draw(st.sampled_from((-1, 1)))))
-        segments.append(Link(draw(st.floats(0.0, 0.03))))
-    return LimbSpec(tuple(segments))
+        joints.append((draw(st.floats(0.005, 0.1)),
+                       draw(st.floats(0.005, 0.025)),
+                       math.radians(draw(st.floats(5.0, 170.0))),
+                       shared or draw(st.floats(0.001, 0.008)),
+                       draw(st.sampled_from((-1, 1)))))
+        links.append(draw(st.floats(0.0, 0.03)))
+    return si_limb(links, *zip(*joints))
 
 
 def _bits(values):

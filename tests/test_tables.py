@@ -147,7 +147,7 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
                          "--limb", limb, "--steps", str(steps),
                          "--arc-bins", str(arc_bins),
                          "-o", str(tmp_path)]) == 0
-    joints = [f"theta_{i}_rad" for i in range(len(spec.joints))]
+    joints = [f"theta_{i}_rad" for i in range(len(spec.stiffness))]
     trajectory = reference_csv(
         ["pull_mm", "foot_x_mm", "foot_y_mm", *joints, "tension_N"],
         np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
