@@ -35,7 +35,7 @@ from . import __version__
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
                    Material, parse_design, parse_materials, to_document,
                    validate_process)
-from .errors import DesignError, FlexokitError
+from .errors import DesignError, FlexokitError, located
 from .joint_limits import (extensional_inverse, extensional_jam_angle,
                            flexional_inverse, flexional_jam_angle)
 
@@ -103,16 +103,6 @@ def _staging():
         raise
 
 
-@contextmanager
-def _located(path: str):
-    """Prefix ``<path>: `` to the message of a FlexokitError raised inside."""
-    try:
-        yield
-    except FlexokitError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode()
 
@@ -123,48 +113,87 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_table(directory: Path, stem: str, header: list[str], rows,
-                 fmt: str = "csv") -> None:
+                 fmt: str = "csv", order=None) -> None:
     """Float rows as ``<stem>.csv`` or as ``<stem>.json``, a list of
-    objects keyed by the header.
+    objects keyed by the header. ``order``, an index array into the rows,
+    gives the rows to write, in the order to write them (a row may repeat);
+    by default every row is written once, as given.
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
-    ``inf``, ``-inf`` and ``nan`` written as Python writes them. Each
-    distinct value of a chunk is formatted once, and a run of adjacent
-    columns that hold the same bits in every row is formatted as one.
+    ``inf``, ``-inf`` and ``nan`` written as Python writes them. A run of
+    adjacent columns that hold the same bits in every row counts as one
+    column. Each distinct value of a chunk is formatted once, the text of a
+    run of n columns is built once per distinct value of that run, and a
+    row that ``order`` repeats reuses its codes.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
     if fmt == "json":
+        if order is not None:
+            table = table[order]
         _write_json(directory / f"{stem}.json",
                     [dict(zip(header, row)) for row in table.tolist()])
         return
     # Cycle tables repeat most of their values and many of their columns,
     # so repr runs once per distinct bit pattern (-0.0 stays apart from
     # 0.0) of the first column of each run, gathered a chunk at a time;
-    # the cells' pieces are joined in C. Chunks bound the memory held.
+    # each line is then one piece per run, and the pieces are joined in C.
+    # Chunks bound the memory held.
     width = len(header)
     bits = table.view(np.int64).reshape(len(table), width)
     starts = np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]
     first = np.flatnonzero(starts)      # the column that stands for a run
-    run = np.cumsum(starts) - 1         # each column's run
+    bounds = first.tolist() + [width]
+    runs = list(zip(bounds, bounds[1:]))
+    # the runs of n > 1 columns: their positions, and for each n - 1 and
+    # whether it ends the line
+    columns = [j for j, (a, b) in enumerate(runs) if b - a > 1]
+    repeated = [(b - a - 1, b == width) for a, b in runs if b - a > 1]
+    last_single = bounds[-2] == width - 1
+    lines = len(bits) if order is None else len(order)
     chunk_rows = max(1, _CHUNK_CELLS // len(first))
     line_rows = max(1, _CHUNK_CELLS // width)
     with _staging() as stage, open(stage(directory / f"{stem}.csv"), "w",
                                    encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(bits), chunk_rows):
-            block = bits[start:start + chunk_rows, first]
+        for start in range(0, lines, chunk_rows):
+            if order is None:
+                block = bits[start:start + chunk_rows, first]
+            else:
+                # the distinct rows of this chunk's lines, and each line's
+                # row among them
+                picked, back = np.unique(order[start:start + chunk_rows],
+                                         return_inverse=True)
+                block = bits[picked][:, first]
             values, inverse = np.unique(block, return_inverse=True)
             texts = list(map(repr, values.view(np.float64).tolist()))
-            pieces = np.array([t + "," for t in texts]
-                              + [t + "\n" for t in texts], dtype=object)
+            pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
             # numpy 1.x returns the inverse flat, 2.x in the block's shape
-            inverse = inverse.reshape(block.shape)
-            for at in range(0, len(block), line_rows):
-                cells = inverse[at:at + line_rows, run]
-                cells[:, -1] += len(texts)
-                fh.write("".join(pieces[cells].ravel().tolist()))
+            codes = inverse.reshape(block.shape)
+            if last_single:
+                codes[:, -1] += len(texts)
+            if repeated:
+                # a run's whole text, once per distinct value of the run:
+                # run r keys its values from r * len(texts) on, so the
+                # sorted keys come run by run
+                keys = codes[:, columns] + len(texts) * np.arange(len(columns))
+                used, inverse = np.unique(keys, return_inverse=True)
+                codes[:, columns] = len(pieces) + inverse.reshape(keys.shape)
+                splits = np.searchsorted(used, len(texts) * np.arange(
+                    1, len(columns) + 1)).tolist()
+                used = (used % len(texts)).tolist()
+                for (tail, last), lo, hi in zip(repeated, [0] + splits,
+                                                splits):
+                    end = len(texts) * last
+                    pieces += [pieces[i] * tail + pieces[i + end]
+                               for i in used[lo:hi]]
+            pieces = np.array(pieces, dtype=object)
+            if order is not None:
+                codes = codes[back]
+            for at in range(0, len(codes), line_rows):
+                cells = pieces[codes[at:at + line_rows]]
+                fh.write("".join(cells.ravel().tolist()))
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:
@@ -388,7 +417,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_simulate_limb(args) -> int:
     import numpy as np
-    from .limb_sim import limb_from_document, sweep_cycle
+    from .limb_sim import cycle_index, limb_from_document, sweep_cycle
     doc = _load_document(args.input)
     name, _ = _pick(doc.limbs, args.limb, "limbs")
     limb = limb_from_document(doc, name)
@@ -396,15 +425,22 @@ def _cmd_simulate_limb(args) -> int:
     cycle = sweep_cycle(limb, max_pull=max_pull, steps=args.steps,
                         arc_bins=args.arc_bins)
     directory = _out_dir(args)
+    # The release rows mirror the pull rows, the cycle's first ``steps``:
+    # each table holds the pull rows and writes them in cycle order.
+    up = slice(args.steps)
+    order = cycle_index(args.steps)
+    pulls_mm = cycle.pulls[up] / MM
     header = ["pull_mm", "foot_x_mm", "foot_y_mm",
               *(f"theta_{i}_rad" for i in range(len(limb.stiffness))),
               "tension_N"]
     _write_table(directory, f"{name}_trajectory", header,
-                 np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
-                                  cycle.theta, cycle.tension]))
+                 np.column_stack([pulls_mm, cycle.foot_path[up] / MM,
+                                  cycle.theta[up], cycle.tension[up]]),
+                 order=order)
     _write_table(directory, f"{name}_curvature",
                  ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-                 np.column_stack([cycle.pulls / MM, cycle.curvature_map]))
+                 np.column_stack([pulls_mm, cycle.curvature_map[up]]),
+                 order=order)
     _write_json(directory / f"{name}_metrics.json", {
         "stroke_distance_mm": cycle.metrics.stroke_distance / MM,
         "stroke_ratio": cycle.metrics.stroke_ratio,
@@ -451,7 +487,7 @@ def _cmd_export_geometry(args) -> int:
     # stops the export before any directory or file is made.
     recipes = []
     for i, part in enumerate(parts):
-        with _located(f"export.parts[{i}]"):
+        with located(f"export.parts[{i}]"):
             recipes.append(_recipe_for_part(doc, part))
     directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
@@ -459,7 +495,7 @@ def _cmd_export_geometry(args) -> int:
     with _staging() as stage:
         for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
             mesh = recipe.mesh()
-            with _located(f"export.parts[{i}]"):
+            with located(f"export.parts[{i}]"):
                 # validates the mesh first, and measures its volume
                 byte_count = export_stl(mesh, stage(directory / part.file))
             lo, hi = mesh.bounding_box()

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all flexokit modules."""
+"""Exception hierarchy shared by all flexokit modules, and ``located``,
+which names where in a document an error arose."""
+
+from contextlib import contextmanager
 
 
 class FlexokitError(Exception):
@@ -67,3 +70,13 @@ class OverPullError(FlexokitError):
 
 class EmptyLimbError(FlexokitError):
     """A limb has no joints to actuate."""
+
+
+@contextmanager
+def located(path: str):
+    """Prefix ``<path>: `` to the message of a FlexokitError raised inside."""
+    try:
+        yield
+    except FlexokitError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import MM, DesignDoc
-from .errors import DesignError, EmptyLimbError, OverPullError
+from .errors import DesignError, EmptyLimbError, OverPullError, located
 from .joint_limits import extensional_jam_angle, flexional_jam_angle
 from .stiffness import torsional_stiffness
 
@@ -261,6 +261,12 @@ def curvature_profile(limb: LimbSpec, theta) -> list[tuple[float, float, float]]
     return list(zip([0.0] + ends[:-1], ends, kappa[0].tolist()))
 
 
+def cycle_index(steps: int) -> np.ndarray:
+    """The pull-grid row of each step of a cycle on a grid of ``steps``
+    pulls: up the grid, then back down it, the top step once."""
+    return np.r_[:steps, steps - 2:-1:-1]
+
+
 def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
                 steps: int = 101, arc_bins: int = 64) -> CycleResult:
     """Simulate one tendon pull-and-release cycle on a uniform pull grid.
@@ -296,7 +302,7 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     ends, kappa = _profile(limb, theta)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
-    cycle = np.r_[:steps, steps - 2:-1:-1]
+    cycle = cycle_index(steps)
     return CycleResult(pulls=up[cycle], theta=theta[cycle],
                        tension=tension[cycle], jammed=jammed[cycle],
                        foot_path=foot_path[cycle],
@@ -334,4 +340,5 @@ def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:
             cap = extensional_jam_angle(
                 doc.extensional_limits[seg.extensional_limit].spec)
         joints.append((k_theta, cap, seg.routing_offset_mm * MM, seg.sense))
-    return LimbSpec(tuple(lengths), tuple(is_joint), *zip(*joints))
+    with located(f"limbs.{name}"):
+        return LimbSpec(tuple(lengths), tuple(is_joint), *zip(*joints))

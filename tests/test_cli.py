@@ -329,8 +329,8 @@ def test_simulate_gait_requires_a_gait_section(tmp_path, capsys):
 
 # ------------------------------------------------ out-of-range documents
 
-def _first_joint(doc):
-    limb = next(iter(doc["limbs"].values()))
+def _first_joint(doc, limb=None):
+    limb = doc["limbs"][limb] if limb else next(iter(doc["limbs"].values()))
     return next(s["joint"] for s in limb["segments"] if "joint" in s)
 
 
@@ -341,6 +341,14 @@ def _set_jam_angle(value):
         joint.pop("extensional_limit", None)
         joint["jam_angle_deg"] = value
     return mutate
+
+
+# LimbSpec's two rejections, located at the limb that failed
+_BAD_LIMB = ("a limb needs one positive stiffness, jam angle, routing offset "
+             "and length per joint, senses of +1 or -1 and nonnegative links")
+_LIMB_OVERFLOW = ("lengths, routing offsets and stiffnesses put the limb's "
+                  "length in mm, arc radius, curvature, tendon compliance, "
+                  "jam tension or full-jam pull out of float range")
 
 
 @pytest.mark.parametrize("document, subcommand, mutate, message", [
@@ -356,7 +364,7 @@ def _set_jam_angle(value):
      "the body speed at 1e+308 Hz overflows"),
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(routing_offset_mm=1e308),
-     "compliance, jam tension or full-jam pull out of float range"),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW),
     ("hind_leg.json", "validate",
      lambda doc: _first_joint(doc).update(torsional_stiffness_nm_per_rad=0),
      "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
@@ -370,20 +378,26 @@ def _set_jam_angle(value):
      lambda doc: [s.update(link_mm=1e308)
                   for s in doc["limbs"]["hind_leg"]["segments"]
                   if "link_mm" in s],
-     "arc radius, curvature, tendon compliance, jam tension or full-jam "
-     "pull out of float range"),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW),
     # the jam angle over a subnormal joint length overflows as a curvature
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(joint_length_mm=1e-310,
                                           torsional_stiffness_nm_per_rad=0.03),
-     "arc radius, curvature, tendon compliance, jam tension or full-jam "
-     "pull out of float range"),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW),
+    # a joint length that is zero in meters
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: _first_joint(doc).update(joint_length_mm=5e-324,
+                                          torsional_stiffness_nm_per_rad=0.03),
+     "limbs.hind_leg: " + _BAD_LIMB),
+    ("quadruped.json", "simulate-gait",
+     lambda doc: _first_joint(doc, "hind_right").update(
+         joint_length_mm=5e-324, torsional_stiffness_nm_per_rad=0.03),
+     "limbs.hind_right: " + _BAD_LIMB),
     # a joint bent a hair past 1e-12 rad would overflow its arc radius
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(joint_length_mm=1e300,
                                           torsional_stiffness_nm_per_rad=0.03),
-     "arc radius, curvature, tendon compliance, jam tension or full-jam "
-     "pull out of float range"),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
          1, math.inf),
@@ -403,6 +417,7 @@ def _set_jam_angle(value):
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
         "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
         "negative_stiffness", "overflowing_links", "subnormal_joint_length",
+        "zero_joint_length", "zero_joint_length_in_a_gait",
         "overflowing_arc_radius",
         "infinite_layer", "overflowing_integer", "zero_spacing",
         "zero_diagonal"])

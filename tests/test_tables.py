@@ -1,9 +1,11 @@
 """The CLI table writer against the per-row writer it replaced.
 
-``_write_table`` formats each distinct float of a chunk once, and each run
-of adjacent columns holding the same bits once. The oracle here is the
-plain writer, one ``repr`` per cell; a second check reads every written
-cell back with ``float`` and compares bits with the input.
+``_write_table`` formats each distinct float of a chunk once, builds the
+text of each run of adjacent columns holding the same bits once per value,
+and writes its rows in an optional order that may repeat them. The oracle
+here is the plain writer, one ``repr`` per cell, on the rows in that order;
+a second check reads every written cell back with ``float`` and compares
+bits with the input.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
 """
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexokit import cli
+from flexokit.limb_sim import cycle_index
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1e16, 1e22, -1e22, 0.1,
@@ -48,19 +51,21 @@ def reference_csv(header, rows) -> str:
                    + [",".join(map(repr, row)) + "\n" for row in rows])
 
 
-def write_csv(header, rows, chunk_cells=None) -> str:
+def write_csv(header, rows, chunk_cells=None, order=None) -> str:
     patch = (mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells)
              if chunk_cells else contextlib.nullcontext())
     with tempfile.TemporaryDirectory() as directory, patch, \
             contextlib.redirect_stdout(io.StringIO()):
-        cli._write_table(Path(directory), "t", header, rows)
+        cli._write_table(Path(directory), "t", header, rows, order=order)
         return (Path(directory) / "t.csv").read_bytes().decode("utf-8")
 
 
-def check_table(table, chunk_cells=None, as_list=False):
+def check_table(table, chunk_cells=None, as_list=False, order=None):
     header = [f"c{i}" for i in range(table.shape[1])]
     text = write_csv(header, table.tolist() if as_list else table,
-                     chunk_cells)
+                     chunk_cells, order)
+    if order is not None:
+        table = table[order]
     assert text == reference_csv(header, table)
     head, *lines = text.split("\n")
     assert head == ",".join(header) and lines.pop() == ""
@@ -99,12 +104,27 @@ def tables(draw):
     return table
 
 
+def orders(rows):
+    """Row orders: none, a cycle's mirror, reversed, any with repeats, and
+    the empty order."""
+    repeats = st.lists(st.integers(0, rows - 1), max_size=60) if rows \
+        else st.just([])
+    return st.one_of(
+        st.none(), st.just(cycle_index(rows)),
+        st.just(np.arange(rows)[::-1]),
+        repeats.map(lambda index: np.array(index, dtype=np.intp)),
+        st.just(np.array([], dtype=np.intp)))
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans())
-def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list):
+@given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans(),
+       data=st.data())
+def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list, data):
     # small chunks put boundaries inside the table, on and off its end,
-    # whether counted in full cells or in one column per run
-    check_table(table, chunk_cells, as_list)
+    # whether counted in full cells or in one column per run, and split a
+    # mirrored row from the row it repeats
+    order = data.draw(orders(len(table)), label="order")
+    check_table(table, chunk_cells, as_list, order)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (1, 9)])
@@ -136,17 +156,13 @@ def test_default_chunk_boundaries(cols, extra_rows):
 def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
                                                steps, arc_bins):
     # cycle tables repeat whole columns (the map's bins within one segment)
-    # and whole rows (release mirrors pull)
+    # and whole rows (release mirrors pull); the second run's small chunks
+    # put a release row in another chunk than the pull row it mirrors
     from flexokit.core import MM, parse_design
     from flexokit.limb_sim import limb_from_document, sweep_cycle
     doc = parse_design(Path(bundled_path(document)).read_text("utf-8"))
     spec = limb_from_document(doc, limb)
     cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["simulate-limb", "-i", bundled_path(document),
-                         "--limb", limb, "--steps", str(steps),
-                         "--arc-bins", str(arc_bins),
-                         "-o", str(tmp_path)]) == 0
     joints = [f"theta_{i}_rad" for i in range(len(spec.stiffness))]
     trajectory = reference_csv(
         ["pull_mm", "foot_x_mm", "foot_y_mm", *joints, "tension_N"],
@@ -155,10 +171,18 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
     curvature = reference_csv(
         ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
         np.column_stack([cycle.pulls / MM, cycle.curvature_map]))
-    assert (tmp_path / f"{limb}_trajectory.csv").read_text("utf-8") \
-        == trajectory
-    assert (tmp_path / f"{limb}_curvature.csv").read_text("utf-8") \
-        == curvature
+    for chunk_cells in (cli._CHUNK_CELLS, 2 ** 9):
+        out = tmp_path / str(chunk_cells)
+        with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate-limb", "-i", bundled_path(document),
+                             "--limb", limb, "--steps", str(steps),
+                             "--arc-bins", str(arc_bins),
+                             "-o", str(out)]) == 0
+        assert (out / f"{limb}_trajectory.csv").read_text("utf-8") \
+            == trajectory
+        assert (out / f"{limb}_curvature.csv").read_text("utf-8") \
+            == curvature
 
 
 def test_negative_zero_and_nan_keep_their_text():
@@ -189,3 +213,13 @@ def test_json_format_is_json_dumps_of_the_rows(tmp_path, argv, stem):
     assert len(rows) > 1
     written = (tmp_path / "json" / f"{stem}.json").read_text("utf-8")
     assert written == json.dumps(rows, indent=2) + "\n"
+
+
+def test_json_format_writes_the_rows_in_order(tmp_path):
+    rows = [[0.5, -0.0], [1.5, 1e300], [2.5, 0.1]]
+    order = cycle_index(3)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._write_table(tmp_path, "t", ["a", "b"], rows, "json", order)
+    written = (tmp_path / "t.json").read_text("utf-8")
+    expected = [dict(zip(["a", "b"], rows[i])) for i in [0, 1, 2, 1, 0]]
+    assert written == json.dumps(expected, indent=2) + "\n"
