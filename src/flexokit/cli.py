@@ -2,12 +2,12 @@
 
 Every subcommand except ``solve-limit`` reads a JSON design document
 (``design`` only for its stiffness targets), dispatches to the
-corresponding module, and writes its outputs atomically into --out-dir.
-Each flag is declared only on the subcommands that read it. Curves and
-sweeps go to CSV (or a JSON list of objects with --format json), scalars
-and reports to JSON, geometry to binary STL with a JSON sidecar manifest.
-Outputs are byte-stable across runs; the only timestamp lives in the
-manifest's ``generated_at`` field. ``main`` builds only the named
+corresponding module, and writes its outputs into --out-dir, every file or
+none. Each flag is declared only on the subcommands that read it. Curves
+and sweeps go to CSV (or a JSON list of objects with --format json),
+scalars and reports to JSON, geometry to binary STL with a JSON sidecar
+manifest. Outputs are byte-stable across runs; the only timestamp lives in
+the manifest's ``generated_at`` field. ``main`` builds only the named
 subcommand's parser, and the full tree only for help, version and
 unrecognised first words.
 
@@ -76,17 +76,29 @@ _CHUNK_CELLS = 1 << 16
 # Small plumbing helpers
 
 @contextmanager
-def _staging():
-    """Yield ``stage(path)``, which names a temporary sibling of ``path``
-    to write. When the block ends, each staged file moves into place, in
-    the order first staged, and ``wrote <path>`` is reported; when it
-    raises, or a destination is a directory, every temporary is removed and
-    nothing moves. A move that still fails removes the temporaries left."""
+def _staging(directory: Path):
+    """Yield ``stage(name)``, which makes ``directory`` on first use and
+    names the temporary sibling of ``directory / name`` to write; it
+    refuses a name that is another staged file's temporary, or whose
+    temporary is another staged name. When the block ends, each staged
+    file moves into place, in the order first staged, and ``wrote <path>``
+    is reported; when it raises, or a destination is a directory, every
+    temporary is removed and nothing moves. A move that still fails
+    removes the temporaries left."""
     staged: dict[Path, Path] = {}
 
-    def stage(path: Path) -> Path:
-        staged[path] = path.with_name(path.name + ".tmp")
-        return staged[path]
+    def stage(name: str) -> Path:
+        if not staged:
+            directory.mkdir(parents=True, exist_ok=True)
+        path = directory / name
+        tmp = path.with_name(path.name + ".tmp")
+        owner = path.with_name(path.name.removesuffix(".tmp"))
+        if tmp in staged or staged.get(owner) == path:
+            temporary, of = (tmp, path) if tmp in staged else (path, owner)
+            raise DesignError(
+                f"{temporary.name} is the temporary file of {of.name}")
+        staged[path] = tmp
+        return tmp
 
     try:
         yield stage
@@ -103,21 +115,17 @@ def _staging():
         raise
 
 
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2) + "\n").encode()
-
-
 def _write_json(path: Path, payload) -> None:
-    with _staging() as stage:
-        stage(path).write_bytes(_json_bytes(payload))
+    path.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _write_table(directory: Path, stem: str, header: list[str], rows,
+def _write_table(stage, stem: str, header: list[str], rows,
                  fmt: str = "csv", order=None) -> None:
-    """Float rows as ``<stem>.csv`` or as ``<stem>.json``, a list of
-    objects keyed by the header. ``order``, an index array into the rows,
-    gives the rows to write, in the order to write them (a row may repeat);
-    by default every row is written once, as given.
+    """Float rows, staged by ``stage`` (see ``_staging``) as ``<stem>.csv``
+    or as ``<stem>.json``, a list of objects keyed by the header.
+    ``order``, an index array into the rows, gives the rows to write, in
+    the order to write them (a row may repeat); by default every row is
+    written once, as given.
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
@@ -132,7 +140,7 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
     if fmt == "json":
         if order is not None:
             table = table[order]
-        _write_json(directory / f"{stem}.json",
+        _write_json(stage(f"{stem}.json"),
                     [dict(zip(header, row)) for row in table.tolist()])
         return
     # Cycle tables repeat most of their values and many of their columns,
@@ -154,8 +162,8 @@ def _write_table(directory: Path, stem: str, header: list[str], rows,
     lines = len(bits) if order is None else len(order)
     chunk_rows = max(1, _CHUNK_CELLS // len(first))
     line_rows = max(1, _CHUNK_CELLS // width)
-    with _staging() as stage, open(stage(directory / f"{stem}.csv"), "w",
-                                   encoding="utf-8", newline="\n") as fh:
+    with open(stage(f"{stem}.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, lines, chunk_rows):
             if order is None:
@@ -251,16 +259,10 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, [start + i * step for i in range(int(span) + 1)]
 
 
-def _out_dir(args) -> Path:
-    directory = Path(args.out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, stage) -> int:
     doc = _load_document(args.input)
     if doc.process is not None:
         report = validate_process(doc.process)
@@ -270,7 +272,7 @@ def _cmd_validate(args) -> int:
         entries, text = [], "no process section; schema checks only\n"
         has_warnings = False
     sys.stdout.write(text)
-    _write_json(_out_dir(args) / "validation_report.json", {
+    _write_json(stage("validation_report.json"), {
         "document": os.path.basename(args.input),
         "schema_version": doc.schema_version,
         "entries": entries,
@@ -293,7 +295,7 @@ def _stiffness_row(flex) -> list[float]:
     ]
 
 
-def _cmd_predict_stiffness(args) -> int:
+def _cmd_predict_stiffness(args, stage) -> int:
     doc = _load_document(args.input)
     name, flex = _pick(doc.flexures, args.flexure, "flexures")
     flexures = [flex]
@@ -312,7 +314,7 @@ def _cmd_predict_stiffness(args) -> int:
     header = ["width_ratio", "feature_height_mm", "EI_eff_Nmm2",
               "k_tip_N_per_m", "k_exact_N_per_m"]
     rows = [_stiffness_row(f) for f in flexures]
-    _write_table(_out_dir(args), "stiffness", header, rows, args.format)
+    _write_table(stage, "stiffness", header, rows, args.format)
     return 0
 
 
@@ -340,12 +342,12 @@ def _limit_solution(kind: str, params: dict[str, float]) -> dict:
             "inputs": {"kind": kind, **params}}
 
 
-def _cmd_solve_limit(args) -> int:
+def _cmd_solve_limit(args, stage) -> int:
     kind = "extensional" if args.extensional else "flexional"
     params = _limit_params(args, kind)
     if not args.sweep:
         solution = _limit_solution(kind, params)
-        _write_json(_out_dir(args) / "solve_limit.json", solution)
+        _write_json(stage("solve_limit.json"), solution)
         return 0
     raw_name, values = _parse_sweep(args.sweep)
     fields = {sweep_name: dest
@@ -360,13 +362,13 @@ def _cmd_solve_limit(args) -> int:
         solution = _limit_solution(kind, {**params, fields[raw_name]: value})
         rows.append([value, solution["angle_rad"], solution["angle_deg"],
                      solution["residual"]])
-    _write_table(_out_dir(args), "solve_limit",
+    _write_table(stage, "solve_limit",
                  [raw_name, "angle_rad", "angle_deg", "residual"], rows,
                  args.format)
     return 0
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args, stage) -> int:
     if args.target in ("width_ratio", "feature_height"):
         from .stiffness import (homogenized_EI, solve_feature_height,
                                 solve_width_ratio)
@@ -411,11 +413,11 @@ def _cmd_design(args) -> int:
         payload = {"target": args.target, "angle_deg": args.angle_deg,
                    key: params[key], "residual": check["residual"],
                    "inputs": check["inputs"]}
-    _write_json(_out_dir(args) / "design.json", payload)
+    _write_json(stage("design.json"), payload)
     return 0
 
 
-def _cmd_simulate_limb(args) -> int:
+def _cmd_simulate_limb(args, stage) -> int:
     import numpy as np
     from .limb_sim import cycle_index, limb_from_document, sweep_cycle
     doc = _load_document(args.input)
@@ -424,36 +426,34 @@ def _cmd_simulate_limb(args) -> int:
     max_pull = args.max_pull_mm * MM if args.max_pull_mm is not None else None
     cycle = sweep_cycle(limb, max_pull=max_pull, steps=args.steps,
                         arc_bins=args.arc_bins)
-    directory = _out_dir(args)
-    # The release rows mirror the pull rows, the cycle's first ``steps``:
-    # each table holds the pull rows and writes them in cycle order.
-    up = slice(args.steps)
+    # The release rows mirror the pull rows the cycle holds: each table
+    # writes those rows in cycle order.
     order = cycle_index(args.steps)
-    pulls_mm = cycle.pulls[up] / MM
+    pulls_mm = cycle.pulls / MM
     header = ["pull_mm", "foot_x_mm", "foot_y_mm",
               *(f"theta_{i}_rad" for i in range(len(limb.stiffness))),
               "tension_N"]
-    _write_table(directory, f"{name}_trajectory", header,
-                 np.column_stack([pulls_mm, cycle.foot_path[up] / MM,
-                                  cycle.theta[up], cycle.tension[up]]),
+    _write_table(stage, f"{name}_trajectory", header,
+                 np.column_stack([pulls_mm, cycle.foot_path / MM,
+                                  cycle.theta, cycle.tension]),
                  order=order)
-    _write_table(directory, f"{name}_curvature",
+    _write_table(stage, f"{name}_curvature",
                  ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-                 np.column_stack([pulls_mm, cycle.curvature_map[up]]),
+                 np.column_stack([pulls_mm, cycle.curvature_map]),
                  order=order)
-    _write_json(directory / f"{name}_metrics.json", {
+    _write_json(stage(f"{name}_metrics.json"), {
         "stroke_distance_mm": cycle.metrics.stroke_distance / MM,
         "stroke_ratio": cycle.metrics.stroke_ratio,
     })
     return 0
 
 
-def _cmd_simulate_gait(args) -> int:
+def _cmd_simulate_gait(args, stage) -> int:
     from .gait_sim import gait_from_document, speed_curve
     doc = _load_document(args.input)
     strokes = gait_from_document(doc, steps=args.steps)
     points = speed_curve(doc.gait, strokes)
-    _write_table(_out_dir(args), "gait_speed", ["frequency_hz", "speed_mm_s"],
+    _write_table(stage, "gait_speed", ["frequency_hz", "speed_mm_s"],
                  [[f, v / MM] for f, v in points], args.format)
     return 0
 
@@ -476,7 +476,7 @@ def _recipe_for_part(doc: DesignDoc, part):
                               count=part.count, width=width), film_mm
 
 
-def _cmd_export_geometry(args) -> int:
+def _cmd_export_geometry(args, stage) -> int:
     from .geometry import export_stl
     doc = _load_document(args.input)
     parts = doc.export.parts
@@ -489,28 +489,24 @@ def _cmd_export_geometry(args) -> int:
     for i, part in enumerate(parts):
         with located(f"export.parts[{i}]"):
             recipes.append(_recipe_for_part(doc, part))
-    directory = _out_dir(args)
     process = to_document(doc.process) if doc.process is not None else None
-    # A part that export_stl refuses leaves no file of any part behind.
-    with _staging() as stage:
-        for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
-            mesh = recipe.mesh()
-            with located(f"export.parts[{i}]"):
-                # validates the mesh first, and measures its volume
-                byte_count = export_stl(mesh, stage(directory / part.file))
-            lo, hi = mesh.bounding_box()
-            manifest = directory / part.manifest
-            stage(manifest).write_bytes(_json_bytes({
-                "part_name": part.ref,
-                "volume_mm3": mesh.volume(),
-                "bbox_mm": {"min": [float(v) for v in lo],
-                            "max": [float(v) for v in hi]},
-                "pc_film_thickness_mm": film_mm,
-                "process_config": process,
-                "triangle_count": len(mesh),
-                "stl_bytes": byte_count,
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-            }))
+    for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
+        mesh = recipe.mesh()
+        with located(f"export.parts[{i}]"):
+            # validates the mesh first, and measures its volume
+            byte_count = export_stl(mesh, stage(part.file))
+        lo, hi = mesh.bounding_box()
+        _write_json(stage(part.manifest), {
+            "part_name": part.ref,
+            "volume_mm3": mesh.volume(),
+            "bbox_mm": {"min": [float(v) for v in lo],
+                        "max": [float(v) for v in hi]},
+            "pc_film_thickness_mm": film_mm,
+            "process_config": process,
+            "triangle_count": len(mesh),
+            "stl_bytes": byte_count,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+        })
     return 0
 
 
@@ -600,9 +596,11 @@ def _simulate_gait_flags(p):
 class _Subcommand:
     """One subcommand: its handler, help texts, whether it reads --input
     ("required", "optional" or None), whether it takes --format, and the
-    function that adds its own flags."""
+    function that adds its own flags. The handler takes the parsed
+    arguments and the ``stage`` of ``_staging``, which names each file it
+    writes, and returns the exit status."""
 
-    func: Callable[[argparse.Namespace], int]
+    func: Callable[[argparse.Namespace, Callable[[str], Path]], int]
     summary: str
     description: str
     document: Optional[str] = "required"
@@ -706,7 +704,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser(only)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _staging(Path(args.out_dir)) as stage:
+            return args.func(args, stage)
     except (FlexokitError, OSError, ArithmeticError) as exc:
         # every OSError subclass reports as the one family name
         name = "OSError" if isinstance(exc, OSError) else type(exc).__name__

@@ -33,11 +33,12 @@ from .stiffness import torsional_stiffness
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
 _STRAIGHT = 1e-12   # rad; a joint bent less is drawn as a straight segment
-# The most cells one cycle may hold: rows (2 * steps - 1) times the arc bins
-# of its curvature map plus the segments of the profile that map is read
-# from. That is 16x the 3999 x 64 curvature cells of the benchmark's largest
-# cycle. At the bound a hind-leg call peaks at 70 MB resident with 64 bins
-# and 142 MB with 1 bin (2-vCPU Xeon, numpy 2.4).
+# The most cells one cycle may hold, counted as the rows its tables write
+# (2 * steps - 1, pull and release) times the arc bins of its curvature map
+# plus the segments of the profile that map is read from. That is 16x the
+# 3999 x 64 curvature cells of the benchmark's largest cycle. At the bound
+# a hind-leg call peaks at 95 MB resident with 64 bins and 110 MB with 1
+# bin (2-vCPU Xeon, numpy 2.4).
 MAX_CYCLE_CELLS = 2 ** 22
 
 
@@ -119,7 +120,7 @@ class StrokeMetrics:
 
 @dataclass(frozen=True)
 class CycleResult:
-    """One pull-and-release cycle of a limb, one row per step."""
+    """One pull-and-release cycle of a limb, one row per pull step."""
 
     pulls: np.ndarray           # (n_steps,)
     theta: np.ndarray           # (n_steps, n_joints) signed joint angles, rad
@@ -271,10 +272,13 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
                 steps: int = 101, arc_bins: int = 64) -> CycleResult:
     """Simulate one tendon pull-and-release cycle on a uniform pull grid.
 
+    Each row's solve, chain and profile read only its own pull, so the
+    release steps are the pull steps in reverse: the result holds the
+    ``steps`` pull rows, and ``cycle_index`` gives each cycle step's row.
     max_pull defaults to the limb's jam capacity (the tendon throw that
     brings every joint to its stop). stroke_distance is the horizontal
     extent of the foot path over the whole cycle; stroke_ratio divides it
-    by max_pull. The curvature map has one row per cycle step and one
+    by max_pull. The curvature map has one row per pull step and one
     column per arc-length bin, read from the segment holding the bin. A
     cycle of more than MAX_CYCLE_CELLS cells is rejected.
     """
@@ -290,9 +294,6 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
         max_pull = limb.pull_capacity
     if not max_pull >= 0:
         raise DesignError("max_pull must be nonnegative")
-    # Each row's solve, chain and profile read only its own pull, so the
-    # release rows are the pull rows in reverse: solve the pull grid and
-    # mirror every per-step array once.
     up = np.linspace(0.0, max_pull, steps)
     theta, tension, jammed, _ = _solve(limb, up)
     foot_path = np.column_stack(_chain(limb, theta, 1)[-1])
@@ -302,12 +303,9 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     ends, kappa = _profile(limb, theta)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
-    cycle = cycle_index(steps)
-    return CycleResult(pulls=up[cycle], theta=theta[cycle],
-                       tension=tension[cycle], jammed=jammed[cycle],
-                       foot_path=foot_path[cycle],
-                       metrics=StrokeMetrics(distance, ratio),
-                       curvature_map=kappa[cycle][:, segment], arc_bins=bins)
+    return CycleResult(pulls=up, theta=theta, tension=tension, jammed=jammed,
+                       foot_path=foot_path, curvature_map=kappa[:, segment],
+                       metrics=StrokeMetrics(distance, ratio), arc_bins=bins)
 
 
 def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:

@@ -1,9 +1,9 @@
 """Property: any command line built from the declared subcommands and flags
 ends in a result, exit 1 under --strict, or exit 2 with one JSON line.
 
-It never raises, and no file written with exit 0 holds a NaN. A jam-angle
-solution written with exit 0 solves its defining relation to within the
-feature's own length scale.
+It never raises, a rejection writes no file, and no file written with
+exit 0 holds a NaN. A jam-angle solution written with exit 0 solves its
+defining relation to within the feature's own length scale.
 """
 
 import contextlib
@@ -130,6 +130,8 @@ def test_any_command_line_ends_in_a_result_or_one_json_line(name, data):
         if rc == 2:
             assert err.endswith("\n") and err.count("\n") == 1, err
             assert set(json.loads(err)) == {"error", "message"}
+            assert "wrote" not in stdout.getvalue()
+            assert not out_dir.exists() or not any(out_dir.iterdir())
         else:
             assert err == "", err
         if rc == 0:

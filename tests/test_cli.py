@@ -47,6 +47,17 @@ def one_json_line(capsys):
     return json.loads(err)
 
 
+def rejected_unwritten(capsys, out, left=()):
+    """The one JSON diagnostic of a command that exited 2, after checking
+    that it reported no file written and left in ``out`` only the entries
+    named ``left``, no temporary among them."""
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == sorted(left)
+    return json.loads(captured.err)
+
+
 # ------------------------------------------------------------------ validate
 
 def test_validate_clean_document(tmp_path, capsys):
@@ -304,6 +315,19 @@ def test_simulate_limb_rejects_bad_cycle_flags(tmp_path, capsys, flags):
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "DesignError"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("taken", ["hind_leg_curvature.csv",
+                                   "hind_leg_metrics.json"])
+def test_simulate_limb_onto_a_directory_exits_2_unwritten(tmp_path, capsys,
+                                                          taken):
+    # the trajectory is staged before the file whose path is taken
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert run(["simulate-limb", "-i", bundled_path("hind_leg.json"),
+                "--steps", "5", "-o", out]) == 2
+    assert rejected_unwritten(capsys, out, [taken])["error"] == "OSError"
+    assert list((out / taken).iterdir()) == []
 
 
 # ------------------------------------------------------------- simulate-gait
@@ -611,6 +635,23 @@ def test_export_onto_a_directory_exits_2_unwritten(tmp_path, capsys):
     assert one_json_line(capsys)["error"] == "OSError"
     assert [p.name for p in out.iterdir()] == ["plain_plate.stl"]
     assert list((out / "plain_plate.stl").iterdir()) == []
+
+
+@pytest.mark.parametrize("index, file, owner", [
+    (0, "plain_plate.stl.tmp", "plain_plate.stl"),
+    (1, "sample_flexure.stl.tmp", "sample_flexure.stl"),
+], ids=["temporary_first", "temporary_second"])
+def test_export_part_on_another_part_temporary_exits_2_unwritten(
+        tmp_path, capsys, index, file, owner):
+    # one part's file is the name another part's STL is first written to
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][index]
+                          .update(file=file))
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
+    assert rejected_unwritten(capsys, out) == {
+        "error": "DesignError",
+        "message": f"export.parts[1]: {file} is the temporary file of "
+                   f"{owner}"}
 
 
 def test_export_part_collapsed_in_float32_exits_2_unwritten(tmp_path,

@@ -259,13 +259,14 @@ def test_angle_count_mismatch_rejected():
 
 def test_cycle_shapes_and_mirrored_pulls():
     limb = two_joint_limb(cap2=0.5)
+    # the cycle holds its pull rows; the release rows mirror them
     cycle = sweep_cycle(limb, steps=51, arc_bins=32)
-    assert cycle.pulls.shape == (101,)
-    assert cycle.foot_path.shape == (101, 2)
-    assert cycle.curvature_map.shape == (101, 32)
+    assert cycle.pulls.shape == (51,)
+    assert cycle.foot_path.shape == (51, 2)
+    assert cycle.curvature_map.shape == (51, 32)
     assert cycle.arc_bins.shape == (32,)
-    np.testing.assert_allclose(cycle.pulls, cycle.pulls[::-1])
-    np.testing.assert_allclose(cycle.foot_path, cycle.foot_path[::-1])
+    np.testing.assert_array_equal(
+        cycle.pulls, np.linspace(0.0, limb.pull_capacity, 51))
     assert cycle.pulls[50] == pytest.approx(limb.pull_capacity)
     peak = cycle.theta[50]
     assert abs(peak[0]) == pytest.approx(10.0, rel=1e-12)
@@ -392,7 +393,7 @@ def test_hind_leg_flexion_jams_before_extension(hind_leg_doc):
         limb.stiffness, limb.jam_angle, limb.routing_offset))
     assert t_flx < t_ext
     cycle = sweep_cycle(limb, steps=201)
-    theta, jammed = cycle.theta[:201], cycle.jammed[:201]
+    theta, jammed = cycle.theta, cycle.jammed
     first_flx = next(i for i, row in enumerate(jammed) if row[1])
     # flexion hits its stop while extension still has angle in reserve;
     # extension only reaches its cap at the very top of the pull

@@ -56,7 +56,8 @@ def write_csv(header, rows, chunk_cells=None, order=None) -> str:
              if chunk_cells else contextlib.nullcontext())
     with tempfile.TemporaryDirectory() as directory, patch, \
             contextlib.redirect_stdout(io.StringIO()):
-        cli._write_table(Path(directory), "t", header, rows, order=order)
+        with cli._staging(Path(directory)) as stage:
+            cli._write_table(stage, "t", header, rows, order=order)
         return (Path(directory) / "t.csv").read_bytes().decode("utf-8")
 
 
@@ -164,13 +165,20 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
     spec = limb_from_document(doc, limb)
     cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
     joints = [f"theta_{i}_rad" for i in range(len(spec.stiffness))]
+
+    def up_and_down(table):
+        # the pull rows, then the release rows: the pull rows but the top
+        # one, in reverse
+        return np.concatenate([table, table[-2::-1]])
+
     trajectory = reference_csv(
         ["pull_mm", "foot_x_mm", "foot_y_mm", *joints, "tension_N"],
-        np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
-                         cycle.theta, cycle.tension]))
+        up_and_down(np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
+                                     cycle.theta, cycle.tension])))
     curvature = reference_csv(
         ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-        np.column_stack([cycle.pulls / MM, cycle.curvature_map]))
+        up_and_down(np.column_stack([cycle.pulls / MM,
+                                     cycle.curvature_map])))
     for chunk_cells in (cli._CHUNK_CELLS, 2 ** 9):
         out = tmp_path / str(chunk_cells)
         with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells), \
@@ -218,8 +226,9 @@ def test_json_format_is_json_dumps_of_the_rows(tmp_path, argv, stem):
 def test_json_format_writes_the_rows_in_order(tmp_path):
     rows = [[0.5, -0.0], [1.5, 1e300], [2.5, 0.1]]
     order = cycle_index(3)
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli._write_table(tmp_path, "t", ["a", "b"], rows, "json", order)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            cli._staging(tmp_path) as stage:
+        cli._write_table(stage, "t", ["a", "b"], rows, "json", order)
     written = (tmp_path / "t.json").read_text("utf-8")
     expected = [dict(zip(["a", "b"], rows[i])) for i in [0, 1, 2, 1, 0]]
     assert written == json.dumps(expected, indent=2) + "\n"
