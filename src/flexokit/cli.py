@@ -92,20 +92,19 @@ def _staging(directory: Path):
             directory.mkdir(parents=True, exist_ok=True)
         path = directory / name
         tmp = path.with_name(path.name + ".tmp")
-        owner = path.with_name(path.name.removesuffix(".tmp"))
-        if tmp in staged or staged.get(owner) == path:
-            temporary, of = (tmp, path) if tmp in staged else (path, owner)
+        if tmp in staged or path in staged.values():
+            temporary, owner = (tmp, path) if tmp in staged else next(
+                (v, k) for k, v in staged.items() if v == path)
             raise DesignError(
-                f"{temporary.name} is the temporary file of {of.name}")
+                f"{temporary.name} is the temporary file of {owner.name}")
         staged[path] = tmp
         return tmp
 
     try:
         yield stage
-        for path in staged:
-            if path.is_dir():
-                raise IsADirectoryError(
-                    errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path in filter(Path.is_dir, staged):
+            raise IsADirectoryError(
+                errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for path, tmp in staged.items():
             os.replace(tmp, path)
             print(f"wrote {path}")
@@ -495,8 +494,9 @@ def _cmd_export_geometry(args, stage) -> int:
         with located(f"export.parts[{i}]"):
             # validates the mesh first, and measures its volume
             byte_count = export_stl(mesh, stage(part.file))
+            manifest = stage(part.manifest)
         lo, hi = mesh.bounding_box()
-        _write_json(stage(part.manifest), {
+        _write_json(manifest, {
             "part_name": part.ref,
             "volume_mm3": mesh.volume(),
             "bbox_mm": {"min": [float(v) for v in lo],

@@ -273,14 +273,15 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     """Simulate one tendon pull-and-release cycle on a uniform pull grid.
 
     Each row's solve, chain and profile read only its own pull, so the
-    release steps are the pull steps in reverse: the result holds the
-    ``steps`` pull rows, and ``cycle_index`` gives each cycle step's row.
-    max_pull defaults to the limb's jam capacity (the tendon throw that
-    brings every joint to its stop). stroke_distance is the horizontal
-    extent of the foot path over the whole cycle; stroke_ratio divides it
-    by max_pull. The curvature map has one row per pull step and one
-    column per arc-length bin, read from the segment holding the bin. A
-    cycle of more than MAX_CYCLE_CELLS cells is rejected.
+    release is the pull in reverse and the result holds only the ``steps``
+    pull rows: ``np.concatenate([a, a[-2::-1]])`` of a per-step array
+    ``a`` gives the whole cycle. max_pull defaults to the limb's jam
+    capacity (the tendon throw that brings every joint to its stop).
+    stroke_distance is the horizontal extent of the foot path over the
+    whole cycle; stroke_ratio divides it by max_pull. The curvature map
+    has one row per pull step and one column per arc-length bin, read from
+    the segment holding the bin. A cycle whose 2 * steps - 1 rows hold
+    more than MAX_CYCLE_CELLS cells is rejected.
     """
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")

@@ -640,10 +640,12 @@ def test_export_onto_a_directory_exits_2_unwritten(tmp_path, capsys):
 @pytest.mark.parametrize("index, file, owner", [
     (0, "plain_plate.stl.tmp", "plain_plate.stl"),
     (1, "sample_flexure.stl.tmp", "sample_flexure.stl"),
-], ids=["temporary_first", "temporary_second"])
+    (0, "plain_plate.manifest.json.tmp", "plain_plate.manifest.json"),
+], ids=["temporary_first", "temporary_second", "manifest_temporary_first"])
 def test_export_part_on_another_part_temporary_exits_2_unwritten(
         tmp_path, capsys, index, file, owner):
-    # one part's file is the name another part's STL is first written to
+    # one part's file is the name another part's STL or manifest is first
+    # written to
     path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][index]
                           .update(file=file))
     out = tmp_path / "out"
@@ -652,6 +654,18 @@ def test_export_part_on_another_part_temporary_exits_2_unwritten(
         "error": "DesignError",
         "message": f"export.parts[1]: {file} is the temporary file of "
                    f"{owner}"}
+
+
+def test_export_part_named_tmp_is_written(tmp_path, capsys):
+    # a part may be named just ".tmp": its temporary is ".tmp.tmp"
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][1]
+                          .update(file=".tmp"))
+    out = tmp_path / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 0
+    manifest = json.loads((out / ".tmp.manifest.json").read_text())
+    assert (out / ".tmp").stat().st_size == manifest["stl_bytes"] == 684
+    assert not list(out.glob("*.tmp.tmp"))
+    assert f"wrote {out / '.tmp'}\n" in capsys.readouterr().out
 
 
 def test_export_part_collapsed_in_float32_exits_2_unwritten(tmp_path,
