@@ -9,7 +9,7 @@ scalars and reports to JSON, geometry to binary STL with a JSON sidecar
 manifest. Outputs are byte-stable across runs; the only timestamp lives in
 the manifest's ``generated_at`` field. ``main`` builds only the named
 subcommand's parser, and the full tree only for help, version and
-unrecognised first words.
+unrecognised first words; each is built once per process and reused.
 
 Exit status: 0 on success, 1 when ``validate --strict`` finds warnings, 2
 on any rejection, a malformed or unknown flag and an input whose arithmetic
@@ -22,12 +22,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -83,12 +85,15 @@ def _staging(directory: Path):
     temporary is another staged name. When the block ends, each staged
     file moves into place, in the order first staged, and ``wrote <path>``
     is reported; when it raises, or a destination is a directory, every
-    temporary is removed and nothing moves. A move that still fails
-    removes the temporaries left."""
+    temporary and every directory ``stage`` made is removed and nothing
+    moves. A move that still fails removes the temporaries left."""
     staged: dict[Path, Path] = {}
+    made: list[Path] = []   # deepest first
 
     def stage(name: str) -> Path:
         if not staged:
+            made.extend(takewhile(lambda d: not d.exists(),
+                                  (directory, *directory.parents)))
             directory.mkdir(parents=True, exist_ok=True)
         path = directory / name
         tmp = path.with_name(path.name + ".tmp")
@@ -111,6 +116,9 @@ def _staging(directory: Path):
     except BaseException:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+        for made_dir in made:
+            with suppress(OSError):
+                made_dir.rmdir()
         raise
 
 
@@ -666,7 +674,20 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The command-line parser: every subcommand, or only the one named
     ``only``. Each subparser gets --out-dir, plus --input unless its
     ``document`` is None (optional when it is "optional") and --format when
-    it ``formats``."""
+    it ``formats``.
+
+    The parser is built once per value of ``only`` and shared by every
+    later call in the process, so callers must not change it; parsing
+    keeps no state in it, and each ``parse_args`` returns a new
+    namespace."""
+    return _parser(only)
+
+
+# The cache sits behind build_parser, so that build_parser() and
+# build_parser(None) share one parser and bench/tracing.py, which times
+# plain functions only, still times build_parser.
+@functools.cache
+def _parser(only: Optional[str]) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flexokit",
         description="Design toolchain for printed flexure joints: stiffness "
@@ -697,9 +718,9 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Only the named subcommand's parser is built. Anything else (no
-    # argument, help, --version, an unknown word) gets the whole tree, so
-    # that argparse lists the choices as it always has.
+    # Only the named subcommand's parser is built, on the first such call.
+    # Anything else (no argument, help, --version, an unknown word) gets
+    # the whole tree, so that argparse lists the choices as it always has.
     only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = build_parser(only)
     try:

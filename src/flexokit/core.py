@@ -409,6 +409,15 @@ def _obj(value: Any, path: str) -> dict:
     return value
 
 
+def _plain_file_name(name: str, path: str) -> PurePath:
+    """``name`` as a path, if it is one plain file name, so that a file
+    written under it lands in the output directory itself."""
+    file = PurePath(name)
+    if file.parts != (file.name,) or file.name == ".." or "\0" in name:
+        raise DesignError(f"{name!r} is not a plain file name", path)
+    return file
+
+
 def _finite(value, path: str) -> float:
     """A JSON number as a float; NaN, Infinity and overflowing integers are
     rejected."""
@@ -555,7 +564,9 @@ def _joint(raw: Any, path: str, flexures: dict, flexional: dict,
     return joint
 
 
-def _limb(raw: Any, path: str, *pools: dict) -> LimbEntry:
+def _limb(name: str, raw: Any, path: str, *pools: dict) -> LimbEntry:
+    # simulate-limb writes <name>_trajectory.csv and two siblings
+    _plain_file_name(f"{name}_trajectory.csv", path)
     scalars = _scalars(LimbEntry, raw, path)
     raw_segments = raw.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
@@ -607,12 +618,8 @@ def _export(raw: Any, pools: dict[str, dict]) -> ExportOptions:
         part = _read(ExportPart, rp, pp)
         if part.ref not in pools[part.kind]:
             raise DanglingReferenceError(part.ref, f"{pp}.ref")
-        # one name, so that every file lands in the output directory itself
-        name = PurePath(part.file)
-        if name.parts != (name.name,) or name.name == "..":
-            raise DesignError(f"{part.file!r} is not a plain file name",
-                              f"{pp}.file")
-        for path in (name, PurePath(part.manifest)):
+        for path in (_plain_file_name(part.file, f"{pp}.file"),
+                     PurePath(part.manifest)):
             if path in writer:
                 raise DesignError(f"writes {path}, as export.parts"
                                   f"[{writer[path]}] does", f"{pp}.file")
@@ -651,7 +658,8 @@ def parse_design(document_text: str,
                            "extensional_limits", lambda name, raw, path:
                            _read(ExtensionalLimitEntry, raw, path))
     limbs = _section(root.get("limbs", {}), "limbs", lambda name, raw, path:
-                     _limb(raw, path, flexures, flexional, extensional))
+                     _limb(name, raw, path, flexures, flexional,
+                           extensional))
     return DesignDoc(
         materials=dict(table), flexures=flexures,
         flexional_limits=flexional, extensional_limits=extensional,

@@ -49,12 +49,13 @@ def one_json_line(capsys):
 
 def rejected_unwritten(capsys, out, left=()):
     """The one JSON diagnostic of a command that exited 2, after checking
-    that it reported no file written and left in ``out`` only the entries
-    named ``left``, no temporary among them."""
+    that it reported no file written and left in ``out``, if it is there,
+    only the entries named ``left``, no temporary among them."""
     captured = capsys.readouterr()
     assert "wrote" not in captured.out
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
-    assert sorted(p.name for p in out.iterdir()) == sorted(left)
+    entries = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert entries == sorted(left)
     return json.loads(captured.err)
 
 
@@ -330,6 +331,41 @@ def test_simulate_limb_onto_a_directory_exits_2_unwritten(tmp_path, capsys,
     assert list((out / taken).iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate-limb"])
+@pytest.mark.parametrize("limb", ["../escape", "sub/leg", "leg\0"],
+                         ids=["parent", "subdirectory", "nul"])
+def test_limb_named_off_the_out_dir_exits_2_unwritten(tmp_path, capsys,
+                                                      command, limb):
+    # simulate-limb names its files <limb>_trajectory.csv and so on
+    with open(bundled_path("hind_leg.json")) as f:
+        doc = json.load(f)
+    doc["limbs"] = {limb: doc["limbs"]["hind_leg"]}
+    path = tmp_path / "doc" / "leg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    assert run([command, "-i", path, "-o", tmp_path / "out"]) == 2
+    assert one_json_line(capsys) == {
+        "error": "DesignError",
+        "message": f"limbs.{limb}: {limb + '_trajectory.csv'!r} is not a "
+                   "plain file name"}
+    assert sorted(tmp_path.rglob("*")) == [path.parent, path]
+
+
+@pytest.mark.parametrize("existing", [None, "a", "a/b/out"])
+def test_rejected_command_removes_only_the_directories_it_made(
+        tmp_path, capsys, existing):
+    # export_stl refuses the last part after the out-dir is made
+    path = mutated_sample(tmp_path, lambda doc: doc["export"]["parts"][3]
+                          .update(width_mm=1e-300))
+    if existing:
+        (tmp_path / existing).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "a" / "b" / "out"
+    assert run(["export-geometry", "-i", path, "-o", out]) == 2
+    assert rejected_unwritten(capsys, out)["error"] == "GeometryError"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # ------------------------------------------------------------- simulate-gait
 
 def test_simulate_gait_speed_curve(tmp_path):
@@ -579,9 +615,9 @@ def test_export_parts_writing_one_path_exit_2_unwritten(tmp_path, capsys,
 
 @pytest.mark.parametrize("file", [
     "{tmp_path}/absolute.stl", "../escape.stl", "sub/x.stl", "", ".", "..",
-    "/",
+    "/", "x\0.stl",
 ], ids=["absolute", "parent", "subdirectory", "empty", "dot", "dot_dot",
-        "root"])
+        "root", "nul"])
 def test_export_parts_outside_the_out_dir_exit_2_unwritten(tmp_path, capsys,
                                                            file):
     file = file.format(tmp_path=tmp_path)
@@ -622,8 +658,9 @@ def test_export_part_refused_at_writing_names_its_path(tmp_path, capsys):
         "error": "GeometryError",
         "message": "export.parts[3]: 16 degenerate triangle(s) below "
                    "1e-12 mm^2"}
-    # parts 0-2 were written, but none of their files is left behind
-    assert list(out.iterdir()) == []
+    # parts 0-2 were written, but none of their files is left behind, nor
+    # the out-dir made for them
+    assert not out.exists()
 
 
 def test_export_onto_a_directory_exits_2_unwritten(tmp_path, capsys):
@@ -654,6 +691,7 @@ def test_export_part_on_another_part_temporary_exits_2_unwritten(
         "error": "DesignError",
         "message": f"export.parts[1]: {file} is the temporary file of "
                    f"{owner}"}
+    assert not out.exists()
 
 
 def test_export_part_named_tmp_is_written(tmp_path, capsys):
@@ -680,8 +718,7 @@ def test_export_part_collapsed_in_float32_exits_2_unwritten(tmp_path,
         "error": "GeometryError",
         "message": "export.parts[2]: mesh is not watertight: an edge is not "
                    "shared by exactly two consistently wound triangles"}
-    assert not (out / "flexional_limit.stl").exists()
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # ------------------------------------------------------- environment override
@@ -1004,3 +1041,34 @@ def test_main_builds_the_parser_of_the_named_subcommand(tmp_path,
     main(["valid"])
     main([])
     assert built == [*cli._SUBCOMMANDS, "validate", None, None]
+
+
+def test_build_parser_returns_one_parser_per_name():
+    from flexokit import cli
+    for name in [*cli._SUBCOMMANDS, None]:
+        assert cli.build_parser(name) is cli.build_parser(name)
+    assert cli.build_parser() is cli.build_parser(None)
+    # built once per process: at most the full tree and one per subcommand
+    assert cli._parser.cache_info().misses <= len(cli._SUBCOMMANDS) + 1
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # Every corpus command line runs twice in one process, in order and
+    # then reversed, so that errors, help, version and the unknown-word
+    # tree come in between; each must end as it does on a parser built
+    # for that call alone.
+    from flexokit import cli
+    fresh = cli._parser.__wrapped__
+
+    def outcome(argv):
+        directory = tmp_path / str(len(list(tmp_path.iterdir())))
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        return _outcome(argv, capsys)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_parser", lambda only=None: fresh(only))
+        expected = [outcome(argv) for argv in EQUIVALENCE_CORPUS]
+    reused = [outcome(argv)
+              for argv in EQUIVALENCE_CORPUS + EQUIVALENCE_CORPUS[::-1]]
+    assert reused == expected + expected[::-1]
