@@ -73,6 +73,10 @@ MAX_SWEEP_ROWS = 10_000
 # About how many cells of a CSV table are formatted and written at a time.
 _CHUNK_CELLS = 1 << 16
 
+# A CSV table of fewer cells than this takes repr alone: importing orjson
+# (about 2 ms and under 1 MB) costs more than its faster digits save there.
+_ORJSON_CELLS = 2_000
+
 
 # --------------------------------------------------------------------------
 # Small plumbing helpers
@@ -126,6 +130,34 @@ def _write_json(path: Path, payload) -> None:
     path.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
 
 
+def _float_texts(values) -> list[str]:
+    """``repr`` of each float64 of the 1-D array ``values``, taken from
+    orjson's digits where the two agree.
+
+    orjson writes the shortest digits that read back to the same float,
+    which are the digits ``repr`` writes; only the notation can differ. It
+    writes a value that is not finite as ``null``, and one below 1e-4 or
+    from 1e16 on in its own way (``0.00005``, ``1e16``), so those values
+    take ``repr``. So does every value when orjson's text holds an ``e``
+    anywhere, so that no orjson version can change a written byte by
+    choosing another notation.
+    """
+    import numpy as np
+    import orjson
+    magnitude = np.abs(values)
+    plain = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+    text = orjson.dumps(values[plain], option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text or not plain.any():
+        return list(map(repr, values.tolist()))
+    texts = text[1:-1].decode().split(",")
+    if len(texts) == len(values):
+        return texts
+    merged = np.empty(len(values), dtype=object)
+    merged[plain] = texts
+    merged[~plain] = list(map(repr, values[~plain].tolist()))
+    return merged.tolist()
+
+
 def _write_table(stage, stem: str, header: list[str], rows,
                  fmt: str = "csv", order=None) -> None:
     """Float rows, staged by ``stage`` (see ``_staging``) as ``<stem>.csv``
@@ -138,9 +170,10 @@ def _write_table(stage, stem: str, header: list[str], rows,
     shortest text that reads back to the same float, with ``-0.0``,
     ``inf``, ``-inf`` and ``nan`` written as Python writes them. A run of
     adjacent columns that hold the same bits in every row counts as one
-    column. Each distinct value of a chunk is formatted once, the text of a
-    run of n columns is built once per distinct value of that run, and a
-    row that ``order`` repeats reuses its codes.
+    column. Each distinct value of a chunk is formatted once, by
+    ``_float_texts`` in a table of ``_ORJSON_CELLS`` written cells or more,
+    the text of a run of n columns is built once per distinct value of that
+    run, and a row that ``order`` repeats reuses its codes.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
@@ -151,8 +184,8 @@ def _write_table(stage, stem: str, header: list[str], rows,
                     [dict(zip(header, row)) for row in table.tolist()])
         return
     # Cycle tables repeat most of their values and many of their columns,
-    # so repr runs once per distinct bit pattern (-0.0 stays apart from
-    # 0.0) of the first column of each run, gathered a chunk at a time;
+    # so each distinct bit pattern (-0.0 stays apart from 0.0) of the first
+    # column of each run is formatted once, gathered a chunk at a time;
     # each line is then one piece per run, and the pieces are joined in C.
     # Chunks bound the memory held.
     width = len(header)
@@ -169,6 +202,7 @@ def _write_table(stage, stem: str, header: list[str], rows,
     lines = len(bits) if order is None else len(order)
     chunk_rows = max(1, _CHUNK_CELLS // len(first))
     line_rows = max(1, _CHUNK_CELLS // width)
+    fast = lines * width >= _ORJSON_CELLS
     with open(stage(f"{stem}.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -182,25 +216,30 @@ def _write_table(stage, stem: str, header: list[str], rows,
                                          return_inverse=True)
                 block = bits[picked][:, first]
             values, inverse = np.unique(block, return_inverse=True)
-            texts = list(map(repr, values.view(np.float64).tolist()))
+            values = values.view(np.float64)
+            texts = (_float_texts(values) if fast
+                     else list(map(repr, values.tolist())))
             pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
+            # the pieces hold every text now: hold no second copy
+            distinct = len(values)
+            del values, texts
             # numpy 1.x returns the inverse flat, 2.x in the block's shape
             codes = inverse.reshape(block.shape)
             if last_single:
-                codes[:, -1] += len(texts)
+                codes[:, -1] += distinct
             if repeated:
                 # a run's whole text, once per distinct value of the run:
-                # run r keys its values from r * len(texts) on, so the
-                # sorted keys come run by run
-                keys = codes[:, columns] + len(texts) * np.arange(len(columns))
+                # run r keys its values from r * distinct on, so the sorted
+                # keys come run by run
+                keys = codes[:, columns] + distinct * np.arange(len(columns))
                 used, inverse = np.unique(keys, return_inverse=True)
                 codes[:, columns] = len(pieces) + inverse.reshape(keys.shape)
-                splits = np.searchsorted(used, len(texts) * np.arange(
+                splits = np.searchsorted(used, distinct * np.arange(
                     1, len(columns) + 1)).tolist()
-                used = (used % len(texts)).tolist()
+                used = (used % distinct).tolist()
                 for (tail, last), lo, hi in zip(repeated, [0] + splits,
                                                 splits):
-                    end = len(texts) * last
+                    end = distinct * last
                     pieces += [pieces[i] * tail + pieces[i + end]
                                for i in used[lo:hi]]
             pieces = np.array(pieces, dtype=object)

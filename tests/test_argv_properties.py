@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import read_stl
 from flexokit.cli import _SUBCOMMANDS, build_parser, main
+from flexokit.core import parse_design
 
 DOCUMENTS = [str(resources.files("flexokit") / "data" / name)
              for name in ("sample_flexure.json", "hind_leg.json",
@@ -34,6 +35,28 @@ SWEEPS = ["width_ratio=0:0.8:0.4", "feature_height_mm=0.5:1:0.25",
           "h=1:4:1", "L=6.5:7.5:0.5", "r=1:1e308:1e307", "D=nan:1:1",
           "h=4:1:1", "bogus", "=1:2:1"]
 NAMES = ["sample", "plain_plate", "hind_leg", "front_left", "bogus"]
+# Generated sweeps run from 1 row to MAX_SWEEP_ROWS, geometrically, so
+# their tables fall on both sides of the CSV writer's orjson gate. Each
+# predict-stiffness row sums every rib period of the flexure, and no flag
+# sets the period, so the documents above are capped at RIB_PERIODS periods
+# per flexure (test_documents_keep_few_rib_periods): a 10,000-row sweep of
+# them takes under a second.
+SWEEP_COMMANDS = {
+    ("predict-stiffness", "-i", DOCUMENTS[0]): ["width_ratio",
+                                                "feature_height_mm"],
+    ("solve-limit", "--flexional"): ["D", "r", "h"],
+    ("solve-limit", "--extensional"): ["L", "b", "r", "h", "gamma"],
+}
+RIB_PERIODS = 16
+
+
+@st.composite
+def generated_sweeps(draw, names):
+    name = draw(st.sampled_from(names))
+    rows = round(10 ** (draw(st.integers(0, 40)) / 10))
+    start = draw(st.sampled_from([0.0, 0.1, 1.0, 4.0]))
+    step = draw(st.sampled_from([1e-4, 1e-3, 0.01, 0.5]))
+    return f"{name}={start!r}:{start + step * (rows - 1)!r}:{step!r}"
 
 
 def _values(flag, action):
@@ -42,8 +65,11 @@ def _values(flag, action):
         return None
     if action.choices:
         return st.sampled_from([*action.choices, "bogus"])
-    if flag in ("--input", "--sweep"):
-        return st.sampled_from(DOCUMENTS if flag == "--input" else SWEEPS)
+    if flag == "--input":
+        return st.sampled_from(DOCUMENTS)
+    if flag == "--sweep":
+        names = sorted({n for ns in SWEEP_COMMANDS.values() for n in ns})
+        return st.one_of(st.sampled_from(SWEEPS), generated_sweeps(names))
     if action.type is int:
         return st.sampled_from(["-1", "0", "1", "3", "40", *EDGE_TOKENS])
     if action.type is None:
@@ -115,11 +141,7 @@ def _check_file(path):
         assert relative < 1, payload
 
 
-@pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
-@settings(max_examples=200, deadline=None, database=None)
-@given(data=st.data())
-def test_any_command_line_ends_in_a_result_or_one_json_line(name, data):
-    argv = data.draw(command_lines(name), label="argv")
+def check_command_line(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -138,3 +160,32 @@ def test_any_command_line_ends_in_a_result_or_one_json_line(name, data):
         if rc == 0:
             for path in sorted(out_dir.rglob("*")):
                 _check_file(path)
+
+
+@pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_any_command_line_ends_in_a_result_or_one_json_line(name, data):
+    check_command_line(data.draw(command_lines(name), label="argv"))
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS,
+                         ids=["predict-stiffness", "flexional", "extensional"])
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_sweeps_end_in_a_result_or_one_json_line(command, data):
+    # few of the command lines above reach the table writer: these do, and
+    # write tables on both sides of its orjson gate
+    sweep = data.draw(generated_sweeps(SWEEP_COMMANDS[command]),
+                      label="sweep")
+    fmt = data.draw(st.sampled_from([[], ["--format", "json"]]),
+                    label="format")
+    check_command_line([*command, "--sweep", sweep, *fmt])
+
+
+def test_documents_keep_few_rib_periods():
+    for path in DOCUMENTS[:-1]:
+        doc = parse_design(Path(path).read_text("utf-8"))
+        for flex in doc.flexures.values():
+            if flex.ribs is not None:
+                assert flex.length_mm / flex.ribs.period_mm <= RIB_PERIODS

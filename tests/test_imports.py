@@ -1,5 +1,6 @@
-"""The import graph: the package namespace resolves every public name, and
-the scalar subcommands run without loading numpy."""
+"""The import graph: the package namespace resolves every public name, the
+scalar subcommands run without loading numpy, and only a CSV table of
+``cli._ORJSON_CELLS`` cells or more loads orjson."""
 
 import importlib
 import json
@@ -12,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import flexokit
+from flexokit import cli
 
 SRC = str(Path(flexokit.__file__).resolve().parent.parent)
 SAMPLE = str(resources.files("flexokit") / "data" / "sample_flexure.json")
 
 # Runs cli.main on argv in a fresh interpreter, then reports its exit code
-# and whether numpy was imported.
+# and whether numpy and orjson were imported.
 CHILD = """
 import json, sys
 from flexokit.cli import main
@@ -25,8 +27,19 @@ try:
     rc = main(sys.argv[1:])
 except SystemExit as exit_:  # --version
     rc = exit_.code
-print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules,
+                  "orjson": "orjson" in sys.modules}))
 """
+
+
+def run_child(tmp_path, argv):
+    if argv != ["--version"]:
+        argv = [*argv, "-o", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -39,14 +52,20 @@ print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules}))
 ], ids=["version", "validate", "solve_limit", "design_stem_height",
         "design_width_ratio"])
 def test_scalar_subcommands_never_import_numpy(tmp_path, argv):
-    if argv != ["--version"]:
-        argv = [*argv, "-o", str(tmp_path)]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout.splitlines()[-1])
-    assert report == {"rc": 0, "numpy": False}
+    # nor orjson
+    assert run_child(tmp_path, argv) == {"rc": 0, "numpy": False,
+                                         "orjson": False}
+
+
+# 4 columns: 499 rows stay below the 2,000-cell gate, 500 reach it.
+@pytest.mark.parametrize("sweep, orjson", [
+    ("h=1:5.98:0.01", False), ("h=1:5.99:0.01", True)])
+def test_only_sweeps_from_the_gate_on_import_orjson(tmp_path, sweep, orjson):
+    assert run_child(tmp_path, ["solve-limit", "--flexional",
+                                "--sweep", sweep]) == {
+        "rc": 0, "numpy": True, "orjson": orjson}
+    rows = (tmp_path / "solve_limit.csv").read_text("utf-8").count("\n") - 1
+    assert (rows * 4 >= cli._ORJSON_CELLS) == orjson
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -5,7 +5,9 @@ text of each run of adjacent columns holding the same bits once per value,
 and writes its rows in an optional order that may repeat them. The oracle
 here is the plain writer, one ``repr`` per cell, on the rows in that order;
 a second check reads every written cell back with ``float`` and compares
-bits with the input.
+bits with the input. A table of ``_ORJSON_CELLS`` written cells or more
+takes its texts from ``_float_texts``, which must equal ``repr`` on every
+float64.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
 """
@@ -30,7 +32,6 @@ from flexokit.limb_sim import cycle_index
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e-310, 1e16, 1e22, -1e22, 0.1,
            1 / 3, 11.666666666666666]
-FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 # Quiet NaNs of both signs and two payloads.
 NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                  0xFFF800000000BEEF], dtype=np.uint64).view(np.float64)
@@ -38,6 +39,13 @@ NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
 # unordered, but whose bits differ: the writer must keep them apart.
 TWINS = [(0.0, -0.0), (-0.0, 0.0), (NANS[0], NANS[1]), (NANS[2], NANS[3]),
          (NANS[1], NANS[2])]
+# The ends of the range _float_texts takes from orjson, with the floats
+# next to them, of both signs.
+EDGES = [sign * x for v in (1e-4, 1e16) for sign in (1, -1)
+         for x in (np.nextafter(v, 0).item(), v,
+                   np.nextafter(v, 2 * v).item())]
+FLOATS = st.one_of(st.sampled_from(SPECIAL + EDGES + list(NANS)),
+                   st.floats(width=64))
 
 
 def bundled_path(name: str) -> str:
@@ -51,20 +59,25 @@ def reference_csv(header, rows) -> str:
                    + [",".join(map(repr, row)) + "\n" for row in rows])
 
 
-def write_csv(header, rows, chunk_cells=None, order=None) -> str:
-    patch = (mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells)
-             if chunk_cells else contextlib.nullcontext())
-    with tempfile.TemporaryDirectory() as directory, patch, \
+def write_csv(header, rows, chunk_cells=None, order=None,
+              orjson_cells=None) -> str:
+    patches = contextlib.ExitStack()
+    for name, value in (("_CHUNK_CELLS", chunk_cells),
+                        ("_ORJSON_CELLS", orjson_cells)):
+        if value is not None:
+            patches.enter_context(mock.patch.object(cli, name, value))
+    with tempfile.TemporaryDirectory() as directory, patches, \
             contextlib.redirect_stdout(io.StringIO()):
         with cli._staging(Path(directory)) as stage:
             cli._write_table(stage, "t", header, rows, order=order)
         return (Path(directory) / "t.csv").read_bytes().decode("utf-8")
 
 
-def check_table(table, chunk_cells=None, as_list=False, order=None):
+def check_table(table, chunk_cells=None, as_list=False, order=None,
+                orjson_cells=None):
     header = [f"c{i}" for i in range(table.shape[1])]
     text = write_csv(header, table.tolist() if as_list else table,
-                     chunk_cells, order)
+                     chunk_cells, order, orjson_cells)
     if order is not None:
         table = table[order]
     assert text == reference_csv(header, table)
@@ -119,13 +132,70 @@ def orders(rows):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans(),
-       data=st.data())
-def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list, data):
+       orjson_cells=st.sampled_from([0, None]), data=st.data())
+def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list,
+                                        orjson_cells, data):
     # small chunks put boundaries inside the table, on and off its end,
     # whether counted in full cells or in one column per run, and split a
-    # mirrored row from the row it repeats
+    # mirrored row from the row it repeats; a gate of 0 cells puts every
+    # table above it, and these tables are below the real one
     order = data.draw(orders(len(table)), label="order")
-    check_table(table, chunk_cells, as_list, order)
+    check_table(table, chunk_cells, as_list, order, orjson_cells)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(FLOATS, max_size=40))
+def test_float_texts_is_repr(floats):
+    values = np.array(floats, dtype=np.float64)
+    assert cli._float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_texts_is_repr_on_a_million_bit_patterns():
+    # half drawn from every bit pattern, most of them outside the range
+    # orjson's text is taken from; half with an exponent from just below
+    # 1e-4 to just above 1e16
+    rng = np.random.default_rng(1911_06897)
+    bits = rng.integers(0, 2 ** 64, size=(2, 10 ** 6 // 2), dtype=np.uint64)
+    exponents = rng.integers(1023 - 14, 1023 + 54, size=bits.shape[1],
+                             dtype=np.uint64)
+    inside = bits[1] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+    for values in (bits[0].view(np.float64), inside.view(np.float64)):
+        assert cli._float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_texts_keeps_repr_when_orjson_writes_an_exponent():
+    # an orjson that chose exponent notation for an ordinary value must
+    # not change a written byte
+    import orjson
+    with mock.patch.object(orjson, "dumps",
+                           lambda values, option: b"[0.5,1e15,123.25]"):
+        texts = cli._float_texts(np.array([0.5, 1e15, 123.25]))
+    assert texts == ["0.5", "1000000000000000.0", "123.25"]
+
+
+@pytest.mark.parametrize("rows", [cli._ORJSON_CELLS // 5 - 1,
+                                  cli._ORJSON_CELLS // 5])
+def test_tables_from_the_gate_on_take_float_texts(rows):
+    table = np.random.default_rng(rows).standard_normal((rows, 5))
+    with mock.patch.object(cli, "_float_texts",
+                           wraps=cli._float_texts) as kernel:
+        check_table(table)
+    assert kernel.called == (table.size >= cli._ORJSON_CELLS)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_table_above_the_gate_matches_the_per_row_writer(ordered):
+    # values on both sides of 1e-4 and 1e16, and every kind orjson writes
+    # as null or in its own notation, among ordinary ones
+    rng = np.random.default_rng(7)
+    pool = SPECIAL + EDGES + list(NANS) + list(
+        rng.choice([-1, 1], 200) * 10 ** rng.uniform(-8, 20, 200))
+    table = rng.choice(pool, size=(600, 5))
+    order = cycle_index(len(table)) if ordered else None
+    with mock.patch.object(cli, "_float_texts",
+                           wraps=cli._float_texts) as kernel:
+        check_table(table, order=order)
+    assert kernel.called
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (1, 9)])
