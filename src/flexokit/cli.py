@@ -130,22 +130,29 @@ def _write_json(path: Path, payload) -> None:
     path.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
 
 
+def _plain(values):
+    """Where a float64 of ``values`` is one that orjson writes as ``repr``
+    does: 0.0, -0.0 and 1e-4 <= |x| < 1e16. orjson writes a value that is
+    not finite as ``null``, and one below 1e-4 or from 1e16 on in its own
+    way (``0.00005``, ``1e16``)."""
+    import numpy as np
+    magnitude = np.abs(values)
+    return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+
+
 def _float_texts(values) -> list[str]:
     """``repr`` of each float64 of the 1-D array ``values``, taken from
     orjson's digits where the two agree.
 
     orjson writes the shortest digits that read back to the same float,
-    which are the digits ``repr`` writes; only the notation can differ. It
-    writes a value that is not finite as ``null``, and one below 1e-4 or
-    from 1e16 on in its own way (``0.00005``, ``1e16``), so those values
-    take ``repr``. So does every value when orjson's text holds an ``e``
-    anywhere, so that no orjson version can change a written byte by
-    choosing another notation.
+    which are the digits ``repr`` writes; only the notation can differ.
+    Values that are not ``_plain`` take ``repr``. So does every value when
+    orjson's text holds an ``e`` anywhere, so that no orjson version can
+    change a written byte by choosing another notation.
     """
     import numpy as np
     import orjson
-    magnitude = np.abs(values)
-    plain = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+    plain = _plain(values)
     text = orjson.dumps(values[plain], option=orjson.OPT_SERIALIZE_NUMPY)
     if b"e" in text or not plain.any():
         return list(map(repr, values.tolist()))
@@ -158,6 +165,30 @@ def _float_texts(values) -> list[str]:
     return merged.tolist()
 
 
+def _row_texts(block) -> list[str]:
+    """``",".join(map(repr, row))`` of each row of the non-empty 2-D
+    float64 array ``block``, cut from one orjson text of the whole block.
+
+    orjson writes the block with every value that is not ``_plain`` set to
+    0.0, and each row that held such a value is written again with
+    ``repr``. When orjson's text holds an ``e``, every row is (see
+    ``_float_texts``).
+    """
+    import numpy as np
+    import orjson
+    plain = _plain(block)
+    mixed = np.flatnonzero(~plain.all(axis=1)).tolist()
+    clean = np.ascontiguousarray(
+        np.where(plain, block, 0.0) if mixed else block)
+    text = orjson.dumps(clean, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text:
+        return [",".join(map(repr, row)) for row in block.tolist()]
+    rows = text[2:-2].decode().split("],[")
+    for i in mixed:
+        rows[i] = ",".join(map(repr, block[i].tolist()))
+    return rows
+
+
 def _write_table(stage, stem: str, header: list[str], rows,
                  fmt: str = "csv", order=None) -> None:
     """Float rows, staged by ``stage`` (see ``_staging``) as ``<stem>.csv``
@@ -168,12 +199,13 @@ def _write_table(stage, stem: str, header: list[str], rows,
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
-    ``inf``, ``-inf`` and ``nan`` written as Python writes them. A run of
-    adjacent columns that hold the same bits in every row counts as one
-    column. Each distinct value of a chunk is formatted once, by
-    ``_float_texts`` in a table of ``_ORJSON_CELLS`` written cells or more,
-    the text of a run of n columns is built once per distinct value of that
-    run, and a row that ``order`` repeats reuses its codes.
+    ``inf``, ``-inf`` and ``nan`` written as Python writes them. Which of
+    two writers runs changes no byte. A table in which no two adjacent
+    columns hold the same bits in every row (a cycle trajectory, a speed
+    curve, a sweep) is written row by row, a chunk of lines at a time, by
+    ``_row_texts`` in a table of ``_ORJSON_CELLS`` written cells or more.
+    A table with such runs of columns (a curvature map) is written by
+    ``_write_runs``. Smaller tables take ``repr`` alone.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
@@ -183,14 +215,53 @@ def _write_table(stage, stem: str, header: list[str], rows,
         _write_json(stage(f"{stem}.json"),
                     [dict(zip(header, row)) for row in table.tolist()])
         return
-    # Cycle tables repeat most of their values and many of their columns,
-    # so each distinct bit pattern (-0.0 stays apart from 0.0) of the first
-    # column of each run is formatted once, gathered a chunk at a time;
-    # each line is then one piece per run, and the pieces are joined in C.
-    # Chunks bound the memory held.
     width = len(header)
-    bits = table.view(np.int64).reshape(len(table), width)
+    table = table.reshape(len(table), width)
+    bits = table.view(np.int64)
+    # where a run of columns holding the same bits (-0.0 stays apart from
+    # 0.0) starts
     starts = np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]
+    lines = len(table) if order is None else len(order)
+    fast = lines * width >= _ORJSON_CELLS
+    with open(stage(f"{stem}.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        if not starts.all():
+            _write_runs(fh, bits, starts, order, fast)
+            return
+        chunk_rows = max(1, _CHUNK_CELLS // width)
+        for start in range(0, lines, chunk_rows):
+            if order is None:
+                picked, back = slice(start, start + chunk_rows), None
+            else:
+                # a row this chunk's lines repeat is formatted once
+                picked, back = np.unique(order[start:start + chunk_rows],
+                                         return_inverse=True)
+            block = table[picked]
+            texts = (_row_texts(block) if fast else
+                     [",".join(map(repr, row)) for row in block.tolist()])
+            if back is not None:
+                texts = [texts[i] for i in back.tolist()]
+            fh.write("\n".join(texts) + "\n")
+
+
+def _write_runs(fh, bits, starts, order, fast: bool) -> None:
+    """The CSV lines of ``_write_table`` to ``fh``, for the float64 bits
+    ``bits`` of a table whose runs of identical columns begin where
+    ``starts`` is true.
+
+    Each distinct value of a chunk is formatted once, by ``_float_texts``
+    when ``fast``, the text of a run of n columns is built once per
+    distinct value of that run, and a row that ``order`` repeats reuses
+    its codes.
+    """
+    import numpy as np
+    # Curvature maps repeat most of their values and many of their columns,
+    # so each distinct bit pattern of the first column of each run is
+    # formatted once, gathered a chunk at a time; each line is then one
+    # piece per run, and the pieces are joined in C. Chunks bound the
+    # memory held.
+    width = len(starts)
     first = np.flatnonzero(starts)      # the column that stands for a run
     bounds = first.tolist() + [width]
     runs = list(zip(bounds, bounds[1:]))
@@ -202,52 +273,47 @@ def _write_table(stage, stem: str, header: list[str], rows,
     lines = len(bits) if order is None else len(order)
     chunk_rows = max(1, _CHUNK_CELLS // len(first))
     line_rows = max(1, _CHUNK_CELLS // width)
-    fast = lines * width >= _ORJSON_CELLS
-    with open(stage(f"{stem}.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, lines, chunk_rows):
-            if order is None:
-                block = bits[start:start + chunk_rows, first]
-            else:
-                # the distinct rows of this chunk's lines, and each line's
-                # row among them
-                picked, back = np.unique(order[start:start + chunk_rows],
-                                         return_inverse=True)
-                block = bits[picked][:, first]
-            values, inverse = np.unique(block, return_inverse=True)
-            values = values.view(np.float64)
-            texts = (_float_texts(values) if fast
-                     else list(map(repr, values.tolist())))
-            pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
-            # the pieces hold every text now: hold no second copy
-            distinct = len(values)
-            del values, texts
-            # numpy 1.x returns the inverse flat, 2.x in the block's shape
-            codes = inverse.reshape(block.shape)
-            if last_single:
-                codes[:, -1] += distinct
-            if repeated:
-                # a run's whole text, once per distinct value of the run:
-                # run r keys its values from r * distinct on, so the sorted
-                # keys come run by run
-                keys = codes[:, columns] + distinct * np.arange(len(columns))
-                used, inverse = np.unique(keys, return_inverse=True)
-                codes[:, columns] = len(pieces) + inverse.reshape(keys.shape)
-                splits = np.searchsorted(used, distinct * np.arange(
-                    1, len(columns) + 1)).tolist()
-                used = (used % distinct).tolist()
-                for (tail, last), lo, hi in zip(repeated, [0] + splits,
-                                                splits):
-                    end = distinct * last
-                    pieces += [pieces[i] * tail + pieces[i + end]
-                               for i in used[lo:hi]]
-            pieces = np.array(pieces, dtype=object)
-            if order is not None:
-                codes = codes[back]
-            for at in range(0, len(codes), line_rows):
-                cells = pieces[codes[at:at + line_rows]]
-                fh.write("".join(cells.ravel().tolist()))
+    for start in range(0, lines, chunk_rows):
+        if order is None:
+            block = bits[start:start + chunk_rows, first]
+        else:
+            # the distinct rows of this chunk's lines, and each line's
+            # row among them
+            picked, back = np.unique(order[start:start + chunk_rows],
+                                     return_inverse=True)
+            block = bits[picked][:, first]
+        values, inverse = np.unique(block, return_inverse=True)
+        values = values.view(np.float64)
+        texts = (_float_texts(values) if fast
+                 else list(map(repr, values.tolist())))
+        pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
+        # the pieces hold every text now: hold no second copy
+        distinct = len(values)
+        del values, texts
+        # numpy 1.x returns the inverse flat, 2.x in the block's shape
+        codes = inverse.reshape(block.shape)
+        if last_single:
+            codes[:, -1] += distinct
+        # a run's whole text, once per distinct value of the run:
+        # run r keys its values from r * distinct on, so the sorted
+        # keys come run by run
+        keys = codes[:, columns] + distinct * np.arange(len(columns))
+        used, inverse = np.unique(keys, return_inverse=True)
+        codes[:, columns] = len(pieces) + inverse.reshape(keys.shape)
+        splits = np.searchsorted(used, distinct * np.arange(
+            1, len(columns) + 1)).tolist()
+        used = (used % distinct).tolist()
+        for (tail, last), lo, hi in zip(repeated, [0] + splits,
+                                        splits):
+            end = distinct * last
+            pieces += [pieces[i] * tail + pieces[i + end]
+                       for i in used[lo:hi]]
+        pieces = np.array(pieces, dtype=object)
+        if order is not None:
+            codes = codes[back]
+        for at in range(0, len(codes), line_rows):
+            cells = pieces[codes[at:at + line_rows]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:
@@ -353,6 +419,13 @@ def _cmd_predict_stiffness(args, stage) -> int:
         if flex.ribs is None:
             raise DesignError(
                 f"flexure {name!r} has no rib pattern to sweep")
+        from .stiffness import MAX_SWEEP_PERIODS, rib_periods
+        periods = math.ceil(rib_periods(flex))
+        if len(values) * periods > MAX_SWEEP_PERIODS:
+            raise DesignError(
+                f"bad --sweep {args.sweep!r}: {len(values)} rows of "
+                f"{periods} rib periods, more than {MAX_SWEEP_PERIODS} "
+                "periods in all")
         flexures = [dataclasses.replace(
                         flex, ribs=dataclasses.replace(flex.ribs,
                                                        **{param: value}))

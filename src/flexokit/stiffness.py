@@ -32,6 +32,9 @@ _PASS_SAMPLES = 1 << 13   # midpoint samples summed per numpy pass
 # Most rib periods the exact model integrates, above the ~87,000 of the
 # largest ribbed flexure export-geometry meshes (MAX_PART_TRIANGLES).
 MAX_RIB_PERIODS = 1 << 17
+# Most rib periods one predict-stiffness --sweep integrates over all its
+# rows: 64 rows at MAX_RIB_PERIODS.
+MAX_SWEEP_PERIODS = 1 << 23
 
 
 class PlateauUnreachableError(TargetRangeError):
@@ -115,6 +118,12 @@ def homogenized_EI(flex: FlexureSpec) -> FlexureStiffnessResult:
         k_tip=3 * ei_eff / flex.length ** 3)
 
 
+def rib_periods(flex: FlexureSpec) -> float:
+    """The rib periods the exact model spans: the flexure length over the
+    rib period, of which it integrates the next integer up."""
+    return flex.length / flex.ribs.period - 1e-12
+
+
 def tip_stiffness_exact(flex: FlexureSpec) -> float:
     """Tip stiffness from quadrature over the periodic EI(x) profile.
 
@@ -135,7 +144,7 @@ def tip_stiffness_exact(flex: FlexureSpec) -> float:
         return 3 * ei_low / length ** 3
     period = flex.ribs.period
     w = flex.ribs.width_ratio
-    periods = length / period - 1e-12
+    periods = rib_periods(flex)
     if periods > MAX_RIB_PERIODS:
         raise DesignError(
             f"exact stiffness of {flex.name!r} spans {periods:.6g} rib "

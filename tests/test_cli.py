@@ -6,6 +6,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -932,16 +933,32 @@ def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv):
             period_mm=1e-4))], "more than 131072"),
     (["predict-stiffness", "-i", _sample_with(_oversized_ribs)],
      "more than 131072"),
+    # 91 rows of 100,001 periods, each row within MAX_RIB_PERIODS
+    (["predict-stiffness", "-i", _sample_with(
+        lambda doc: doc["flexures"]["sample"]["ribs"].update(
+            period_mm=3e-4)), "--sweep", "width_ratio=0:0.9:0.01"],
+     "more than 8388608 periods in all"),
 ], ids=["nan_start", "infinite_stop", "tiny_step", "overflowing_span",
         "stiffness_tiny_step", "huge_steps", "huge_arc_bins",
         "huge_gait_steps", "stiffness_fine_period",
-        "stiffness_billion_periods"])
+        "stiffness_billion_periods", "stiffness_sweep_periods"])
 def test_unbounded_sweeps_and_cycles_exit_2(tmp_path, capsys, argv,
                                             message):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert message in _diagnostic_message(capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bound, rc", [(54, 0), (53, 2)])
+def test_sweep_period_bound_counts_rows_times_periods(tmp_path, bound, rc):
+    # the sample flexure spans 6 rib periods, and the sweep has 9 rows
+    from flexokit import stiffness
+    with mock.patch.object(stiffness, "MAX_SWEEP_PERIODS", bound):
+        assert run(["predict-stiffness", "-i",
+                    bundled_path("sample_flexure.json"), "--sweep",
+                    "width_ratio=0:0.8:0.1", "-o", tmp_path / "out"]) == rc
+    assert (tmp_path / "out").exists() == (rc == 0)
 
 
 # ------------------------------------------------- one-subcommand parser

@@ -1,12 +1,15 @@
 """The CLI table writer against the per-row writer it replaced.
 
-``_write_table`` formats each distinct float of a chunk once, builds the
-text of each run of adjacent columns holding the same bits once per value,
-and writes its rows in an optional order that may repeat them. The oracle
-here is the plain writer, one ``repr`` per cell, on the rows in that order;
-a second check reads every written cell back with ``float`` and compares
-bits with the input. A table of ``_ORJSON_CELLS`` written cells or more
-takes its texts from ``_float_texts``, which must equal ``repr`` on every
+``_write_table`` writes its rows in an optional order that may repeat
+them, by one of two paths. A table with no run of adjacent columns holding
+the same bits is written row by row; one with such runs goes to
+``_write_runs``, which formats each distinct float of a chunk once and
+builds the text of each run once per value. The oracle here is the plain
+writer, one ``repr`` per cell, on the rows in that order; a second check
+reads every written cell back with ``float`` and compares bits with the
+input, and a third that the table took the path it should. A table of
+``_ORJSON_CELLS`` written cells or more takes its texts from orjson, by
+``_row_texts`` or ``_float_texts``, which must equal ``repr`` on every
 float64.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
@@ -59,27 +62,56 @@ def reference_csv(header, rows) -> str:
                    + [",".join(map(repr, row)) + "\n" for row in rows])
 
 
+def repr_rows(block) -> list[str]:
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
+# The writer of tables with runs of columns, and the two orjson kernels.
+KERNELS = ("_write_runs", "_row_texts", "_float_texts")
+
+
+def has_runs(table) -> bool:
+    """Whether two adjacent columns hold the same bits in every row."""
+    bits = table.view(np.int64)
+    return bool((bits[:, 1:] == bits[:, :-1]).all(axis=0).any())
+
+
 def write_csv(header, rows, chunk_cells=None, order=None,
-              orjson_cells=None) -> str:
+              orjson_cells=None, called=None) -> str:
+    """The CSV ``_write_table`` writes; ``called``, a dict, gets whether
+    each of ``KERNELS`` ran."""
     patches = contextlib.ExitStack()
     for name, value in (("_CHUNK_CELLS", chunk_cells),
                         ("_ORJSON_CELLS", orjson_cells)):
         if value is not None:
             patches.enter_context(mock.patch.object(cli, name, value))
+    spies = {name: patches.enter_context(mock.patch.object(
+                 cli, name, wraps=getattr(cli, name))) for name in KERNELS}
     with tempfile.TemporaryDirectory() as directory, patches, \
             contextlib.redirect_stdout(io.StringIO()):
         with cli._staging(Path(directory)) as stage:
             cli._write_table(stage, "t", header, rows, order=order)
+        if called is not None:
+            called.update({name: spy.called for name, spy in spies.items()})
         return (Path(directory) / "t.csv").read_bytes().decode("utf-8")
 
 
 def check_table(table, chunk_cells=None, as_list=False, order=None,
-                orjson_cells=None):
+                orjson_cells=None) -> dict:
+    """Check the CSV of ``table`` against the oracle, and that it took its
+    path; return which of ``KERNELS`` ran."""
     header = [f"c{i}" for i in range(table.shape[1])]
+    called = {}
     text = write_csv(header, table.tolist() if as_list else table,
-                     chunk_cells, order, orjson_cells)
+                     chunk_cells, order, orjson_cells, called)
+    runs = has_runs(table)
     if order is not None:
         table = table[order]
+    # a table of no lines formats nothing
+    gate = cli._ORJSON_CELLS if orjson_cells is None else orjson_cells
+    fast = table.size > 0 and table.size >= gate
+    assert called == {"_write_runs": runs, "_row_texts": fast and not runs,
+                      "_float_texts": fast and runs}
     assert text == reference_csv(header, table)
     head, *lines = text.split("\n")
     assert head == ",".join(header) and lines.pop() == ""
@@ -90,6 +122,7 @@ def check_table(table, chunk_cells=None, as_list=False, order=None,
     nan = np.isnan(table)
     assert (np.isnan(read) == nan).all()
     assert (read.view(np.int64)[~nan] == table.view(np.int64)[~nan]).all()
+    return called
 
 
 @st.composite
@@ -130,16 +163,20 @@ def orders(rows):
         st.just(np.array([], dtype=np.intp)))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=400, deadline=None, database=None)
 @given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans(),
-       orjson_cells=st.sampled_from([0, None]), data=st.data())
-def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list,
-                                        orjson_cells, data):
-    # small chunks put boundaries inside the table, on and off its end,
-    # whether counted in full cells or in one column per run, and split a
-    # mirrored row from the row it repeats; a gate of 0 cells puts every
-    # table above it, and these tables are below the real one
+       data=st.data())
+def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list, data):
+    # tables with and without runs of columns take the two paths; small
+    # chunks put boundaries inside the table, on and off its end, whether
+    # counted in full cells or in one column per run, and split a mirrored
+    # row from the row it repeats. A gate of 0 cells puts every table above
+    # it, one at the table's written cells or one more puts the table just
+    # on either side, and None keeps the real gate
     order = data.draw(orders(len(table)), label="order")
+    cells = (len(table) if order is None else len(order)) * table.shape[1]
+    orjson_cells = data.draw(st.sampled_from([0, cells, cells + 1, None]),
+                             label="orjson_cells")
     check_table(table, chunk_cells, as_list, order, orjson_cells)
 
 
@@ -161,6 +198,8 @@ def test_float_texts_is_repr_on_a_million_bit_patterns():
     inside = bits[1] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
     for values in (bits[0].view(np.float64), inside.view(np.float64)):
         assert cli._float_texts(values) == list(map(repr, values.tolist()))
+        block = values.reshape(-1, 8)
+        assert cli._row_texts(block) == repr_rows(block)
 
 
 def test_float_texts_keeps_repr_when_orjson_writes_an_exponent():
@@ -173,35 +212,62 @@ def test_float_texts_keeps_repr_when_orjson_writes_an_exponent():
     assert texts == ["0.5", "1000000000000000.0", "123.25"]
 
 
+def test_row_path_keeps_repr_when_orjson_writes_an_exponent():
+    # the same on the row path: an orjson that writes 1e5 for 100000.0
+    # must not change a byte of the kernel's rows or of a whole table
+    import orjson
+    dumps = orjson.dumps
+
+    def exponent(values, option):
+        return dumps(values, option=option).replace(b"100000.0", b"1e5")
+
+    table = np.random.default_rng(5).standard_normal((600, 5))
+    table[[3, 590], 2] = 1e5
+    with mock.patch.object(orjson, "dumps", exponent):
+        assert cli._row_texts(table) == repr_rows(table)
+        assert check_table(table)["_row_texts"]
+
+
+def with_a_run(table):
+    """``table`` with its last column a copy of the one before it."""
+    table = table.copy()
+    table[:, -1] = table[:, -2]
+    return table
+
+
 @pytest.mark.parametrize("rows", [cli._ORJSON_CELLS // 5 - 1,
                                   cli._ORJSON_CELLS // 5])
 def test_tables_from_the_gate_on_take_float_texts(rows):
+    # from the gate on, a table without runs of columns takes _row_texts,
+    # and the same table with a run takes _float_texts
     table = np.random.default_rng(rows).standard_normal((rows, 5))
-    with mock.patch.object(cli, "_float_texts",
-                           wraps=cli._float_texts) as kernel:
-        check_table(table)
-    assert kernel.called == (table.size >= cli._ORJSON_CELLS)
+    above = table.size >= cli._ORJSON_CELLS
+    assert check_table(table) == {"_write_runs": False, "_row_texts": above,
+                                  "_float_texts": False}
+    assert check_table(with_a_run(table)) == {
+        "_write_runs": True, "_row_texts": False, "_float_texts": above}
 
 
 @pytest.mark.parametrize("ordered", [False, True])
 def test_table_above_the_gate_matches_the_per_row_writer(ordered):
     # values on both sides of 1e-4 and 1e16, and every kind orjson writes
-    # as null or in its own notation, among ordinary ones
+    # as null or in its own notation, among ordinary ones, on both paths
     rng = np.random.default_rng(7)
     pool = SPECIAL + EDGES + list(NANS) + list(
         rng.choice([-1, 1], 200) * 10 ** rng.uniform(-8, 20, 200))
     table = rng.choice(pool, size=(600, 5))
     order = cycle_index(len(table)) if ordered else None
-    with mock.patch.object(cli, "_float_texts",
-                           wraps=cli._float_texts) as kernel:
-        check_table(table, order=order)
-    assert kernel.called
+    assert check_table(table, order=order)["_row_texts"]
+    assert check_table(with_a_run(table), order=order)["_float_texts"]
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (1, 9)])
 def test_degenerate_shapes(shape):
+    # below the gate and above it
     rng = np.random.default_rng(sum(shape))
-    check_table(rng.choice(SPECIAL, size=shape))
+    table = rng.choice(SPECIAL, size=shape)
+    for orjson_cells in (None, 0):
+        check_table(table, orjson_cells=orjson_cells)
 
 
 def test_empty_row_list_writes_the_header_only():
