@@ -130,63 +130,41 @@ def _write_json(path: Path, payload) -> None:
     path.write_bytes((json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _plain(values):
-    """Where a float64 of ``values`` is one that orjson writes as ``repr``
-    does: 0.0, -0.0 and 1e-4 <= |x| < 1e16. orjson writes a value that is
-    not finite as ``null``, and one below 1e-4 or from 1e16 on in its own
-    way (``0.00005``, ``1e16``)."""
-    import numpy as np
-    magnitude = np.abs(values)
-    return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
-
-
-def _float_texts(values) -> list[str]:
-    """``repr`` of each float64 of the 1-D array ``values``, taken from
-    orjson's digits where the two agree.
+def _texts(values, fast: bool) -> list[str]:
+    """``repr`` of each float64 of the non-empty 1-D array ``values``, or
+    ``",".join(map(repr, row))`` of each row of a 2-D one; when ``fast``,
+    cut from one orjson text of the whole array.
 
     orjson writes the shortest digits that read back to the same float,
-    which are the digits ``repr`` writes; only the notation can differ.
-    Values that are not ``_plain`` take ``repr``. So does every value when
-    orjson's text holds an ``e`` anywhere, so that no orjson version can
-    change a written byte by choosing another notation.
+    which are the digits ``repr`` writes; only the notation can differ. It
+    writes as ``repr`` does 0.0, -0.0 and 1e-4 <= |x| < 1e16, a value that
+    is not finite as ``null``, and others in its own way (``0.00005``,
+    ``1e16``). So every value outside that range is set to 0.0 before the
+    dump, and the value or row that held it takes ``repr``. So does every
+    entry when orjson's text holds an ``e`` anywhere, so that no orjson
+    version can change a written byte by choosing another notation.
     """
+    entry = repr if values.ndim == 1 else (
+        lambda row: ",".join(map(repr, row)))
+    if not fast:
+        return list(map(entry, values.tolist()))
     import numpy as np
     import orjson
-    plain = _plain(values)
-    text = orjson.dumps(values[plain], option=orjson.OPT_SERIALIZE_NUMPY)
-    if b"e" in text or not plain.any():
-        return list(map(repr, values.tolist()))
-    texts = text[1:-1].decode().split(",")
-    if len(texts) == len(values):
-        return texts
-    merged = np.empty(len(values), dtype=object)
-    merged[plain] = texts
-    merged[~plain] = list(map(repr, values[~plain].tolist()))
-    return merged.tolist()
-
-
-def _row_texts(block) -> list[str]:
-    """``",".join(map(repr, row))`` of each row of the non-empty 2-D
-    float64 array ``block``, cut from one orjson text of the whole block.
-
-    orjson writes the block with every value that is not ``_plain`` set to
-    0.0, and each row that held such a value is written again with
-    ``repr``. When orjson's text holds an ``e``, every row is (see
-    ``_float_texts``).
-    """
-    import numpy as np
-    import orjson
-    plain = _plain(block)
-    mixed = np.flatnonzero(~plain.all(axis=1)).tolist()
+    magnitude = np.abs(values)
+    plain = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+    mixed = np.flatnonzero(
+        ~plain.reshape(len(values), -1).all(axis=1)).tolist()
     clean = np.ascontiguousarray(
-        np.where(plain, block, 0.0) if mixed else block)
+        np.where(plain, values, 0.0) if mixed else values)
     text = orjson.dumps(clean, option=orjson.OPT_SERIALIZE_NUMPY)
     if b"e" in text:
-        return [",".join(map(repr, row)) for row in block.tolist()]
-    rows = text[2:-2].decode().split("],[")
-    for i in mixed:
-        rows[i] = ",".join(map(repr, block[i].tolist()))
-    return rows
+        return list(map(entry, values.tolist()))
+    # [a,b] for values, [[a,b],[c,d]] for rows
+    texts = text[values.ndim:-values.ndim].decode().split(
+        "," if values.ndim == 1 else "],[")
+    for i, value in zip(mixed, values[mixed].tolist()):
+        texts[i] = entry(value)
+    return texts
 
 
 def _write_table(stage, stem: str, header: list[str], rows,
@@ -199,13 +177,13 @@ def _write_table(stage, stem: str, header: list[str], rows,
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
-    ``inf``, ``-inf`` and ``nan`` written as Python writes them. Which of
-    two writers runs changes no byte. A table in which no two adjacent
-    columns hold the same bits in every row (a cycle trajectory, a speed
-    curve, a sweep) is written row by row, a chunk of lines at a time, by
-    ``_row_texts`` in a table of ``_ORJSON_CELLS`` written cells or more.
-    A table with such runs of columns (a curvature map) is written by
-    ``_write_runs``. Smaller tables take ``repr`` alone.
+    ``inf``, ``-inf`` and ``nan`` written as Python writes them, by
+    ``_texts``; it takes orjson's digits in a table of ``_ORJSON_CELLS``
+    written cells or more, and ``repr`` alone in a smaller one. A table in
+    which no two adjacent columns hold the same bits in every row (a cycle
+    trajectory, a speed curve, a sweep) is written row by row, a chunk of
+    lines at a time. A table with such runs of columns (a curvature map)
+    is written by ``_write_runs``. Which path runs changes no byte.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
@@ -237,9 +215,7 @@ def _write_table(stage, stem: str, header: list[str], rows,
                 # a row this chunk's lines repeat is formatted once
                 picked, back = np.unique(order[start:start + chunk_rows],
                                          return_inverse=True)
-            block = table[picked]
-            texts = (_row_texts(block) if fast else
-                     [",".join(map(repr, row)) for row in block.tolist()])
+            texts = _texts(table[picked], fast)
             if back is not None:
                 texts = [texts[i] for i in back.tolist()]
             fh.write("\n".join(texts) + "\n")
@@ -250,10 +226,9 @@ def _write_runs(fh, bits, starts, order, fast: bool) -> None:
     ``bits`` of a table whose runs of identical columns begin where
     ``starts`` is true.
 
-    Each distinct value of a chunk is formatted once, by ``_float_texts``
-    when ``fast``, the text of a run of n columns is built once per
-    distinct value of that run, and a row that ``order`` repeats reuses
-    its codes.
+    Each distinct value of a chunk is formatted once, by ``_texts``, the
+    text of a run of n columns is built once per distinct value of that
+    run, and a row that ``order`` repeats reuses its codes.
     """
     import numpy as np
     # Curvature maps repeat most of their values and many of their columns,
@@ -284,8 +259,7 @@ def _write_runs(fh, bits, starts, order, fast: bool) -> None:
             block = bits[picked][:, first]
         values, inverse = np.unique(block, return_inverse=True)
         values = values.view(np.float64)
-        texts = (_float_texts(values) if fast
-                 else list(map(repr, values.tolist())))
+        texts = _texts(values, fast)
         pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
         # the pieces hold every text now: hold no second copy
         distinct = len(values)

@@ -52,6 +52,8 @@ class Material:
             raise DesignError(f"material kind must be one of {MATERIAL_KINDS}")
         if not self.youngs_modulus_gpa > 0:
             raise DesignError("youngs_modulus_gpa must be positive")
+        if not math.isfinite(self.youngs_modulus):
+            raise DesignError("youngs_modulus_gpa overflows in pascals")
         if (self.nozzle_temp_c is not None) != (self.kind == "filament"):
             raise DesignError(
                 "nozzle_temp_c is required for filament materials and "

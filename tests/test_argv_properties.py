@@ -2,18 +2,22 @@
 ends in a result, exit 1 under --strict, or exit 2 with one JSON line.
 
 It never raises, a rejection writes no file and leaves no out-dir it made
-behind, and no file written with exit 0 holds a NaN. A jam-angle solution
-written with exit 0 solves its defining relation to within the feature's
-own length scale.
+behind, and no file written with exit 0 holds a NaN, nor an infinity in a
+table. A jam-angle solution written with exit 0 solves its defining
+relation to within the feature's own length scale. The same holds for the
+commands that read materials under any FLEXOKIT_MATERIALS file, whose
+rejections never report a NaN.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +52,29 @@ SWEEP_COMMANDS = {
     ("solve-limit", "--extensional"): ["L", "b", "r", "h", "gamma"],
 }
 RIB_PERIODS = 16
+# Moduli in GPa: ordinary ones; from the least subnormal to near overflow,
+# evenly in their exponent; and the ends of that range, with either side of
+# 1.8e299 GPa, from where pascals overflow.
+MODULI = st.one_of(st.floats(0.5, 50.0),
+                   st.integers(-323, 308).map(lambda e: float(f"1e{e}")),
+                   st.sampled_from([5e-324, 1.7e299, 1.8e299, 1e308]))
+NOZZLE_TEMPS = st.one_of(st.floats(-1.0, 1000.0),
+                         st.sampled_from([0, 215.0, 1e308]))
+# The commands that compute from a material. Every bundled flexure is PC
+# film under PLA: the sample and the quadruped take the built-in ones, and
+# the hind leg declares its own, which an override shadows too. 50 N/m lies
+# inside the sample's attainable range for some moduli and outside it for
+# others.
+MATERIAL_COMMANDS = [
+    ["validate", "-i", DOCUMENTS[0]],
+    ["predict-stiffness", "-i", DOCUMENTS[0]],
+    ["design", "--target", "width_ratio", "--stiffness-n-per-m", "50",
+     "-i", DOCUMENTS[0]],
+    ["design", "--target", "feature_height", "--stiffness-n-per-m", "50",
+     "-i", DOCUMENTS[0]],
+    ["simulate-limb", "-i", DOCUMENTS[1], "--steps", "5"],
+    ["simulate-gait", "-i", DOCUMENTS[2], "--steps", "5"],
+]
 
 
 @st.composite
@@ -114,6 +141,35 @@ def command_lines(draw, name):
     return argv
 
 
+@st.composite
+def material_files(draw):
+    """A FLEXOKIT_MATERIALS table of PC as a base film and filaments. One
+    entry in ten has one mistake: a key missing, a modulus that is not a
+    positive number, another kind, or a nozzle temperature where none
+    belongs."""
+    table = {}
+    for name in draw(st.lists(st.sampled_from(["PLA", "PC", "ABS", "TPU"]),
+                              max_size=3, unique=True)):
+        if name == "PC":
+            body = {"youngs_modulus_gpa": draw(MODULI), "kind": "base_film"}
+        else:
+            body = {"youngs_modulus_gpa": draw(MODULI), "kind": "filament",
+                    "nozzle_temp_c": draw(NOZZLE_TEMPS)}
+        if draw(st.integers(0, 9)) == 0:
+            key, value = draw(st.sampled_from([
+                ("youngs_modulus_gpa", None), ("kind", None),
+                ("nozzle_temp_c", None), ("youngs_modulus_gpa", 0),
+                ("youngs_modulus_gpa", -1), ("youngs_modulus_gpa", True),
+                ("youngs_modulus_gpa", "3"), ("kind", "resin"),
+                ("kind", "filament"), ("kind", "base_film"),
+                ("nozzle_temp_c", 215.0)]))
+            body[key] = value
+            if value is None:
+                del body[key]
+        table[name] = body
+    return table
+
+
 def _no_constant(token):
     raise AssertionError(f"non-finite JSON value {token}")
 
@@ -126,8 +182,8 @@ def _check_file(path):
     text = path.read_text("utf-8")
     if path.suffix == ".csv":
         _, *rows = text.splitlines()
-        assert not any(math.isnan(float(cell))
-                       for row in rows for cell in row.split(","))
+        assert all(math.isfinite(float(cell))
+                   for row in rows for cell in row.split(","))
         return
     payload = json.loads(text, parse_constant=_no_constant)
     # one jam-angle solution, not the rows of a --sweep
@@ -141,7 +197,8 @@ def _check_file(path):
         assert relative < 1, payload
 
 
-def check_command_line(argv):
+def check_command_line(argv) -> str:
+    """Run ``argv``, check how it ended, and return its stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -160,6 +217,7 @@ def check_command_line(argv):
         if rc == 0:
             for path in sorted(out_dir.rglob("*")):
                 _check_file(path)
+        return err
 
 
 @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
@@ -181,6 +239,17 @@ def test_generated_sweeps_end_in_a_result_or_one_json_line(command, data):
     fmt = data.draw(st.sampled_from([[], ["--format", "json"]]),
                     label="format")
     check_command_line([*command, "--sweep", sweep, *fmt])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(table=material_files())
+def test_materials_overrides_end_in_a_result_or_one_json_line(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        override = Path(tmp) / "materials.json"
+        override.write_text(json.dumps(table))
+        with mock.patch.dict(os.environ, FLEXOKIT_MATERIALS=str(override)):
+            for argv in MATERIAL_COMMANDS:
+                assert "nan" not in check_command_line(argv)
 
 
 def test_documents_keep_few_rib_periods():

@@ -756,7 +756,10 @@ def test_materials_override_changes_predictions(tmp_path, monkeypatch):
     {"youngs_modulus_gpa": 3.5, "nozzle_temp_c": 215.0},
     {"name": "PLA", "youngs_modulus_gpa": 3.5, "kind": "filament",
      "nozzle_temp_c": 215.0},
-], ids=["no_modulus", "string_nozzle", "bool_modulus", "no_kind", "name_key"])
+    # finite in GPa, inf in pascals
+    {"youngs_modulus_gpa": 1e300, "kind": "filament", "nozzle_temp_c": 215.0},
+], ids=["no_modulus", "string_nozzle", "bool_modulus", "no_kind", "name_key",
+        "overflowing_modulus"])
 def test_malformed_materials_override_exits_2(tmp_path, monkeypatch, capsys,
                                               body):
     override = tmp_path / "materials.json"

@@ -230,6 +230,10 @@ _RIBS = ("flexures", "sample", "ribs")
     pytest.param(HIND, ("materials", "PLA", "youngs_modulus_gpa"), 0,
                  "materials.PLA", "youngs_modulus_gpa must be positive",
                  id="material_modulus"),
+    # 1e300 GPa is inf in pascals, which no stiffness can be computed from
+    pytest.param(HIND, ("materials", "PLA", "youngs_modulus_gpa"), 1e300,
+                 "materials.PLA", "youngs_modulus_gpa overflows in pascals",
+                 id="material_modulus_overflow"),
     pytest.param(SAMPLE, ("flexures", "sample", "base_layers"), [],
                  "flexures.sample.base_layers",
                  "expected a non-empty list of [material, thickness_mm]",

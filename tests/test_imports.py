@@ -1,6 +1,8 @@
 """The import graph: the package namespace resolves every public name, the
 scalar subcommands run without loading numpy, and only a CSV table of
-``cli._ORJSON_CELLS`` cells or more loads orjson."""
+``cli._ORJSON_CELLS`` cells or more loads orjson, on both of the writer's
+paths: a sweep is written row by row, and a cycle's curvature map, whose
+columns repeat, by ``cli._write_runs``."""
 
 import importlib
 import json
@@ -17,6 +19,7 @@ from flexokit import cli
 
 SRC = str(Path(flexokit.__file__).resolve().parent.parent)
 SAMPLE = str(resources.files("flexokit") / "data" / "sample_flexure.json")
+HIND = str(resources.files("flexokit") / "data" / "hind_leg.json")
 
 # Runs cli.main on argv in a fresh interpreter, then reports its exit code
 # and whether numpy and orjson were imported.
@@ -57,6 +60,12 @@ def test_scalar_subcommands_never_import_numpy(tmp_path, argv):
                                          "orjson": False}
 
 
+def written_cells(path):
+    """The cells below the header of a CSV file."""
+    head, *lines = path.read_text("utf-8").splitlines()
+    return len(lines) * (head.count(",") + 1)
+
+
 # 4 columns: 499 rows stay below the 2,000-cell gate, 500 reach it.
 @pytest.mark.parametrize("sweep, orjson", [
     ("h=1:5.98:0.01", False), ("h=1:5.99:0.01", True)])
@@ -64,8 +73,23 @@ def test_only_sweeps_from_the_gate_on_import_orjson(tmp_path, sweep, orjson):
     assert run_child(tmp_path, ["solve-limit", "--flexional",
                                 "--sweep", sweep]) == {
         "rc": 0, "numpy": True, "orjson": orjson}
-    rows = (tmp_path / "solve_limit.csv").read_text("utf-8").count("\n") - 1
-    assert (rows * 4 >= cli._ORJSON_CELLS) == orjson
+    cells = written_cells(tmp_path / "solve_limit.csv")
+    assert (cells >= cli._ORJSON_CELLS) == orjson
+
+
+# The hind leg's curvature map is 65 columns: 3 steps write 5 lines, below
+# the gate, and 101 steps write 201, above it. Its trajectory stays below
+# the gate at both.
+@pytest.mark.parametrize("steps, orjson", [(3, False), (101, True)])
+def test_only_cycle_tables_from_the_gate_on_import_orjson(tmp_path, steps,
+                                                          orjson):
+    assert run_child(tmp_path, ["simulate-limb", "-i", HIND,
+                                "--steps", str(steps)]) == {
+        "rc": 0, "numpy": True, "orjson": orjson}
+    curvature = written_cells(tmp_path / "hind_leg_curvature.csv")
+    assert (curvature >= cli._ORJSON_CELLS) == orjson
+    assert written_cells(tmp_path / "hind_leg_trajectory.csv") \
+        < cli._ORJSON_CELLS
 
 
 def test_every_public_name_resolves_to_its_module_object():

@@ -7,10 +7,10 @@ the same bits is written row by row; one with such runs goes to
 builds the text of each run once per value. The oracle here is the plain
 writer, one ``repr`` per cell, on the rows in that order; a second check
 reads every written cell back with ``float`` and compares bits with the
-input, and a third that the table took the path it should. A table of
-``_ORJSON_CELLS`` written cells or more takes its texts from orjson, by
-``_row_texts`` or ``_float_texts``, which must equal ``repr`` on every
-float64.
+input, and a third that the table took the path it should. Both paths
+format their floats by ``_texts``, which takes its texts from orjson in a
+table of ``_ORJSON_CELLS`` written cells or more and must equal ``repr``
+on every float64.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
 """
@@ -42,7 +42,7 @@ NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
 # unordered, but whose bits differ: the writer must keep them apart.
 TWINS = [(0.0, -0.0), (-0.0, 0.0), (NANS[0], NANS[1]), (NANS[2], NANS[3]),
          (NANS[1], NANS[2])]
-# The ends of the range _float_texts takes from orjson, with the floats
+# The ends of the range _texts takes from orjson, with the floats
 # next to them, of both signs.
 EDGES = [sign * x for v in (1e-4, 1e16) for sign in (1, -1)
          for x in (np.nextafter(v, 0).item(), v,
@@ -66,8 +66,8 @@ def repr_rows(block) -> list[str]:
     return [",".join(map(repr, row)) for row in block.tolist()]
 
 
-# The writer of tables with runs of columns, and the two orjson kernels.
-KERNELS = ("_write_runs", "_row_texts", "_float_texts")
+# The writer of tables with runs of columns, and the float-text kernel.
+KERNELS = ("_write_runs", "_texts")
 
 
 def has_runs(table) -> bool:
@@ -78,8 +78,8 @@ def has_runs(table) -> bool:
 
 def write_csv(header, rows, chunk_cells=None, order=None,
               orjson_cells=None, called=None) -> str:
-    """The CSV ``_write_table`` writes; ``called``, a dict, gets whether
-    each of ``KERNELS`` ran."""
+    """The CSV ``_write_table`` writes; ``called``, a dict, gets the
+    ``fast`` argument of each call to each of ``KERNELS``."""
     patches = contextlib.ExitStack()
     for name, value in (("_CHUNK_CELLS", chunk_cells),
                         ("_ORJSON_CELLS", orjson_cells)):
@@ -92,14 +92,16 @@ def write_csv(header, rows, chunk_cells=None, order=None,
         with cli._staging(Path(directory)) as stage:
             cli._write_table(stage, "t", header, rows, order=order)
         if called is not None:
-            called.update({name: spy.called for name, spy in spies.items()})
+            called.update({name: [call.args[-1] for call in
+                                  spy.call_args_list]
+                           for name, spy in spies.items()})
         return (Path(directory) / "t.csv").read_bytes().decode("utf-8")
 
 
 def check_table(table, chunk_cells=None, as_list=False, order=None,
                 orjson_cells=None) -> dict:
     """Check the CSV of ``table`` against the oracle, and that it took its
-    path; return which of ``KERNELS`` ran."""
+    path; return the ``fast`` of each call to each of ``KERNELS``."""
     header = [f"c{i}" for i in range(table.shape[1])]
     called = {}
     text = write_csv(header, table.tolist() if as_list else table,
@@ -107,11 +109,12 @@ def check_table(table, chunk_cells=None, as_list=False, order=None,
     runs = has_runs(table)
     if order is not None:
         table = table[order]
-    # a table of no lines formats nothing
     gate = cli._ORJSON_CELLS if orjson_cells is None else orjson_cells
-    fast = table.size > 0 and table.size >= gate
-    assert called == {"_write_runs": runs, "_row_texts": fast and not runs,
-                      "_float_texts": fast and runs}
+    fast = table.size >= gate
+    assert called["_write_runs"] == ([fast] if runs else [])
+    # _texts formats every chunk on both sides of the gate, and a table of
+    # no lines formats nothing
+    assert set(called["_texts"]) == ({fast} if table.size else set())
     assert text == reference_csv(header, table)
     head, *lines = text.split("\n")
     assert head == ",".join(header) and lines.pop() == ""
@@ -181,13 +184,16 @@ def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list, data):
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(st.lists(FLOATS, max_size=40))
-def test_float_texts_is_repr(floats):
+@given(st.lists(FLOATS, min_size=8, max_size=40))
+def test_texts_is_repr(floats):
     values = np.array(floats, dtype=np.float64)
-    assert cli._float_texts(values) == list(map(repr, values.tolist()))
+    block = values[:len(values) // 8 * 8].reshape(-1, 8)
+    for fast in (True, False):
+        assert cli._texts(values, fast) == list(map(repr, values.tolist()))
+        assert cli._texts(block, fast) == repr_rows(block)
 
 
-def test_float_texts_is_repr_on_a_million_bit_patterns():
+def test_texts_is_repr_on_a_million_bit_patterns():
     # half drawn from every bit pattern, most of them outside the range
     # orjson's text is taken from; half with an exponent from just below
     # 1e-4 to just above 1e16
@@ -197,24 +203,16 @@ def test_float_texts_is_repr_on_a_million_bit_patterns():
                              dtype=np.uint64)
     inside = bits[1] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
     for values in (bits[0].view(np.float64), inside.view(np.float64)):
-        assert cli._float_texts(values) == list(map(repr, values.tolist()))
+        assert cli._texts(values, True) == list(map(repr, values.tolist()))
         block = values.reshape(-1, 8)
-        assert cli._row_texts(block) == repr_rows(block)
+        assert cli._texts(block, True) == repr_rows(block)
 
 
-def test_float_texts_keeps_repr_when_orjson_writes_an_exponent():
-    # an orjson that chose exponent notation for an ordinary value must
-    # not change a written byte
-    import orjson
-    with mock.patch.object(orjson, "dumps",
-                           lambda values, option: b"[0.5,1e15,123.25]"):
-        texts = cli._float_texts(np.array([0.5, 1e15, 123.25]))
-    assert texts == ["0.5", "1000000000000000.0", "123.25"]
-
-
-def test_row_path_keeps_repr_when_orjson_writes_an_exponent():
-    # the same on the row path: an orjson that writes 1e5 for 100000.0
-    # must not change a byte of the kernel's rows or of a whole table
+@pytest.mark.parametrize("ndim", [1, 2], ids=["1-D", "2-D"])
+def test_texts_keeps_repr_when_orjson_writes_an_exponent(ndim):
+    # an orjson that writes 1e5 for 100000.0 must not change a byte of the
+    # kernel's texts, nor of a whole table: one with a run of columns
+    # formats its distinct values (1-D), one without its rows (2-D)
     import orjson
     dumps = orjson.dumps
 
@@ -223,9 +221,13 @@ def test_row_path_keeps_repr_when_orjson_writes_an_exponent():
 
     table = np.random.default_rng(5).standard_normal((600, 5))
     table[[3, 590], 2] = 1e5
+    values = table.ravel() if ndim == 1 else table
+    expected = (list(map(repr, values.tolist())) if ndim == 1
+                else repr_rows(table))
     with mock.patch.object(orjson, "dumps", exponent):
-        assert cli._row_texts(table) == repr_rows(table)
-        assert check_table(table)["_row_texts"]
+        assert cli._texts(values, True) == expected
+        whole = with_a_run(table) if ndim == 1 else table
+        assert check_table(whole)["_texts"] == [True]
 
 
 def with_a_run(table):
@@ -238,14 +240,14 @@ def with_a_run(table):
 @pytest.mark.parametrize("rows", [cli._ORJSON_CELLS // 5 - 1,
                                   cli._ORJSON_CELLS // 5])
 def test_tables_from_the_gate_on_take_float_texts(rows):
-    # from the gate on, a table without runs of columns takes _row_texts,
-    # and the same table with a run takes _float_texts
+    # from the gate on, _texts takes orjson's texts, for the rows of a
+    # table without runs of columns and for the distinct values of the same
+    # table with a run
     table = np.random.default_rng(rows).standard_normal((rows, 5))
     above = table.size >= cli._ORJSON_CELLS
-    assert check_table(table) == {"_write_runs": False, "_row_texts": above,
-                                  "_float_texts": False}
-    assert check_table(with_a_run(table)) == {
-        "_write_runs": True, "_row_texts": False, "_float_texts": above}
+    assert check_table(table) == {"_write_runs": [], "_texts": [above]}
+    assert check_table(with_a_run(table)) == {"_write_runs": [above],
+                                              "_texts": [above]}
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -257,8 +259,8 @@ def test_table_above_the_gate_matches_the_per_row_writer(ordered):
         rng.choice([-1, 1], 200) * 10 ** rng.uniform(-8, 20, 200))
     table = rng.choice(pool, size=(600, 5))
     order = cycle_index(len(table)) if ordered else None
-    assert check_table(table, order=order)["_row_texts"]
-    assert check_table(with_a_run(table), order=order)["_float_texts"]
+    assert check_table(table, order=order)["_texts"] == [True]
+    assert check_table(with_a_run(table), order=order)["_texts"] == [True]
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (1, 9)])
