@@ -4,9 +4,14 @@ Every part is a union of disjoint extruded prisms (boxes, sheared prisms,
 faceted cylinders), each meshed as an independently closed triangle shell.
 Prisms come in batches: a ``Primitive`` holds P polygons of one vertex
 count, extruded along one axis, and is checked and meshed in one array
-pass. Prisms may abut but never share vertices, so the concatenated mesh
-keeps the watertight invariant (every undirected edge bounds exactly two
-triangles) and its signed volume is exactly the sum of the prism volumes.
+pass. An n-gon prism is 2n points and one face template per (n, axis),
+built and checked closed once. Prisms may abut but never share points, so
+the concatenated mesh keeps the watertight invariant (every undirected
+edge bounds exactly two triangles) and its signed volume is exactly the
+sum of the prism volumes. Validation rests on that: it welds a recipe
+mesh's prism points as STL writes them, and when no two weld and every
+template is closed, the mesh is closed. Otherwise, and for a mesh built
+from bare triangles, it checks every triangle corner.
 
 Meshes are in millimeters with z as the build direction (the printed face
 grows along +z), matching consumer-printing STL conventions. The flexible
@@ -16,6 +21,7 @@ required thickness in the sidecar manifest.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -67,11 +73,11 @@ def _signed_volume(tri: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
 
 
-def _vertex_ids(tri: np.ndarray) -> np.ndarray:
-    """One id per vertex of ``tri`` as STL writes it: vertices equal in
-    float32 (-0.0 == 0.0) share one. Every coordinate must be finite and
-    within float32 range."""
-    pts = tri.reshape(-1, 3).astype(np.float32)
+def _vertex_ids(points: np.ndarray) -> np.ndarray:
+    """One id, from 1 up, per 3-D point of ``points`` as STL writes it:
+    points equal in float32 (-0.0 == 0.0) share one. Every coordinate must
+    be finite and within float32 range."""
+    pts = points.reshape(-1, 3).astype(np.float32)
     pts += np.float32(0.0)  # -0.0 + 0.0 is 0.0
     bits = pts.view(np.uint32)
     xy = bits[:, 0].astype(np.uint64)
@@ -89,12 +95,29 @@ def _vertex_ids(tri: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _shell_error(ids: np.ndarray) -> Optional[str]:
+    """Why triangles of vertex ids ``ids``, shaped (n, 3), are not a closed
+    shell, or None: no triangle repeats a vertex, and each directed edge
+    occurs once, and so does its reverse."""
+    nxt = np.roll(ids, -1, axis=1)
+    if (ids == nxt).any():
+        return "triangle with repeated vertices"
+    m = ids.size + 1
+    keys = np.sort((ids * m + nxt).ravel())
+    if ((keys[1:] == keys[:-1]).any()
+            or not np.array_equal(keys, np.sort((nxt * m + ids).ravel()))):
+        return ("mesh is not watertight: an edge is not shared by exactly "
+                "two consistently wound triangles")
+    return None
+
+
 class TriangleMesh:
     """Immutable triangle soup: vertices shaped (n_triangles, 3, 3), mm.
 
     A float64 array is held without a copy, through a read-only view; the
     caller's array stays writable, and must not be written while the mesh
-    is in use.
+    is in use. A mesh from ``SolidRecipe.mesh`` also keeps the points and
+    face template of each batch of prisms its triangles were gathered from.
     """
 
     def __init__(self, triangles: np.ndarray):
@@ -104,6 +127,8 @@ class TriangleMesh:
         self._tri = tri.view()
         self._tri.setflags(write=False)
         self._volume: Optional[float] = None
+        # (points (P, 2n, 3), (faces, closed)) of each batch, in order
+        self._prisms: Optional[list] = None
 
     @property
     def triangles(self) -> np.ndarray:
@@ -126,17 +151,26 @@ class TriangleMesh:
                 np.array([c.max() for c in columns]))
 
     def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raise GeometryError unless the mesh, as STL writes it, is a
-        closed, outward shell.
+        """Raise GeometryError unless the mesh is a closed, outward shell.
 
-        Returns the edge cross product of each triangle, twice its area
-        along its normal, and its norm, which ``export_stl`` turns into the
-        normals.
+        In order: every coordinate lies within float32 range; no triangle's
+        float64 area is at or below 1e-12 mm^2; with vertices welded as STL
+        writes them (equal in float32), no triangle repeats a vertex and
+        each directed edge occurs once, and so does its reverse; the
+        float64 signed volume is positive. Only the weld reads float32.
+
+        Returns the float64 edge cross product of each triangle, twice its
+        area along its normal, and its norm, which ``export_stl`` turns
+        into the normals.
         """
         tri = self._tri
         if len(tri) == 0:
             return np.empty((0, 3)), np.empty(0)
-        _require_float32(tri)
+        prisms = self._prisms
+        # A recipe mesh's corners are copies of its prisms' points.
+        points = tri if prisms is None else np.concatenate(
+            [p.reshape(-1, 3) for p, _ in prisms])
+        _require_float32(points)
         v0 = tri[:, 0]
         cross = _cross(tri[:, 1] - v0, tri[:, 2] - v0)
         norm = np.linalg.norm(cross, axis=1)
@@ -145,18 +179,18 @@ class TriangleMesh:
             raise GeometryError(
                 f"{int(small.sum())} degenerate triangle(s) below "
                 f"{_MIN_TRIANGLE_AREA_MM2} mm^2")
-        ids = _vertex_ids(tri).reshape(-1, 3)
-        nxt = np.roll(ids, -1, axis=1)
-        if (ids == nxt).any():
-            raise GeometryError("triangle with repeated vertices")
-        # Watertight: each directed edge occurs once, and so does its reverse.
-        m = ids.size + 1
-        keys = np.sort((ids * m + nxt).ravel())
-        if ((keys[1:] == keys[:-1]).any()
-                or not np.array_equal(keys, np.sort((nxt * m + ids).ravel()))):
-            raise GeometryError(
-                "mesh is not watertight: an edge is not shared by "
-                "exactly two consistently wound triangles")
+        ids = _vertex_ids(points)
+        if prisms is None:
+            error = _shell_error(ids.reshape(-1, 3))
+        elif ids.max() < len(ids) or not all(
+                closed for _, (_, closed) in prisms):
+            error = _shell_error(_corner_ids(ids, prisms))
+        else:
+            # No two points weld and each template is closed, so the
+            # corner check cannot fail.
+            error = None
+        if error is not None:
+            raise GeometryError(error)
         self._volume = _signed_volume(tri)
         if not self._volume > 0:
             raise GeometryError("mesh volume is not positive (inside out?)")
@@ -211,13 +245,30 @@ class Primitive:
         return float((_shoelace(self.polygons) * (self.hi - self.lo)).sum())
 
 
-def _extrude(batch: Primitive) -> np.ndarray:
-    """Triangles of a batch, prism by prism.
+@functools.lru_cache(maxsize=64)
+def _prism_faces(n: int, axis: str) -> tuple[np.ndarray, bool]:
+    """Point indices of the triangles of one n-gon prism extruded along
+    ``axis``, shaped (4n - 4, 3) and read-only (every batch of that shape
+    shares them), and whether they pass the closed-shell rule.
 
-    Polygon vertex i of prism p is point (p, i) at lo and (p, n + i) at hi.
-    Each fan step gives a hi then a lo cap triangle; each side, two
-    triangles.
+    Polygon vertex i is point i at lo and point n + i at hi. Each fan step
+    gives a hi then a lo cap triangle; each side, two triangles.
     """
+    j = np.arange(n)
+    k, i = (j + 1) % n, j[1:-1]
+    caps = np.array((0 * i + n, n + i, n + i + 1, 0 * i, i + 1, i)).T
+    sides = np.array((j, k, n + k, j, n + k, n + j)).T
+    faces = np.concatenate((caps, sides)).reshape(-1, 3)
+    if axis == "y":
+        # (x, z) -> (x, y, z) mirrors: rewind
+        faces = np.ascontiguousarray(faces[:, ::-1])
+    faces.setflags(write=False)
+    return faces, _shell_error(faces) is None
+
+
+def _extrude(batch: Primitive) -> np.ndarray:
+    """Points of a batch, shaped (P, 2n, 3): prism p's polygon vertex i is
+    point (p, i) at lo and (p, n + i) at hi."""
     count, n = batch.polygons.shape[:2]
     # The extent fills coordinate e; the polygon's second coordinate, v.
     v, e = (1, 2) if batch.axis == "z" else (2, 1)
@@ -226,15 +277,21 @@ def _extrude(batch: Primitive) -> np.ndarray:
     pts[..., v] = batch.polygons[:, None, :, 1]
     pts[:, 0, :, e] = batch.lo[:, None]
     pts[:, 1, :, e] = batch.hi[:, None]
-    j = np.arange(n)
-    k, i = (j + 1) % n, j[1:-1]
-    caps = np.array((0 * i + n, n + i, n + i + 1, 0 * i, i + 1, i)).T
-    sides = np.array((j, k, n + k, j, n + k, n + j)).T
-    faces = np.concatenate((caps, sides)).reshape(-1, 3)
-    if batch.axis == "y":
-        faces = faces[:, ::-1]  # (x, z) -> (x, y, z) mirrors: rewind
-    return np.take(pts.reshape(count, 2 * n, 3), faces, axis=1).reshape(
-        -1, 3, 3)
+    pts = pts.reshape(count, 2 * n, 3)
+    pts.setflags(write=False)
+    return pts
+
+
+def _corner_ids(ids: np.ndarray, prisms: list) -> np.ndarray:
+    """The ids of a recipe mesh's triangle corners, shaped (n, 3), from
+    ``ids``, those of its prisms' points in order."""
+    blocks, start = [], 0
+    for points, (faces, _) in prisms:
+        count, size = points.shape[:2]
+        block = ids[start:start + count * size].reshape(count, size)
+        blocks.append(np.take(block, faces, axis=1).reshape(-1, 3))
+        start += count * size
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -250,11 +307,16 @@ class SolidRecipe:
 
     def mesh(self) -> TriangleMesh:
         """One array pass per batch; triangles keep the prisms' order."""
-        blocks = [_extrude(p) for p in self.primitives]
-        if not blocks:
+        if not self.primitives:
             return TriangleMesh(np.empty((0, 3, 3)))
-        return TriangleMesh(blocks[0] if len(blocks) == 1
+        prisms = [(_extrude(p), _prism_faces(p.polygons.shape[1], p.axis))
+                  for p in self.primitives]
+        blocks = [np.take(points, faces, axis=1).reshape(-1, 3, 3)
+                  for points, (faces, _) in prisms]
+        mesh = TriangleMesh(blocks[0] if len(blocks) == 1
                             else np.concatenate(blocks))
+        mesh._prisms = prisms
+        return mesh
 
 
 def _check_size(triangles: int) -> None:

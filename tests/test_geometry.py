@@ -1,14 +1,19 @@
 """Solid recipes, mesh invariants, and the binary STL encoder."""
 
+import importlib.util
 import math
 import struct
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import read_stl, regular_polygon_area, unit_normals
-from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
+from flexokit import cli, geometry
+from flexokit.core import (DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
+                           RibPattern, parse_design)
 from flexokit.errors import AlwaysJammedError, GeometryError
 from flexokit.geometry import (Primitive, SolidRecipe, TriangleMesh,
                                export_stl, extensional_recipe,
@@ -207,6 +212,51 @@ def test_mesh_validation_catches_open_and_inverted_shells():
     degenerate = np.zeros((1, 3, 3))
     with pytest.raises(GeometryError, match="degenerate"):
         TriangleMesh(degenerate).validate()
+
+
+def generated_export_document(monkeypatch):
+    """The generated mesh-export document of seed 7, round 0, with the
+    most part kinds, then the most parts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    pool = workloads.mesh_export(7, 0)
+    docs = [parse_design(pool.docs[item.doc]) for item in pool.items
+            if not item.bundled]
+    return max(docs, key=lambda doc: (
+        len({part.kind for part in doc.export.parts}), len(doc.export.parts)))
+
+
+def test_export_parts_validate_on_one_weld_of_their_prism_points(
+        sample_doc, monkeypatch):
+    welded, checked = [], []
+    vertex_ids, shell_error = geometry._vertex_ids, geometry._shell_error
+
+    def weld(points):
+        welded.append(points.size // 3)
+        return vertex_ids(points)
+
+    def check(ids):
+        checked.append(len(ids))
+        return shell_error(ids)
+
+    monkeypatch.setattr(geometry, "_vertex_ids", weld)
+    monkeypatch.setattr(geometry, "_shell_error", check)
+    generated = generated_export_document(monkeypatch)
+    assert len({part.kind for part in generated.export.parts}) >= 2
+    parts = [(doc, part) for doc in (sample_doc, generated)
+             for part in doc.export.parts]
+    for doc, part in parts:
+        recipe, _ = cli._recipe_for_part(doc, part)
+        mesh = recipe.mesh()  # builds and checks any new face template
+        del welded[:], checked[:]
+        mesh.validate()
+        assert welded == [sum(2 * p.polygons.shape[0] * p.polygons.shape[1]
+                              for p in recipe.primitives)]
+        assert checked == []  # no directed edge is sorted
 
 
 def test_mesh_holds_a_float64_array_read_only_without_freezing_it():

@@ -5,9 +5,11 @@ recipe's prisms one at a time; ``loop_mesh``, ``dict_validate`` and
 ``struct_stl`` keep the element-by-element meshing, validation and STL
 encoding that the array code replaced. The array code must give the same
 polygons and extents bit for bit, the same triangles, the same pass/fail
-and message, and the same bytes.
+and message, and the same bytes. A recipe's mesh, validated on its prism
+points, must agree with the same triangles validated corner by corner.
 """
 
+import contextlib
 import math
 import re
 import struct
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from helpers import triangle_areas, unit_normals
-from flexokit import __version__
+from flexokit import __version__, cli
 from flexokit.core import DEFAULT_MATERIALS, FlexureSpec, LaminateStack, RibPattern
 from flexokit.errors import ContactAtRestError, GeometryError
 from flexokit import geometry
@@ -219,6 +221,31 @@ def assert_same_export(tri, tmp_path):
         assert not out.exists()
 
 
+def outcome(mesh, path):
+    """(message, None) if ``mesh`` is refused, else (None, (cross bytes,
+    norm bytes, volume, STL bytes))."""
+    try:
+        cross, norm = mesh.validate()
+    except GeometryError as exc:
+        return str(exc), None
+    export_stl(mesh, path)
+    return None, (cross.tobytes(), norm.tobytes(), mesh.volume(),
+                  path.read_bytes())
+
+
+def assert_same_recipe_export(recipe, tmp_path):
+    """A recipe's mesh, checked on its prism points, gives the verdict and
+    message, cross products and norms, volume and bytes that its triangles
+    give checked corner by corner, and the dict reference's verdict."""
+    tri = recipe.mesh().triangles
+    verdict, result = outcome(recipe.mesh(), tmp_path / "recipe.stl")
+    assert (verdict, result) == outcome(TriangleMesh(tri),
+                                        tmp_path / "soup.stl")
+    assert verdict == dict_validate(tri)
+    if verdict is None:
+        assert result[3] == struct_stl(tri)
+
+
 # ------------------------------------------------------------ primitives
 
 def random_convex_polygon(rng):
@@ -240,10 +267,11 @@ def test_random_convex_prisms_match_the_loop_mesh(axis, tmp_path):
         polygon = random_convex_polygon(rng)
         lo = float(rng.uniform(-5.0, 5.0))
         hi = lo + float(rng.uniform(0.1, 10.0))
-        tri = SolidRecipe((Primitive([polygon], axis, lo, hi),)).mesh(
-        ).triangles
+        recipe = SolidRecipe((Primitive([polygon], axis, lo, hi),))
+        tri = recipe.mesh().triangles
         assert np.array_equal(tri, loop_mesh(polygon, axis, lo, hi))
         assert_same_export(tri, tmp_path)
+        assert_same_recipe_export(recipe, tmp_path)
 
 
 RECIPES = {flexure_recipe: loop_flexure, flexional_recipe: loop_flexional,
@@ -291,6 +319,7 @@ def test_every_recipe_kind_matches_the_loop_mesh(kind, tmp_path):
     tri = recipe.mesh().triangles
     assert np.array_equal(tri, expected)
     assert_same_export(tri, tmp_path)
+    assert_same_recipe_export(recipe, tmp_path)
 
 
 def random_recipe_calls(rng, n):
@@ -320,7 +349,7 @@ def random_recipe_calls(rng, n):
     return calls
 
 
-def test_random_recipes_match_the_loop_recipes():
+def test_random_recipes_match_the_loop_recipes(tmp_path):
     rng = np.random.default_rng(20261018)
     built = 0
     for build, args, kwargs in random_recipe_calls(rng, 40):
@@ -329,6 +358,7 @@ def test_random_recipes_match_the_loop_recipes():
         except ContactAtRestError:
             continue
         assert_same_prisms(recipe, RECIPES[build](*args, **kwargs))
+        assert_same_recipe_export(recipe, tmp_path)
         built += 1
     assert built >= 100
 
@@ -368,6 +398,69 @@ def test_interleaved_runs_mesh_to_the_loop_mesh_of_each_primitive(tmp_path):
     tri = recipe.mesh().triangles
     assert np.array_equal(tri, expected)
     assert_same_export(tri, tmp_path)
+    assert_same_recipe_export(recipe, tmp_path)
+
+
+def test_bundled_parts_check_the_same_on_points_and_corners(sample_doc,
+                                                            tmp_path):
+    parts = sample_doc.export.parts
+    assert len(parts) == 4
+    for part in parts:
+        recipe, _ = cli._recipe_for_part(sample_doc, part)
+        assert_same_recipe_export(recipe, tmp_path)
+
+
+def cubes(*corners):
+    """One batch of unit cubes, one per (x, y, z) lowest corner."""
+    x, y, z = np.array(corners, dtype=float).T[:, :, None]
+    square = np.array(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    polygons = square + np.stack((x, y), axis=-1)
+    return SolidRecipe((Primitive(polygons, "z", z[:, 0], z[:, 0] + 1.0),))
+
+
+def test_prisms_that_weld_fall_back_to_the_corner_check(monkeypatch,
+                                                        tmp_path):
+    checked = []
+    shell_error = geometry._shell_error
+
+    def recorded(ids):
+        checked.append(len(ids))
+        return shell_error(ids)
+
+    monkeypatch.setattr(geometry, "_shell_error", recorded)
+    watertight = ("mesh is not watertight: an edge is not shared by exactly "
+                  "two consistently wound triangles")
+    cases = [
+        # Two cubes meeting only at the point (1, 1, 1): closed, as before.
+        (cubes((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), None),
+        # Two cubes sharing the edge x = y = 1: each directed edge of it
+        # occurs twice.
+        (cubes((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)), watertight),
+        # At x = 1e8 float32 steps are 8 mm: the cube's two x values are
+        # written as one.
+        (cubes((1e8, 0.0, 0.0)), "triangle with repeated vertices"),
+    ]
+    for recipe, verdict in cases:
+        mesh = recipe.mesh()
+        del checked[:]
+        try:
+            mesh.validate()
+        except GeometryError as exc:
+            assert str(exc) == verdict
+        else:
+            assert verdict is None
+        assert checked == [len(mesh)]  # every corner, once
+        assert_same_recipe_export(recipe, tmp_path)
+
+
+def test_prism_face_templates_are_cached_read_only():
+    for axis in ("z", "y"):
+        faces, closed = geometry._prism_faces(5, axis)
+        assert closed and faces.shape == (16, 3)
+        assert geometry._prism_faces(5, axis)[0] is faces
+        assert not faces.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            faces[0, 0] = 1
 
 
 # Infinite and NaN products make numpy warn in both implementations.
