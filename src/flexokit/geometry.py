@@ -4,13 +4,13 @@ Every part is a union of disjoint extruded prisms (boxes, sheared prisms,
 faceted cylinders), each meshed as an independently closed triangle shell.
 Prisms come in batches: a ``Primitive`` holds P polygons of one vertex
 count, extruded along one axis, and is checked and meshed in one array
-pass. An n-gon prism is 2n points and one face template per (n, axis),
-built and checked closed once. Prisms may abut but never share points, so
-the concatenated mesh keeps the watertight invariant (every undirected
-edge bounds exactly two triangles) and its signed volume is exactly the
-sum of the prism volumes. Validation rests on that: it welds a recipe
-mesh's prism points as STL writes them, and when no two weld and every
-template is closed, the mesh is closed. Otherwise, and for a mesh built
+pass. An n-gon prism is 2n points, gathered into triangles by one face
+template per (n, axis) that is closed for every n >= 3. Prisms may abut
+but never share points, so the concatenated mesh keeps the watertight
+invariant (every undirected edge bounds exactly two triangles) and its
+signed volume is exactly the sum of the prism volumes. Validation rests
+on that: it welds a recipe mesh's prism points as STL writes them, and
+when no two weld, the mesh is closed. Otherwise, and for a mesh built
 from bare triangles, it checks every triangle corner.
 
 Meshes are in millimeters with z as the build direction (the printed face
@@ -21,7 +21,6 @@ required thickness in the sidecar manifest.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -38,7 +37,8 @@ from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
 _MIN_TRIANGLE_AREA_MM2 = 1e-12
 M_TO_MM = 1000.0
 # The most triangles one part may have, counted before anything is built:
-# 83x the benchmark's largest part. An export at the bound peaks near 350 MB.
+# 83x the benchmark's largest part. An export at the bound peaks near 265 MB,
+# and near 360 MB if validation falls back to checking every corner.
 MAX_PART_TRIANGLES = 2 ** 20
 # STL stores float32 vertices: a larger coordinate would be written as inf.
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -116,19 +116,22 @@ class TriangleMesh:
 
     A float64 array is held without a copy, through a read-only view; the
     caller's array stays writable, and must not be written while the mesh
-    is in use. A mesh from ``SolidRecipe.mesh`` also keeps the points and
-    face template of each batch of prisms its triangles were gathered from.
+    is in use.
+
+    ``prism_points``, shaped (N, 3), are the points of the prisms that
+    ``SolidRecipe.mesh`` gathered the triangles from, each prism by its
+    closed face template; validation welds them instead of the corners.
     """
 
-    def __init__(self, triangles: np.ndarray):
+    def __init__(self, triangles: np.ndarray, *,
+                 prism_points: Optional[np.ndarray] = None):
         tri = np.asarray(triangles, dtype=np.float64)
         if tri.ndim != 3 or tri.shape[1:] != (3, 3):
             raise GeometryError("triangles must be shaped (n, 3, 3)")
         self._tri = tri.view()
         self._tri.setflags(write=False)
         self._volume: Optional[float] = None
-        # (points (P, 2n, 3), (faces, closed)) of each batch, in order
-        self._prisms: Optional[list] = None
+        self._prism_points = prism_points
 
     @property
     def triangles(self) -> np.ndarray:
@@ -166,11 +169,9 @@ class TriangleMesh:
         tri = self._tri
         if len(tri) == 0:
             return np.empty((0, 3)), np.empty(0)
-        prisms = self._prisms
+        points = self._prism_points
         # A recipe mesh's corners are copies of its prisms' points.
-        points = tri if prisms is None else np.concatenate(
-            [p.reshape(-1, 3) for p, _ in prisms])
-        _require_float32(points)
+        _require_float32(tri if points is None else points)
         v0 = tri[:, 0]
         cross = _cross(tri[:, 1] - v0, tri[:, 2] - v0)
         norm = np.linalg.norm(cross, axis=1)
@@ -179,18 +180,12 @@ class TriangleMesh:
             raise GeometryError(
                 f"{int(small.sum())} degenerate triangle(s) below "
                 f"{_MIN_TRIANGLE_AREA_MM2} mm^2")
-        ids = _vertex_ids(points)
-        if prisms is None:
-            error = _shell_error(ids.reshape(-1, 3))
-        elif ids.max() < len(ids) or not all(
-                closed for _, (_, closed) in prisms):
-            error = _shell_error(_corner_ids(ids, prisms))
-        else:
-            # No two points weld and each template is closed, so the
-            # corner check cannot fail.
-            error = None
-        if error is not None:
-            raise GeometryError(error)
+        # When no two prism points weld, prisms share no point and each is
+        # closed, so the corner check cannot fail.
+        if points is None or _vertex_ids(points).max() < len(points):
+            error = _shell_error(_vertex_ids(tri).reshape(-1, 3))
+            if error is not None:
+                raise GeometryError(error)
         self._volume = _signed_volume(tri)
         if not self._volume > 0:
             raise GeometryError("mesh volume is not positive (inside out?)")
@@ -245,11 +240,9 @@ class Primitive:
         return float((_shoelace(self.polygons) * (self.hi - self.lo)).sum())
 
 
-@functools.lru_cache(maxsize=64)
-def _prism_faces(n: int, axis: str) -> tuple[np.ndarray, bool]:
+def _prism_faces(n: int, axis: str) -> np.ndarray:
     """Point indices of the triangles of one n-gon prism extruded along
-    ``axis``, shaped (4n - 4, 3) and read-only (every batch of that shape
-    shares them), and whether they pass the closed-shell rule.
+    ``axis``, shaped (4n - 4, 3).
 
     Polygon vertex i is point i at lo and point n + i at hi. Each fan step
     gives a hi then a lo cap triangle; each side, two triangles.
@@ -260,10 +253,8 @@ def _prism_faces(n: int, axis: str) -> tuple[np.ndarray, bool]:
     sides = np.array((j, k, n + k, j, n + k, n + j)).T
     faces = np.concatenate((caps, sides)).reshape(-1, 3)
     if axis == "y":
-        # (x, z) -> (x, y, z) mirrors: rewind
-        faces = np.ascontiguousarray(faces[:, ::-1])
-    faces.setflags(write=False)
-    return faces, _shell_error(faces) is None
+        faces = faces[:, ::-1]  # (x, z) -> (x, y, z) mirrors: rewind
+    return faces
 
 
 def _extrude(batch: Primitive) -> np.ndarray:
@@ -277,21 +268,7 @@ def _extrude(batch: Primitive) -> np.ndarray:
     pts[..., v] = batch.polygons[:, None, :, 1]
     pts[:, 0, :, e] = batch.lo[:, None]
     pts[:, 1, :, e] = batch.hi[:, None]
-    pts = pts.reshape(count, 2 * n, 3)
-    pts.setflags(write=False)
-    return pts
-
-
-def _corner_ids(ids: np.ndarray, prisms: list) -> np.ndarray:
-    """The ids of a recipe mesh's triangle corners, shaped (n, 3), from
-    ``ids``, those of its prisms' points in order."""
-    blocks, start = [], 0
-    for points, (faces, _) in prisms:
-        count, size = points.shape[:2]
-        block = ids[start:start + count * size].reshape(count, size)
-        blocks.append(np.take(block, faces, axis=1).reshape(-1, 3))
-        start += count * size
-    return np.concatenate(blocks)
+    return pts.reshape(count, 2 * n, 3)
 
 
 @dataclass(frozen=True)
@@ -309,14 +286,14 @@ class SolidRecipe:
         """One array pass per batch; triangles keep the prisms' order."""
         if not self.primitives:
             return TriangleMesh(np.empty((0, 3, 3)))
-        prisms = [(_extrude(p), _prism_faces(p.polygons.shape[1], p.axis))
-                  for p in self.primitives]
-        blocks = [np.take(points, faces, axis=1).reshape(-1, 3, 3)
-                  for points, (faces, _) in prisms]
-        mesh = TriangleMesh(blocks[0] if len(blocks) == 1
-                            else np.concatenate(blocks))
-        mesh._prisms = prisms
-        return mesh
+        points = [_extrude(p) for p in self.primitives]
+        blocks = [np.take(pts, _prism_faces(pts.shape[1] // 2, p.axis),
+                          axis=1).reshape(-1, 3, 3)
+                  for pts, p in zip(points, self.primitives)]
+        return TriangleMesh(
+            blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
+            prism_points=np.concatenate([pts.reshape(-1, 3)
+                                         for pts in points]))
 
 
 def _check_size(triangles: int) -> None:

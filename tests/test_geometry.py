@@ -251,7 +251,7 @@ def test_export_parts_validate_on_one_weld_of_their_prism_points(
              for part in doc.export.parts]
     for doc, part in parts:
         recipe, _ = cli._recipe_for_part(doc, part)
-        mesh = recipe.mesh()  # builds and checks any new face template
+        mesh = recipe.mesh()
         del welded[:], checked[:]
         mesh.validate()
         assert welded == [sum(2 * p.polygons.shape[0] * p.polygons.shape[1]
