@@ -168,22 +168,23 @@ def _texts(values, fast: bool) -> list[str]:
 
 
 def _write_table(stage, stem: str, header: list[str], rows,
-                 fmt: str = "csv", order=None) -> None:
+                 fmt: str = "csv", order=None, counts=None) -> None:
     """Float rows, staged by ``stage`` (see ``_staging``) as ``<stem>.csv``
     or as ``<stem>.json``, a list of objects keyed by the header.
     ``order``, an index array into the rows, gives the rows to write, in
     the order to write them (a row may repeat); by default every row is
-    written once, as given.
+    written once, as given. ``counts``, given only for a CSV table, holds
+    for each column of the rows the number of adjacent written columns
+    that repeat it (a curvature map's bins within one segment); by default
+    each column is written once.
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
     ``inf``, ``-inf`` and ``nan`` written as Python writes them, by
     ``_texts``; it takes orjson's digits in a table of ``_ORJSON_CELLS``
-    written cells or more, and ``repr`` alone in a smaller one. A table in
-    which no two adjacent columns hold the same bits in every row (a cycle
-    trajectory, a speed curve, a sweep) is written row by row, a chunk of
-    lines at a time. A table with such runs of columns (a curvature map)
-    is written by ``_write_runs``. Which path runs changes no byte.
+    written cells or more, and ``repr`` alone in a smaller one. The lines
+    are written a chunk at a time: row by row for a table without
+    ``counts``, column by column by ``_write_runs`` for one with them.
     """
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
@@ -194,18 +195,15 @@ def _write_table(stage, stem: str, header: list[str], rows,
                     [dict(zip(header, row)) for row in table.tolist()])
         return
     width = len(header)
-    table = table.reshape(len(table), width)
-    bits = table.view(np.int64)
-    # where a run of columns holding the same bits (-0.0 stays apart from
-    # 0.0) starts
-    starts = np.r_[True, (bits[:, 1:] != bits[:, :-1]).any(axis=0)]
+    table = table.reshape(len(table), width if counts is None
+                          else len(counts))
     lines = len(table) if order is None else len(order)
     fast = lines * width >= _ORJSON_CELLS
     with open(stage(f"{stem}.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if not starts.all():
-            _write_runs(fh, bits, starts, order, fast)
+        if counts is not None:
+            _write_runs(fh, table, counts, order, fast)
             return
         chunk_rows = max(1, _CHUNK_CELLS // width)
         for start in range(0, lines, chunk_rows):
@@ -221,73 +219,37 @@ def _write_table(stage, stem: str, header: list[str], rows,
             fh.write("\n".join(texts) + "\n")
 
 
-def _write_runs(fh, bits, starts, order, fast: bool) -> None:
-    """The CSV lines of ``_write_table`` to ``fh``, for the float64 bits
-    ``bits`` of a table whose runs of identical columns begin where
-    ``starts`` is true.
+def _write_runs(fh, table, counts, order, fast: bool) -> None:
+    """The CSV lines of ``_write_table`` to ``fh``, for the rows ``table``
+    whose column j is written ``counts[j]`` times in a row.
 
-    Each distinct value of a chunk is formatted once, by ``_texts``, the
-    text of a run of n columns is built once per distinct value of that
-    run, and a row that ``order`` repeats reuses its codes.
+    Curvature maps repeat most of their values, so each column of a chunk
+    of lines is taken on its own: each distinct float64 of it (by its
+    bits, so -0.0 stays apart from 0.0) is formatted once, by ``_texts``,
+    and the text of its run of columns is built once per distinct value,
+    so a row that ``order`` repeats within the chunk costs no second
+    format. Each line is then one piece per column, and the pieces are
+    joined in C. Chunks bound the memory held: a chunk holds about
+    ``_CHUNK_CELLS`` cells of ``table``, and is written about
+    ``_CHUNK_CELLS`` written cells at a time.
     """
     import numpy as np
-    # Curvature maps repeat most of their values and many of their columns,
-    # so each distinct bit pattern of the first column of each run is
-    # formatted once, gathered a chunk at a time; each line is then one
-    # piece per run, and the pieces are joined in C. Chunks bound the
-    # memory held.
-    width = len(starts)
-    first = np.flatnonzero(starts)      # the column that stands for a run
-    bounds = first.tolist() + [width]
-    runs = list(zip(bounds, bounds[1:]))
-    # the runs of n > 1 columns: their positions, and for each n - 1 and
-    # whether it ends the line
-    columns = [j for j, (a, b) in enumerate(runs) if b - a > 1]
-    repeated = [(b - a - 1, b == width) for a, b in runs if b - a > 1]
-    last_single = bounds[-2] == width - 1
+    bits = table.view(np.int64)
     lines = len(bits) if order is None else len(order)
-    chunk_rows = max(1, _CHUNK_CELLS // len(first))
-    line_rows = max(1, _CHUNK_CELLS // width)
+    chunk_rows = max(1, _CHUNK_CELLS // len(counts))
+    line_rows = max(1, _CHUNK_CELLS // sum(counts))
+    ends = [","] * (len(counts) - 1) + ["\n"]
     for start in range(0, lines, chunk_rows):
-        if order is None:
-            block = bits[start:start + chunk_rows, first]
-        else:
-            # the distinct rows of this chunk's lines, and each line's
-            # row among them
-            picked, back = np.unique(order[start:start + chunk_rows],
-                                     return_inverse=True)
-            block = bits[picked][:, first]
-        values, inverse = np.unique(block, return_inverse=True)
-        values = values.view(np.float64)
-        texts = _texts(values, fast)
-        pieces = [t + "," for t in texts] + [t + "\n" for t in texts]
-        # the pieces hold every text now: hold no second copy
-        distinct = len(values)
-        del values, texts
-        # numpy 1.x returns the inverse flat, 2.x in the block's shape
-        codes = inverse.reshape(block.shape)
-        if last_single:
-            codes[:, -1] += distinct
-        # a run's whole text, once per distinct value of the run:
-        # run r keys its values from r * distinct on, so the sorted
-        # keys come run by run
-        keys = codes[:, columns] + distinct * np.arange(len(columns))
-        used, inverse = np.unique(keys, return_inverse=True)
-        codes[:, columns] = len(pieces) + inverse.reshape(keys.shape)
-        splits = np.searchsorted(used, distinct * np.arange(
-            1, len(columns) + 1)).tolist()
-        used = (used % distinct).tolist()
-        for (tail, last), lo, hi in zip(repeated, [0] + splits,
-                                        splits):
-            end = distinct * last
-            pieces += [pieces[i] * tail + pieces[i + end]
-                       for i in used[lo:hi]]
-        pieces = np.array(pieces, dtype=object)
-        if order is not None:
-            codes = codes[back]
-        for at in range(0, len(codes), line_rows):
-            cells = pieces[codes[at:at + line_rows]]
-            fh.write("".join(cells.ravel().tolist()))
+        span = slice(start, start + chunk_rows)
+        block = bits[span if order is None else order[span]]
+        cells = np.empty(block.shape, dtype=object)
+        for j, (n, end) in enumerate(zip(counts, ends)):
+            values, inverse = np.unique(block[:, j], return_inverse=True)
+            texts = _texts(values.view(np.float64), fast)
+            cells[:, j] = np.array([(t + ",") * (n - 1) + t + end
+                                    for t in texts], dtype=object)[inverse]
+        for at in range(0, len(cells), line_rows):
+            fh.write("".join(cells[at:at + line_rows].ravel().tolist()))
 
 
 def _load_overrides() -> Optional[dict[str, Material]]:
@@ -530,10 +492,13 @@ def _cmd_simulate_limb(args, stage) -> int:
                  np.column_stack([pulls_mm, cycle.foot_path / MM,
                                   cycle.theta, cycle.tension]),
                  order=order)
+    # The bins within one segment share its curvature: the writer takes
+    # each used segment's column once, with the number of bins it fills.
+    used, bins = np.unique(cycle.segment, return_counts=True)
     _write_table(stage, f"{name}_curvature",
                  ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-                 np.column_stack([pulls_mm, cycle.curvature_map]),
-                 order=order)
+                 np.column_stack([pulls_mm, cycle.kappa[:, used]]),
+                 order=order, counts=[1, *bins.tolist()])
     _write_json(stage(f"{name}_metrics.json"), {
         "stroke_distance_mm": cycle.metrics.stroke_distance / MM,
         "stroke_ratio": cycle.metrics.stroke_ratio,

@@ -35,9 +35,9 @@ _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
 _STRAIGHT = 1e-12   # rad; a joint bent less is drawn as a straight segment
 # The most cells one cycle may hold, counted as the rows its tables write
 # (2 * steps - 1, pull and release) times the arc bins of its curvature map
-# plus the segments of the profile that map is read from. That is 16x the
+# plus the segments whose curvature that map repeats. That is 16x the
 # 3999 x 64 curvature cells of the benchmark's largest cycle. At the bound
-# a hind-leg call peaks at 95 MB resident with 64 bins and 110 MB with 1
+# a hind-leg call peaks at 48 MB resident with 64 bins and 98 MB with 1
 # bin (2-vCPU Xeon, numpy 2.4).
 MAX_CYCLE_CELLS = 2 ** 22
 
@@ -128,8 +128,15 @@ class CycleResult:
     jammed: np.ndarray          # (n_steps, n_joints) bool
     foot_path: np.ndarray       # (n_steps, 2)
     metrics: StrokeMetrics
-    curvature_map: np.ndarray   # (n_steps, n_bins), 1/m
+    kappa: np.ndarray           # (n_steps, n_segments) curvature, 1/m
+    segment: np.ndarray         # (n_bins,) the segment holding each bin
     arc_bins: np.ndarray        # (n_bins,) bin-center arc lengths, m
+
+    @property
+    def curvature_map(self) -> np.ndarray:
+        """(n_steps, n_bins) curvature at each arc bin, 1/m: that of the
+        segment holding the bin."""
+        return self.kappa[:, self.segment]
 
 
 def _solve(limb: LimbSpec, pulls):
@@ -278,10 +285,11 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     ``a`` gives the whole cycle. max_pull defaults to the limb's jam
     capacity (the tendon throw that brings every joint to its stop).
     stroke_distance is the horizontal extent of the foot path over the
-    whole cycle; stroke_ratio divides it by max_pull. The curvature map
-    has one row per pull step and one column per arc-length bin, read from
-    the segment holding the bin. A cycle whose 2 * steps - 1 rows hold
-    more than MAX_CYCLE_CELLS cells is rejected.
+    whole cycle; stroke_ratio divides it by max_pull. ``kappa`` holds one
+    curvature per pull step and segment, and ``segment`` the segment
+    holding each arc-length bin, so the curvature map is never built
+    unless ``curvature_map`` is read. A cycle whose 2 * steps - 1 rows
+    hold more than MAX_CYCLE_CELLS cells is rejected.
     """
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
@@ -305,7 +313,7 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
     return CycleResult(pulls=up, theta=theta, tension=tension, jammed=jammed,
-                       foot_path=foot_path, curvature_map=kappa[:, segment],
+                       foot_path=foot_path, kappa=kappa, segment=segment,
                        metrics=StrokeMetrics(distance, ratio), arc_bins=bins)
 
 

@@ -1,8 +1,9 @@
 """The import graph: the package namespace resolves every public name, the
 scalar subcommands run without loading numpy, and only a CSV table of
 ``cli._ORJSON_CELLS`` cells or more loads orjson, on both of the writer's
-paths: a sweep is written row by row, and a cycle's curvature map, whose
-columns repeat, by ``cli._write_runs``."""
+paths: a sweep is written row by row, and a cycle's curvature map, handed
+over as one column per segment with the number of bins each fills, column
+by column by ``cli._write_runs``."""
 
 import importlib
 import json

@@ -1,16 +1,18 @@
 """The CLI table writer against the per-row writer it replaced.
 
 ``_write_table`` writes its rows in an optional order that may repeat
-them, by one of two paths. A table with no run of adjacent columns holding
-the same bits is written row by row; one with such runs goes to
-``_write_runs``, which formats each distinct float of a chunk once and
-builds the text of each run once per value. The oracle here is the plain
-writer, one ``repr`` per cell, on the rows in that order; a second check
-reads every written cell back with ``float`` and compares bits with the
-input, and a third that the table took the path it should. Both paths
-format their floats by ``_texts``, which takes its texts from orjson in a
-table of ``_ORJSON_CELLS`` written cells or more and must equal ``repr``
-on every float64.
+them, by one of two paths. A table without column counts is written row by
+row; one with them (a compact block whose column j fills ``counts[j]``
+written columns, as a curvature map's segments fill their bins) goes to
+``_write_runs``, which takes each column of a chunk on its own, formats
+each of its distinct floats once and builds the text of its run of columns
+once per value. The oracle here is the plain writer, one ``repr`` per
+cell, on the expanded rows in that order; a second check reads every
+written cell back with ``float`` and compares bits with the input, and a
+third that the table took the path it should. Both paths format their
+floats by ``_texts``, which takes its texts from orjson in a table of
+``_ORJSON_CELLS`` written cells or more and must equal ``repr`` on every
+float64.
 The JSON tests pin ``--format json`` to ``json.dumps(..., indent=2)`` of
 the rows the CSV of the same command line holds.
 """
@@ -38,8 +40,9 @@ SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 # Quiet NaNs of both signs and two payloads.
 NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                  0xFFF800000000BEEF], dtype=np.uint64).view(np.float64)
-# Neighbouring columns that a float compare finds equal, or a NaN compare
-# unordered, but whose bits differ: the writer must keep them apart.
+# Floats that a float compare finds equal, or a NaN compare unordered, but
+# whose bits differ: the writer must keep them apart, in neighbouring
+# columns and within one column.
 TWINS = [(0.0, -0.0), (-0.0, 0.0), (NANS[0], NANS[1]), (NANS[2], NANS[3]),
          (NANS[1], NANS[2])]
 # The ends of the range _texts takes from orjson, with the floats
@@ -66,18 +69,12 @@ def repr_rows(block) -> list[str]:
     return [",".join(map(repr, row)) for row in block.tolist()]
 
 
-# The writer of tables with runs of columns, and the float-text kernel.
+# The writer of tables with column counts, and the float-text kernel.
 KERNELS = ("_write_runs", "_texts")
 
 
-def has_runs(table) -> bool:
-    """Whether two adjacent columns hold the same bits in every row."""
-    bits = table.view(np.int64)
-    return bool((bits[:, 1:] == bits[:, :-1]).all(axis=0).any())
-
-
 def write_csv(header, rows, chunk_cells=None, order=None,
-              orjson_cells=None, called=None) -> str:
+              orjson_cells=None, called=None, counts=None) -> str:
     """The CSV ``_write_table`` writes; ``called``, a dict, gets the
     ``fast`` argument of each call to each of ``KERNELS``."""
     patches = contextlib.ExitStack()
@@ -90,7 +87,8 @@ def write_csv(header, rows, chunk_cells=None, order=None,
     with tempfile.TemporaryDirectory() as directory, patches, \
             contextlib.redirect_stdout(io.StringIO()):
         with cli._staging(Path(directory)) as stage:
-            cli._write_table(stage, "t", header, rows, order=order)
+            cli._write_table(stage, "t", header, rows, order=order,
+                             counts=counts)
         if called is not None:
             called.update({name: [call.args[-1] for call in
                                   spy.call_args_list]
@@ -99,21 +97,24 @@ def write_csv(header, rows, chunk_cells=None, order=None,
 
 
 def check_table(table, chunk_cells=None, as_list=False, order=None,
-                orjson_cells=None) -> dict:
-    """Check the CSV of ``table`` against the oracle, and that it took its
-    path; return the ``fast`` of each call to each of ``KERNELS``."""
+                orjson_cells=None, counts=None) -> dict:
+    """Check the CSV of ``table``, its column j repeated ``counts[j]``
+    times, against the oracle, and that it took its path; return the
+    ``fast`` of each call to each of ``KERNELS``."""
+    rows = table.tolist() if as_list else table
+    if counts is not None:
+        table = np.repeat(table, counts, axis=1)
     header = [f"c{i}" for i in range(table.shape[1])]
     called = {}
-    text = write_csv(header, table.tolist() if as_list else table,
-                     chunk_cells, order, orjson_cells, called)
-    runs = has_runs(table)
+    text = write_csv(header, rows, chunk_cells, order, orjson_cells, called,
+                     counts)
     if order is not None:
         table = table[order]
     gate = cli._ORJSON_CELLS if orjson_cells is None else orjson_cells
     fast = table.size >= gate
-    assert called["_write_runs"] == ([fast] if runs else [])
-    # _texts formats every chunk on both sides of the gate, and a table of
-    # no lines formats nothing
+    assert called["_write_runs"] == ([] if counts is None else [fast])
+    # _texts formats every chunk, or every column of it, on both sides of
+    # the gate, and a table of no lines formats nothing
     assert set(called["_texts"]) == ({fast} if table.size else set())
     assert text == reference_csv(header, table)
     head, *lines = text.split("\n")
@@ -130,6 +131,7 @@ def check_table(table, chunk_cells=None, as_list=False, order=None,
 
 @st.composite
 def tables(draw):
+    """A table and its column counts, or None for a table without them."""
     rows = draw(st.integers(0, 40))
     cols = draw(st.integers(1, 7))
     if draw(st.booleans()):
@@ -142,16 +144,18 @@ def tables(draw):
                               max_size=rows * cols))
     table = np.array(cells, dtype=np.float64).reshape(rows, cols)
     if draw(st.booleans()):
-        # runs of repeated columns, as in a cycle's curvature map
-        repeats = draw(st.lists(st.integers(1, 4), min_size=cols,
-                                max_size=cols))
-        table = np.repeat(table, repeats, axis=1)
-    if draw(st.booleans()):
+        # twins side by side in every row, and down one column
         a, b = draw(st.sampled_from(TWINS))
-        at = draw(st.integers(0, table.shape[1]))
-        twins = np.repeat([[a, b]], rows, axis=0)
+        at = draw(st.integers(0, cols))
+        twins = np.column_stack([np.repeat([[a, b]], rows, axis=0),
+                                 np.resize([a, b], rows)])
         table = np.concatenate([table[:, :at], twins, table[:, at:]], axis=1)
-    return table
+    counts = None
+    if draw(st.booleans()):
+        # the columns a cycle's curvature map repeats, one per bin
+        counts = draw(st.lists(st.integers(1, 4), min_size=table.shape[1],
+                               max_size=table.shape[1]))
+    return table, counts
 
 
 def orders(rows):
@@ -167,20 +171,21 @@ def orders(rows):
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(table=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans(),
+@given(drawn=tables(), chunk_cells=st.integers(1, 30), as_list=st.booleans(),
        data=st.data())
-def test_csv_matches_the_per_row_writer(table, chunk_cells, as_list, data):
-    # tables with and without runs of columns take the two paths; small
-    # chunks put boundaries inside the table, on and off its end, whether
-    # counted in full cells or in one column per run, and split a mirrored
-    # row from the row it repeats. A gate of 0 cells puts every table above
-    # it, one at the table's written cells or one more puts the table just
-    # on either side, and None keeps the real gate
+def test_csv_matches_the_per_row_writer(drawn, chunk_cells, as_list, data):
+    # tables with and without column counts take the two paths; small
+    # chunks put boundaries inside the table, on and off its end, and split
+    # a mirrored row from the row it repeats. A gate of 0 cells puts every
+    # table above it, one at the table's written cells or one more puts the
+    # table just on either side, and None keeps the real gate
+    table, counts = drawn
     order = data.draw(orders(len(table)), label="order")
-    cells = (len(table) if order is None else len(order)) * table.shape[1]
+    width = table.shape[1] if counts is None else sum(counts)
+    cells = (len(table) if order is None else len(order)) * width
     orjson_cells = data.draw(st.sampled_from([0, cells, cells + 1, None]),
                              label="orjson_cells")
-    check_table(table, chunk_cells, as_list, order, orjson_cells)
+    check_table(table, chunk_cells, as_list, order, orjson_cells, counts)
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -211,8 +216,8 @@ def test_texts_is_repr_on_a_million_bit_patterns():
 @pytest.mark.parametrize("ndim", [1, 2], ids=["1-D", "2-D"])
 def test_texts_keeps_repr_when_orjson_writes_an_exponent(ndim):
     # an orjson that writes 1e5 for 100000.0 must not change a byte of the
-    # kernel's texts, nor of a whole table: one with a run of columns
-    # formats its distinct values (1-D), one without its rows (2-D)
+    # kernel's texts, nor of a whole table: one with column counts formats
+    # the distinct values of each column (1-D), one without its rows (2-D)
     import orjson
     dumps = orjson.dumps
 
@@ -226,28 +231,21 @@ def test_texts_keeps_repr_when_orjson_writes_an_exponent(ndim):
                 else repr_rows(table))
     with mock.patch.object(orjson, "dumps", exponent):
         assert cli._texts(values, True) == expected
-        whole = with_a_run(table) if ndim == 1 else table
-        assert check_table(whole)["_texts"] == [True]
-
-
-def with_a_run(table):
-    """``table`` with its last column a copy of the one before it."""
-    table = table.copy()
-    table[:, -1] = table[:, -2]
-    return table
+        counts = [1, 1, 2, 1, 1] if ndim == 1 else None
+        assert set(check_table(table, counts=counts)["_texts"]) == {True}
 
 
 @pytest.mark.parametrize("rows", [cli._ORJSON_CELLS // 5 - 1,
                                   cli._ORJSON_CELLS // 5])
 def test_tables_from_the_gate_on_take_float_texts(rows):
     # from the gate on, _texts takes orjson's texts, for the rows of a
-    # table without runs of columns and for the distinct values of the same
-    # table with a run
+    # table without column counts and for the distinct values of each
+    # column of a table of four columns that writes the same five
     table = np.random.default_rng(rows).standard_normal((rows, 5))
     above = table.size >= cli._ORJSON_CELLS
     assert check_table(table) == {"_write_runs": [], "_texts": [above]}
-    assert check_table(with_a_run(table)) == {"_write_runs": [above],
-                                              "_texts": [above]}
+    assert check_table(table[:, :4], counts=[1, 1, 1, 2]) == {
+        "_write_runs": [above], "_texts": [above] * 4}
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -260,16 +258,18 @@ def test_table_above_the_gate_matches_the_per_row_writer(ordered):
     table = rng.choice(pool, size=(600, 5))
     order = cycle_index(len(table)) if ordered else None
     assert check_table(table, order=order)["_texts"] == [True]
-    assert check_table(with_a_run(table), order=order)["_texts"] == [True]
+    assert set(check_table(table, order=order, counts=[3, 1, 1, 2, 1])[
+        "_texts"]) == {True}
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (1, 9)])
 def test_degenerate_shapes(shape):
-    # below the gate and above it
+    # below the gate and above it, without column counts and with them
     rng = np.random.default_rng(sum(shape))
     table = rng.choice(SPECIAL, size=shape)
     for orjson_cells in (None, 0):
-        check_table(table, orjson_cells=orjson_cells)
+        for counts in (None, [1] * shape[1], [3] * shape[1]):
+            check_table(table, orjson_cells=orjson_cells, counts=counts)
 
 
 def test_empty_row_list_writes_the_header_only():
@@ -280,12 +280,16 @@ def test_empty_row_list_writes_the_header_only():
 @pytest.mark.parametrize("extra_rows", [0, 1])
 def test_default_chunk_boundaries(cols, extra_rows):
     # 2^16 cells end mid-row for 3 columns and on a row for 4; the table
-    # holds exactly two chunks of rows, or one row more
+    # holds exactly two chunks of rows, or one row more. With column counts
+    # a chunk holds 2^16 cells of the columns given, and its lines are
+    # written 2^16 written cells at a time: the last column written twice
+    # puts those ends on a row for 3 columns and mid-row for 4
     chunk_rows = cli._CHUNK_CELLS // cols
     rng = np.random.default_rng(cols)
     table = rng.choice(SPECIAL + list(rng.standard_normal(200)),
                        size=(2 * chunk_rows + extra_rows, cols))
     check_table(table)
+    check_table(table, counts=[1] * (cols - 1) + [2])
 
 
 @pytest.mark.parametrize("document, limb", [
@@ -328,6 +332,67 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
         assert (out / f"{limb}_trajectory.csv").read_text("utf-8") \
             == trajectory
         assert (out / f"{limb}_curvature.csv").read_text("utf-8") \
+            == curvature
+
+
+def hind_leg_with_links(tmp_path, links) -> str:
+    """The bundled hind leg's document with the links before, between and
+    after its two joints set to the lengths (mm) of the three lists of
+    ``links``; returns the new document's path."""
+    document = json.loads(Path(bundled_path("hind_leg.json")).read_text(
+        "utf-8"))
+    segments = document["limbs"]["hind_leg"]["segments"]
+    first, second = (s for s in segments if "joint" in s)
+    before, between, after = ([{"link_mm": mm} for mm in group]
+                              for group in links)
+    segments[:] = before + [first] + between + [second] + after
+    path = tmp_path / "leg.json"
+    path.write_text(json.dumps(document), "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("links, binless, zero", [
+    # a 0.1 mm link between the joints, which no bin center falls in
+    ([[10.0], [0.1], [14.0]], [2], []),
+    # two links in a row at the foot, each holding bins of zero curvature
+    ([[10.0], [14.0], [8.0, 6.0]], [], [4, 5]),
+], ids=["binless-link", "adjacent-zero-links"])
+@pytest.mark.parametrize("steps", [2, 101])
+@pytest.mark.parametrize("arc_bins", [16, 64])
+def test_cycle_tables_with_binless_and_zero_links_match_the_per_row_writer(
+        tmp_path, links, binless, zero, steps, arc_bins):
+    # the writer takes one column per segment that holds a bin, with the
+    # number of bins it holds: a segment holding none writes no column,
+    # and two adjacent segments of the same curvature write two runs
+    from flexokit.core import MM, parse_design
+    from flexokit.limb_sim import limb_from_document, sweep_cycle
+    document = hind_leg_with_links(tmp_path, links)
+    spec = limb_from_document(
+        parse_design(Path(document).read_text("utf-8")), "hind_leg")
+    cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
+    np.testing.assert_array_equal(cycle.curvature_map,
+                                  cycle.kappa[:, cycle.segment])
+    # each bin reads the segment whose span holds its center
+    ends = np.cumsum(spec.lengths)
+    starts = ends - spec.lengths
+    assert (starts[cycle.segment] <= cycle.arc_bins).all()
+    assert (cycle.arc_bins < ends[cycle.segment]).all()
+    assert not set(binless) & set(cycle.segment.tolist())
+    assert set(zero) <= set(cycle.segment.tolist())
+    assert (cycle.kappa[:, zero] == 0).all()
+    curvature = reference_csv(
+        ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
+        np.column_stack([cycle.pulls / MM, cycle.curvature_map])[
+            cycle_index(steps)])
+    for chunk_cells in (cli._CHUNK_CELLS, 2 ** 9):
+        out = tmp_path / str(chunk_cells)
+        with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate-limb", "-i", document,
+                             "--steps", str(steps),
+                             "--arc-bins", str(arc_bins),
+                             "-o", str(out)]) == 0
+        assert (out / "hind_leg_curvature.csv").read_text("utf-8") \
             == curvature
 
 
