@@ -7,9 +7,8 @@ none. Each flag is declared only on the subcommands that read it. Curves
 and sweeps go to CSV (or a JSON list of objects with --format json),
 scalars and reports to JSON, geometry to binary STL with a JSON sidecar
 manifest. Outputs are byte-stable across runs; the only timestamp lives in
-the manifest's ``generated_at`` field. ``main`` builds only the named
-subcommand's parser, and the full tree only for help, version and
-unrecognised first words; each is built once per process and reused.
+the manifest's ``generated_at`` field. One parser is built per process, on
+the first call of ``main``, and parses every later command line.
 
 Exit status: 0 on success, 1 when ``validate --strict`` finds warnings, 2
 on any rejection, a malformed or unknown flag and an input whose arithmetic
@@ -170,13 +169,14 @@ def _texts(values, fast: bool) -> list[str]:
 def _write_table(stage, stem: str, header: list[str], rows,
                  fmt: str = "csv", order=None, counts=None) -> None:
     """Float rows, staged by ``stage`` (see ``_staging``) as ``<stem>.csv``
-    or as ``<stem>.json``, a list of objects keyed by the header.
-    ``order``, an index array into the rows, gives the rows to write, in
+    or as ``<stem>.json``, a list of objects keyed by the header, one per
+    row. ``order`` and ``counts`` are for CSV only: ``order``, an index
+    array into the rows, gives the rows to write, in
     the order to write them (a row may repeat); by default every row is
-    written once, as given. ``counts``, given only for a CSV table, holds
-    for each column of the rows the number of adjacent written columns
-    that repeat it (a curvature map's bins within one segment); by default
-    each column is written once.
+    written once, as given. ``counts`` holds for each column of the rows
+    the number of adjacent written columns that repeat it (a curvature
+    map's bins within one segment); by default each column is written
+    once.
 
     Each CSV cell is Python's ``repr`` of the cell as a float64: the
     shortest text that reads back to the same float, with ``-0.0``,
@@ -189,8 +189,6 @@ def _write_table(stage, stem: str, header: list[str], rows,
     import numpy as np
     table = np.asarray(rows, dtype=np.float64)
     if fmt == "json":
-        if order is not None:
-            table = table[order]
         _write_json(stage(f"{stem}.json"),
                     [dict(zip(header, row)) for row in table.tolist()])
         return
@@ -493,12 +491,12 @@ def _cmd_simulate_limb(args, stage) -> int:
                                   cycle.theta, cycle.tension]),
                  order=order)
     # The bins within one segment share its curvature: the writer takes
-    # each used segment's column once, with the number of bins it fills.
-    used, bins = np.unique(cycle.segment, return_counts=True)
+    # each segment's column once, with the number of bins it fills.
     _write_table(stage, f"{name}_curvature",
                  ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-                 np.column_stack([pulls_mm, cycle.kappa[:, used]]),
-                 order=order, counts=[1, *bins.tolist()])
+                 np.column_stack([pulls_mm, cycle.kappa]),
+                 order=order,
+                 counts=[1, *np.bincount(cycle.segment).tolist()])
     _write_json(stage(f"{name}_metrics.json"), {
         "stroke_distance_mm": cycle.metrics.stroke_distance / MM,
         "stroke_ratio": cycle.metrics.stroke_ratio,
@@ -721,24 +719,21 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser: every subcommand, or only the one named
-    ``only``. Each subparser gets --out-dir, plus --input unless its
-    ``document`` is None (optional when it is "optional") and --format when
-    it ``formats``.
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand. Each subparser gets
+    --out-dir, plus --input unless its ``document`` is None (optional when
+    it is "optional") and --format when it ``formats``.
 
-    The parser is built once per value of ``only`` and shared by every
-    later call in the process, so callers must not change it; parsing
-    keeps no state in it, and each ``parse_args`` returns a new
-    namespace."""
-    return _parser(only)
+    The parser is built once per process and shared by every later call,
+    so callers must not change it; parsing keeps no state in it, and each
+    ``parse_args`` returns a new namespace."""
+    return _parser()
 
 
-# The cache sits behind build_parser, so that build_parser() and
-# build_parser(None) share one parser and bench/tracing.py, which times
-# plain functions only, still times build_parser.
+# The cache sits behind build_parser, so that bench/tracing.py, which
+# times plain functions only, still times build_parser.
 @functools.cache
-def _parser(only: Optional[str]) -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="flexokit",
         description="Design toolchain for printed flexure joints: stiffness "
@@ -748,8 +743,6 @@ def _parser(only: Optional[str]) -> argparse.ArgumentParser:
                         version=f"flexokit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in _SUBCOMMANDS.items():
-        if only is not None and name != only:
-            continue
         p = sub.add_parser(name, help=command.summary,
                            description=command.description)
         if command.document:
@@ -768,14 +761,8 @@ def _parser(only: Optional[str]) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the named subcommand's parser is built, on the first such call.
-    # Anything else (no argument, help, --version, an unknown word) gets
-    # the whole tree, so that argparse lists the choices as it always has.
-    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    parser = build_parser(only)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         with _staging(Path(args.out_dir)) as stage:
             return args.func(args, stage)
     except (FlexokitError, OSError, ArithmeticError) as exc:

@@ -37,7 +37,7 @@ _STRAIGHT = 1e-12   # rad; a joint bent less is drawn as a straight segment
 # (2 * steps - 1, pull and release) times the arc bins of its curvature map
 # plus the segments whose curvature that map repeats. That is 16x the
 # 3999 x 64 curvature cells of the benchmark's largest cycle. At the bound
-# a hind-leg call peaks at 48 MB resident with 64 bins and 98 MB with 1
+# a hind-leg call peaks at 48 MB resident with 64 bins and 88 MB with 1
 # bin (2-vCPU Xeon, numpy 2.4).
 MAX_CYCLE_CELLS = 2 ** 22
 
@@ -128,8 +128,9 @@ class CycleResult:
     jammed: np.ndarray          # (n_steps, n_joints) bool
     foot_path: np.ndarray       # (n_steps, 2)
     metrics: StrokeMetrics
-    kappa: np.ndarray           # (n_steps, n_segments) curvature, 1/m
-    segment: np.ndarray         # (n_bins,) the segment holding each bin
+    kappa: np.ndarray           # (n_steps, n_held) curvature, 1/m, of
+                                # each segment that holds a bin
+    segment: np.ndarray         # (n_bins,) the kappa column of each bin
     arc_bins: np.ndarray        # (n_bins,) bin-center arc lengths, m
 
     @property
@@ -286,10 +287,10 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     capacity (the tendon throw that brings every joint to its stop).
     stroke_distance is the horizontal extent of the foot path over the
     whole cycle; stroke_ratio divides it by max_pull. ``kappa`` holds one
-    curvature per pull step and segment, and ``segment`` the segment
-    holding each arc-length bin, so the curvature map is never built
-    unless ``curvature_map`` is read. A cycle whose 2 * steps - 1 rows
-    hold more than MAX_CYCLE_CELLS cells is rejected.
+    curvature per pull step and segment that holds an arc-length bin, base
+    to foot, and ``segment`` the column of each bin, so the curvature map
+    is never built unless ``curvature_map`` is read. A cycle whose
+    2 * steps - 1 rows hold more than MAX_CYCLE_CELLS cells is rejected.
     """
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
@@ -312,6 +313,9 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     ends, kappa = _profile(limb, theta)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
+    # only the segments that hold a bin keep their column
+    used, segment = np.unique(segment, return_inverse=True)
+    kappa = kappa[:, used]
     return CycleResult(pulls=up, theta=theta, tension=tension, jammed=jammed,
                        foot_path=foot_path, kappa=kappa, segment=segment,
                        metrics=StrokeMetrics(distance, ratio), arc_bins=bins)
@@ -326,26 +330,27 @@ def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:
     """
     if name not in doc.limbs:
         raise DesignError(f"document defines no limb named {name!r}")
-    lengths, is_joint, joints = [], [], []
-    for seg in doc.limbs[name].segments:
-        is_joint.append(seg.is_joint)
-        if not seg.is_joint:
-            lengths.append(seg.length_mm * MM)
-            continue
-        lengths.append(seg.joint_length_mm * MM)
-        if seg.torsional_stiffness_nm_per_rad is not None:
-            k_theta = seg.torsional_stiffness_nm_per_rad
-        else:
-            k_theta = torsional_stiffness(doc.flexures[seg.flexure],
-                                          lengths[-1])
-        if seg.jam_angle_deg is not None:
-            cap = math.radians(seg.jam_angle_deg)
-        elif seg.flexional_limit is not None:
-            cap = flexional_jam_angle(
-                doc.flexional_limits[seg.flexional_limit].spec)
-        else:
-            cap = extensional_jam_angle(
-                doc.extensional_limits[seg.extensional_limit].spec)
-        joints.append((k_theta, cap, seg.routing_offset_mm * MM, seg.sense))
     with located(f"limbs.{name}"):
+        lengths, is_joint, joints = [], [], []
+        for seg in doc.limbs[name].segments:
+            is_joint.append(seg.is_joint)
+            if not seg.is_joint:
+                lengths.append(seg.length_mm * MM)
+                continue
+            lengths.append(seg.joint_length_mm * MM)
+            if seg.torsional_stiffness_nm_per_rad is not None:
+                k_theta = seg.torsional_stiffness_nm_per_rad
+            else:
+                k_theta = torsional_stiffness(doc.flexures[seg.flexure],
+                                              lengths[-1])
+            if seg.jam_angle_deg is not None:
+                cap = math.radians(seg.jam_angle_deg)
+            elif seg.flexional_limit is not None:
+                cap = flexional_jam_angle(
+                    doc.flexional_limits[seg.flexional_limit].spec)
+            else:
+                cap = extensional_jam_angle(
+                    doc.extensional_limits[seg.extensional_limit].spec)
+            joints.append((k_theta, cap, seg.routing_offset_mm * MM,
+                           seg.sense))
         return LimbSpec(tuple(lengths), tuple(is_joint), *zip(*joints))

@@ -108,7 +108,7 @@ def _declared(name):
     """The flags of one subcommand as (flag, value strategy) pairs, and the
     ones a call needs: every required flag and one flag of each required
     group. --out-dir is left out; every call sets it to a fresh directory."""
-    parser = build_parser(name)._subparsers._group_actions[0].choices[name]
+    parser = build_parser()._subparsers._group_actions[0].choices[name]
     flags, required = {}, []
     for action in parser._actions:
         flag = max(action.option_strings, default=None, key=len)

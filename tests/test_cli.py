@@ -410,80 +410,103 @@ _BAD_LIMB = ("a limb needs one positive stiffness, jam angle, routing offset "
 _LIMB_OVERFLOW = ("lengths, routing offsets and stiffnesses put the limb's "
                   "length in mm, arc radius, curvature, tendon compliance, "
                   "jam tension or full-jam pull out of float range")
+# Errors raised while a limb's joints resolve
+_LONG_JOINT = "joint_length must lie in (0, flexure length]"
+_JAMMED_AT_REST = ("heads touch at zero bend: spacing 0.003 m <= head "
+                   "diameter 0.004 m")
 
 
-@pytest.mark.parametrize("document, subcommand, mutate, message", [
+def _jammed_at_rest(doc):
+    doc["flexional_limits"]["flexion_90deg"].update(spacing_mm=3)
+
+
+@pytest.mark.parametrize("document, subcommand, mutate, message, error", [
     ("hind_leg.json", "simulate-limb", _set_jam_angle(math.inf),
-     "jam_angle_deg: expected a finite number"),
+     "jam_angle_deg: expected a finite number", "DesignError"),
     ("hind_leg.json", "simulate-limb", _set_jam_angle(400),
-     "jam_angle_deg must lie in (0, 180]"),
+     "jam_angle_deg must lie in (0, 180]", "DesignError"),
     ("quadruped.json", "simulate-gait",
      lambda doc: doc["gait"].update(frequencies_hz=[1.0, math.nan]),
-     "gait.frequencies_hz[1]: expected a finite number"),
+     "gait.frequencies_hz[1]: expected a finite number", "DesignError"),
     ("quadruped.json", "simulate-gait",
      lambda doc: doc["gait"].update(frequencies_hz=[0.0, 1e308]),
-     "the body speed at 1e+308 Hz overflows"),
+     "the body speed at 1e+308 Hz overflows", "DesignError"),
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(routing_offset_mm=1e308),
-     "limbs.hind_leg: " + _LIMB_OVERFLOW),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     ("hind_leg.json", "validate",
      lambda doc: _first_joint(doc).update(torsional_stiffness_nm_per_rad=0),
      "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
-     "be positive"),
+     "be positive", "DesignError"),
     ("hind_leg.json", "validate",
      lambda doc: _first_joint(doc).update(torsional_stiffness_nm_per_rad=-0.5),
      "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
-     "be positive"),
+     "be positive", "DesignError"),
     # the foot path and the curvature header, in mm, would overflow
     ("hind_leg.json", "simulate-limb",
      lambda doc: [s.update(link_mm=1e308)
                   for s in doc["limbs"]["hind_leg"]["segments"]
                   if "link_mm" in s],
-     "limbs.hind_leg: " + _LIMB_OVERFLOW),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     # the jam angle over a subnormal joint length overflows as a curvature
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(joint_length_mm=1e-310,
                                           torsional_stiffness_nm_per_rad=0.03),
-     "limbs.hind_leg: " + _LIMB_OVERFLOW),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     # a joint length that is zero in meters
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(joint_length_mm=5e-324,
                                           torsional_stiffness_nm_per_rad=0.03),
-     "limbs.hind_leg: " + _BAD_LIMB),
+     "limbs.hind_leg: " + _BAD_LIMB, "DesignError"),
     ("quadruped.json", "simulate-gait",
      lambda doc: _first_joint(doc, "hind_right").update(
          joint_length_mm=5e-324, torsional_stiffness_nm_per_rad=0.03),
-     "limbs.hind_right: " + _BAD_LIMB),
+     "limbs.hind_right: " + _BAD_LIMB, "DesignError"),
     # a joint bent a hair past 1e-12 rad would overflow its arc radius
     ("hind_leg.json", "simulate-limb",
      lambda doc: _first_joint(doc).update(joint_length_mm=1e300,
                                           torsional_stiffness_nm_per_rad=0.03),
-     "limbs.hind_leg: " + _LIMB_OVERFLOW),
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
          1, math.inf),
-     "flexures.sample.base_layers[1]: expected a finite number"),
+     "flexures.sample.base_layers[1]: expected a finite number",
+     "DesignError"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexures"]["sample"].update(width_mm=10 ** 400),
-     "flexures.sample.width_mm: expected a finite number"),
+     "flexures.sample.width_mm: expected a finite number", "DesignError"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["flexional_limits"]["sample_flexional"].update(
          spacing_mm=0),
      "flexional_limits.sample_flexional: spacing and head_radius must be "
-     "positive"),
+     "positive", "DesignError"),
     ("sample_flexure.json", "validate",
      lambda doc: doc["extensional_limits"]["sample_extensional"].update(
          diagonal_mm=0),
-     "extensional_limits.sample_extensional: diagonal must be positive"),
+     "extensional_limits.sample_extensional: diagonal must be positive",
+     "DesignError"),
+    # limb resolution errors name the limb whose joint failed to resolve
+    ("hind_leg.json", "simulate-limb",
+     lambda doc: _first_joint(doc).update(joint_length_mm=50),
+     "limbs.hind_leg: " + _LONG_JOINT, "DesignError"),
+    ("quadruped.json", "simulate-gait",
+     lambda doc: _first_joint(doc, "hind_right").update(joint_length_mm=50),
+     "limbs.hind_right: " + _LONG_JOINT, "DesignError"),
+    ("hind_leg.json", "simulate-limb", _jammed_at_rest,
+     "limbs.hind_leg: " + _JAMMED_AT_REST, "AlwaysJammedError"),
+    ("quadruped.json", "simulate-gait", _jammed_at_rest,
+     "limbs.front_left: " + _JAMMED_AT_REST, "AlwaysJammedError"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
         "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
         "negative_stiffness", "overflowing_links", "subnormal_joint_length",
         "zero_joint_length", "zero_joint_length_in_a_gait",
         "overflowing_arc_radius",
         "infinite_layer", "overflowing_integer", "zero_spacing",
-        "zero_diagonal"])
+        "zero_diagonal", "joint_past_its_flexure",
+        "joint_past_its_flexure_in_a_gait", "jammed_at_rest",
+        "jammed_at_rest_in_a_gait"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
-        tmp_path, capsys, document, subcommand, mutate, message):
+        tmp_path, capsys, document, subcommand, mutate, message, error):
     with open(bundled_path(document)) as f:
         doc = json.load(f)
     mutate(doc)
@@ -493,7 +516,7 @@ def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     diagnostic = json.loads(err)
-    assert diagnostic["error"] == "DesignError"
+    assert diagnostic["error"] == error
     assert diagnostic["message"].endswith(message)
     assert not (tmp_path / "out").exists()
 
@@ -964,13 +987,13 @@ def test_sweep_period_bound_counts_rows_times_periods(tmp_path, bound, rc):
     assert (tmp_path / "out").exists() == (rc == 0)
 
 
-# ------------------------------------------------- one-subcommand parser
+# ----------------------------------------------------------- reused parser
 
 SAMPLE = bundled_path("sample_flexure.json")
 HIND_LEG = bundled_path("hind_leg.json")
 
 # Accepted and rejected command lines whose rc, stdout, stderr and files
-# must not depend on which subparsers were built.
+# must not depend on what the parser parsed before.
 EQUIVALENCE_CORPUS = [
     *([name, "--help"] for name in (
         "validate", "predict-stiffness", "solve-limit", "design",
@@ -1023,60 +1046,23 @@ def _outcome(argv, capsys):
     return rc, captured.out, captured.err, files
 
 
-@pytest.mark.parametrize("argv", EQUIVALENCE_CORPUS)
-def test_one_subcommand_parser_matches_the_full_tree(tmp_path, monkeypatch,
-                                                     capsys, argv):
+def test_build_parser_returns_one_parser_per_name(tmp_path):
+    # one parser per process, whatever command lines come before
     from flexokit import cli
-    full_tree = cli.build_parser
-    outcomes = []
-    for directory in ("one", "full"):
-        (tmp_path / directory).mkdir()
-        monkeypatch.chdir(tmp_path / directory)
-        outcomes.append(_outcome(argv, capsys))
-        monkeypatch.setattr(cli, "build_parser", lambda only=None: full_tree())
-    assert outcomes[0] == outcomes[1]
-
-
-def test_build_parser_declares_only_the_named_subcommand():
-    from flexokit.cli import _SUBCOMMANDS, build_parser
-    for name in _SUBCOMMANDS:
-        parser = build_parser(name)
-        assert set(parser._subparsers._group_actions[0].choices) == {name}
-
-
-def test_main_builds_the_parser_of_the_named_subcommand(tmp_path,
-                                                        monkeypatch):
-    from flexokit import cli
-    built = []
-    original = cli.build_parser
-
-    def spy(only=None):
-        built.append(only)
-        return original(only)
-
-    monkeypatch.setattr(cli, "build_parser", spy)
     for name in cli._SUBCOMMANDS:
         main([name, "-o", str(tmp_path), "--bogus"])
     main(["validate", "-i", SAMPLE, "-o", str(tmp_path)])
     main(["valid"])
     main([])
-    assert built == [*cli._SUBCOMMANDS, "validate", None, None]
-
-
-def test_build_parser_returns_one_parser_per_name():
-    from flexokit import cli
-    for name in [*cli._SUBCOMMANDS, None]:
-        assert cli.build_parser(name) is cli.build_parser(name)
-    assert cli.build_parser() is cli.build_parser(None)
-    # built once per process: at most the full tree and one per subcommand
-    assert cli._parser.cache_info().misses <= len(cli._SUBCOMMANDS) + 1
+    assert cli.build_parser() is cli.build_parser()
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
     # Every corpus command line runs twice in one process, in order and
-    # then reversed, so that errors, help, version and the unknown-word
-    # tree come in between; each must end as it does on a parser built
-    # for that call alone.
+    # then reversed, so that errors, help, version and unknown words come
+    # in between; each must end as it does on a parser built for that call
+    # alone.
     from flexokit import cli
     fresh = cli._parser.__wrapped__
 
@@ -1087,7 +1073,7 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
         return _outcome(argv, capsys)
 
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "build_parser", lambda only=None: fresh(only))
+        patched.setattr(cli, "build_parser", fresh)
         expected = [outcome(argv) for argv in EQUIVALENCE_CORPUS]
     reused = [outcome(argv)
               for argv in EQUIVALENCE_CORPUS + EQUIVALENCE_CORPUS[::-1]]

@@ -2,8 +2,8 @@
 scalar subcommands run without loading numpy, and only a CSV table of
 ``cli._ORJSON_CELLS`` cells or more loads orjson, on both of the writer's
 paths: a sweep is written row by row, and a cycle's curvature map, handed
-over as one column per segment with the number of bins each fills, column
-by column by ``cli._write_runs``."""
+over as one column per segment that holds a bin with the number of bins
+each fills, column by column by ``cli._write_runs``."""
 
 import importlib
 import json
