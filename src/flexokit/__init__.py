@@ -30,8 +30,7 @@ _PUBLIC = {
         section_EI homogenized_EI tip_stiffness_exact torsional_stiffness
         plateau_stiffness solve_width_ratio solve_feature_height""",
     "limb_sim": """LimbSpec LimbState StrokeMetrics CycleResult
-        equilibrium_solve forward_kinematics curvature_profile sweep_cycle
-        limb_from_document""",
+        equilibrium_solve sweep_cycle limb_from_document""",
     "gait_sim": "body_speed speed_curve gait_from_document",
     "geometry": """TriangleMesh Primitive SolidRecipe flexure_recipe
         flexional_recipe extensional_recipe export_stl""",

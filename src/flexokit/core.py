@@ -319,6 +319,8 @@ class ExportPart:
         if self.count < MIN_FEATURES or self.facets < MIN_FACETS:
             raise DesignError(f"export needs count >= {MIN_FEATURES} and "
                               f"facets >= {MIN_FACETS}")
+        if self.width_mm is not None and not self.width_mm > 0:
+            raise DesignError("export width_mm must be positive")
 
     @property
     def manifest(self) -> str:

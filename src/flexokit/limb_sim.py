@@ -15,7 +15,10 @@ joints sit at their cap carrying reaction moment at least the elastic one.
 
 A limb (``LimbSpec``) is a set of columns: per segment, base to foot, its
 length and whether it is a joint; per joint, the stiffness, jam angle,
-routing offset and sense of its pseudo-rigid body.
+routing offset and sense of its pseudo-rigid body. A joint bends as a
+constant-curvature arc and a link stays straight, so a cycle computes, per
+pull step, only the foot (closed form, arc by arc) and the curvature of
+each segment (theta_i / joint_length_i over joint i, zero on links).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .joint_limits import extensional_jam_angle, flexional_jam_angle
 from .stiffness import torsional_stiffness
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
-_STRAIGHT = 1e-12   # rad; a joint bent less is drawn as a straight segment
+_STRAIGHT = 1e-12   # rad; a joint bent less is taken as straight
 # The most cells one cycle may hold, counted as the rows its tables write
 # (2 * steps - 1, pull and release) times the arc bins of its curvature map
 # plus the segments whose curvature that map repeats. That is 16x the
@@ -200,74 +203,26 @@ def equilibrium_solve(limb: LimbSpec, pull: float) -> LimbState:
                      jammed=tuple(jammed[0].tolist()))
 
 
-def _angle_row(limb: LimbSpec, theta) -> np.ndarray:
-    theta = np.array([theta], dtype=float)
-    if theta.shape[1] != len(limb.stiffness):
-        raise DesignError(f"expected {len(limb.stiffness)} joint angles, "
-                          f"got {theta.shape[1]}")
-    return theta
-
-
-def _chain(limb: LimbSpec, theta: np.ndarray, arc_points: int) -> list:
-    """Chain points, base to foot: (x, y) arrays with one value per row.
-
-    Joint rotations spread uniformly along each joint (constant-curvature
-    arcs sampled every ``joint_length / arc_points``); links stay straight.
-    The last point, the foot, is closed-form and independent of arc_points.
-    """
+def _foot(limb: LimbSpec, theta: np.ndarray) -> np.ndarray:
+    """The foot of each row of joint angles, (rows, 2): links advance along
+    the heading, a joint along its constant-curvature arc (straight when
+    bent less than _STRAIGHT)."""
     x = y = heading = np.zeros(len(theta))
-    points = [(x, y)]
     angles = iter(theta.T)
     for length, bent in zip(limb.lengths, limb.is_joint):
         if not bent:
             x = x + length * np.cos(heading)
             y = y + length * np.sin(heading)
-            if length > 0:
-                points.append((x, y))
             continue
         th = next(angles)
         straight = np.abs(th) < _STRAIGHT
         radius = length / np.where(straight, 1.0, th)
-        x0, y0, h0 = x, y, heading
-        for i in range(1, arc_points + 1):
-            t = i / arc_points
-            x = np.where(straight, x0 + t * length * np.cos(h0),
-                         x0 + radius * (np.sin(h0 + t * th) - np.sin(h0)))
-            y = np.where(straight, y0 + t * length * np.sin(h0),
-                         y0 + radius * (np.cos(h0) - np.cos(h0 + t * th)))
-            points.append((x, y))
-        heading = np.where(straight, h0, h0 + th)
-    return points
-
-
-def forward_kinematics(limb: LimbSpec,
-                       theta) -> tuple[np.ndarray, tuple[float, float]]:
-    """Planar chain pose: the polyline (see ``_chain``, 16 points per
-    joint) and its endpoint, the foot."""
-    points = _chain(limb, _angle_row(limb, theta), 16)
-    polyline = np.array([(x[0], y[0]) for x, y in points])
-    return polyline, tuple(polyline[-1].tolist())
-
-
-def _profile(limb: LimbSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arc length at each segment's far end, and curvature (rows, segments):
-    theta_i / joint_length_i over joint i, zero on links."""
-    lengths, bent = np.array(limb.lengths), np.array(limb.is_joint)
-    kappa = np.zeros((len(theta), len(lengths)))
-    kappa[:, bent] = theta / lengths[bent]
-    return np.cumsum(lengths), kappa
-
-
-def curvature_profile(limb: LimbSpec, theta) -> list[tuple[float, float, float]]:
-    """Piecewise-constant curvature along the limb.
-
-    Returns (arc_start, arc_end, curvature) per segment, base to foot.
-    Curvature over joint i is theta_i / joint_length_i, zero on links, so
-    integrating each joint's span recovers theta_i exactly.
-    """
-    ends, kappa = _profile(limb, _angle_row(limb, theta))
-    ends = ends.tolist()
-    return list(zip([0.0] + ends[:-1], ends, kappa[0].tolist()))
+        x = np.where(straight, x + length * np.cos(heading),
+                     x + radius * (np.sin(heading + th) - np.sin(heading)))
+        y = np.where(straight, y + length * np.sin(heading),
+                     y + radius * (np.cos(heading) - np.cos(heading + th)))
+        heading = np.where(straight, heading, heading + th)
+    return np.column_stack((x, y))
 
 
 def cycle_index(steps: int) -> np.ndarray:
@@ -280,7 +235,7 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
                 steps: int = 101, arc_bins: int = 64) -> CycleResult:
     """Simulate one tendon pull-and-release cycle on a uniform pull grid.
 
-    Each row's solve, chain and profile read only its own pull, so the
+    Each row's solve, foot and curvature read only its own pull, so the
     release is the pull in reverse and the result holds only the ``steps``
     pull rows: ``np.concatenate([a, a[-2::-1]])`` of a per-step array
     ``a`` gives the whole cycle. max_pull defaults to the limb's jam
@@ -306,11 +261,14 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
         raise DesignError("max_pull must be nonnegative")
     up = np.linspace(0.0, max_pull, steps)
     theta, tension, jammed, _ = _solve(limb, up)
-    foot_path = np.column_stack(_chain(limb, theta, 1)[-1])
+    foot_path = _foot(limb, theta)
     distance = float(foot_path[:, 0].max() - foot_path[:, 0].min())
     ratio = distance / max_pull if max_pull > 0 else 0.0
     bins = (np.arange(arc_bins) + 0.5) * (limb.total_length / arc_bins)
-    ends, kappa = _profile(limb, theta)
+    lengths, bent = np.array(limb.lengths), np.array(limb.is_joint)
+    kappa = np.zeros((steps, len(lengths)))
+    kappa[:, bent] = theta / lengths[bent]
+    ends = np.cumsum(lengths)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
     # only the segments that hold a bin keep their column

@@ -1,8 +1,9 @@
 """Test-local oracles: STL decoding, polygon and triangle measures, random
-limbs, energy bookkeeping, the per-period exact stiffness quadrature.
+limbs, the foot and curvature of a limb at given joint angles, energy
+bookkeeping, the per-period exact stiffness quadrature.
 
 Everything here is independent of the package internals on purpose; the
-STL reader, the measures and the energy helpers only use
+STL reader, the measures, the limb shape and the energy helpers only use
 math/struct/numpy so they can catch mistakes in the production encoders,
 meshers and solvers.
 """
@@ -96,6 +97,39 @@ def random_limb(rng, n_joints=None, equal_offsets=False,
                        int(rng.choice((-1, 1)))))
         links.append(float(rng.uniform(0.005, 0.03)))
     return si_limb(links, *zip(*joints))
+
+
+def foot_point(limb: LimbSpec, theta) -> tuple[float, float]:
+    """The foot at joint angles ``theta``, base at the origin heading along
+    +x: each link straight, each joint a constant-curvature arc, straight
+    when bent less than 1e-12 rad."""
+    x = y = heading = 0.0
+    angles = iter(theta)
+    for length, bent in zip(limb.lengths, limb.is_joint):
+        th = next(angles) if bent else 0.0
+        if abs(th) < 1e-12:
+            x += length * math.cos(heading)
+            y += length * math.sin(heading)
+        else:
+            radius = length / th
+            x += radius * (math.sin(heading + th) - math.sin(heading))
+            y += radius * (math.cos(heading) - math.cos(heading + th))
+            heading += th
+    return x, y
+
+
+def curvature_at(limb: LimbSpec, theta, s) -> float:
+    """Curvature at arc length ``s`` from the base: theta_i / length_i over
+    joint i, zero on links; a segment holds [start, end), and past the foot
+    the last segment's curvature holds."""
+    angles = iter(theta)
+    end = 0.0
+    for length, bent in zip(limb.lengths, limb.is_joint):
+        kappa = next(angles) / length if bent else 0.0
+        end += length
+        if s < end:
+            break
+    return kappa
 
 
 def elastic_energy(limb: LimbSpec, theta) -> float:

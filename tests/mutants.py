@@ -123,6 +123,34 @@ MUTANTS = {
         (("    if not spec.residual(lo) < 0:\n", "    if False:\n"),),
         ("tests/test_joint_limits.py::test_root_below_the_bracket_floor_is_"
          "rejected",)),
+    "arc sign flipped in _foot": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("x + radius * (np.sin(heading + th) - np.sin(heading))",
+          "x + radius * (np.sin(heading) - np.sin(heading + th))"),),
+        ("tests/test_limb_sim.py::test_quarter_turn_arc_endpoint_closed_"
+         "form",)),
+    "no straight-joint branch in _foot": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("        straight = np.abs(th) < _STRAIGHT\n",
+          "        straight = False\n"),),
+        ("tests/test_limb_sim.py::test_straight_chain_lands_on_the_x_axis",)),
+    "export width_mm not checked": Mutant(
+        "src/flexokit/core.py",
+        (("        if self.width_mm is not None and not self.width_mm > 0:\n",
+          "        if False:\n"),),
+        ("tests/test_core.py::test_document_rejections_name_the_rule_and_"
+         "the_field[export_width_zero]",
+         "tests/test_core.py::test_document_rejections_name_the_rule_and_"
+         "the_field[export_width_negative]")),
+    "no repr of mixed entries in _texts": Mutant(
+        "src/flexokit/cli.py",
+        (("        texts[i] = entry(value)\n", "        pass\n"),),
+        ("tests/test_tables.py::test_texts_is_repr_on_a_million_bit_"
+         "patterns",)),
+    "range mask from 1e-5": Mutant(
+        "src/flexokit/cli.py",
+        (("(magnitude >= 1e-4)", "(magnitude >= 1e-5)"),),
+        ("tests/test_tables.py::test_texts_is_repr",)),
     "limb names not checked as file names": Mutant(
         "src/flexokit/core.py",
         (('    _plain_file_name(f"{name}_trajectory.csv", path)\n', ""),),

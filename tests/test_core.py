@@ -287,6 +287,13 @@ _RIBS = ("flexures", "sample", "ribs")
     pytest.param(SAMPLE, ("export", "parts", 2, "facets"), 4,
                  "export.parts[2]", "export needs count >= 2 and facets >= 8",
                  id="export_facets"),
+    # extensional_recipe would reject these only at export time
+    pytest.param(SAMPLE, ("export", "parts", 3, "width_mm"), 0,
+                 "export.parts[3]", "export width_mm must be positive",
+                 id="export_width_zero"),
+    pytest.param(SAMPLE, ("export", "parts", 3, "width_mm"), -1.5,
+                 "export.parts[3]", "export width_mm must be positive",
+                 id="export_width_negative"),
     pytest.param(SAMPLE, ("flexures",), [], "flexures",
                  "expected a JSON object", id="section_not_object"),
     pytest.param(SAMPLE, ("flexures", "sample"), 5, "flexures.sample",

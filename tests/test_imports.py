@@ -96,7 +96,7 @@ def test_only_cycle_tables_from_the_gate_on_import_orjson(tmp_path, steps,
 def test_every_public_name_resolves_to_its_module_object():
     assert flexokit.__all__[0] == "__version__"
     names = flexokit.__all__[1:]
-    assert len(set(names)) == len(names) == 64
+    assert len(set(names)) == len(names) == 62
     for name in names:
         module = importlib.import_module(f"flexokit.{flexokit._HOME[name]}")
         obj = getattr(flexokit, name)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (elastic_energy, grid_search_two_joint, jam_event_pulls,
-                     random_limb, si_limb, tendon_work)
+from helpers import (curvature_at, elastic_energy, foot_point,
+                     grid_search_two_joint, jam_event_pulls, random_limb,
+                     si_limb, tendon_work)
 from flexokit.errors import DesignError, EmptyLimbError, OverPullError
-from flexokit.limb_sim import (curvature_profile, equilibrium_solve,
-                               forward_kinematics, limb_from_document,
+from flexokit.limb_sim import (equilibrium_solve, limb_from_document,
                                sweep_cycle)
 
 MM = 1e-3
@@ -190,16 +190,20 @@ def test_softer_joint_reaches_target_angle_at_smaller_pull():
 
 def test_straight_chain_lands_on_the_x_axis():
     limb = two_joint_limb()
-    polyline, foot = forward_kinematics(limb, (0.0, 0.0))
-    assert foot[0] == pytest.approx(limb.total_length, abs=1e-15)
-    assert foot[1] == pytest.approx(0.0, abs=1e-15)
-    assert polyline[0] @ polyline[0] == 0.0
+    cycle = sweep_cycle(limb, max_pull=0.0, steps=3)
+    assert not cycle.theta.any()
+    for x, y in cycle.foot_path:
+        assert x == pytest.approx(limb.total_length, abs=1e-15)
+        assert y == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quarter_turn_arc_endpoint_closed_form():
+    # the top row of a one-joint limb capped at a quarter turn
     limb = si_limb((0.03, 0.03), stiffness=(0.05,), joint_length=(0.01,),
-                   jam_angle=(3.0,), routing_offset=(0.002,))
-    _, foot = forward_kinematics(limb, (math.pi / 2,))
+                   jam_angle=(math.pi / 2,), routing_offset=(0.002,))
+    cycle = sweep_cycle(limb, steps=2)
+    assert cycle.theta[-1, 0] == pytest.approx(math.pi / 2, rel=1e-15)
+    foot = cycle.foot_path[-1]
     radius = 0.01 / (math.pi / 2)
     assert foot[0] == pytest.approx(0.03 + radius, rel=1e-12)
     assert foot[1] == pytest.approx(radius + 0.03, rel=1e-12)
@@ -208,51 +212,46 @@ def test_quarter_turn_arc_endpoint_closed_form():
 def test_arc_endpoint_matches_numeric_heading_integral():
     rng = np.random.default_rng(17)
     limb = random_limb(rng, n_joints=3)
-    theta = [float(s) * float(rng.uniform(0.1, 1.2)) for s in limb.sense]
-    _, foot = forward_kinematics(limb, theta)
-
-    # midpoint-rule integration of (cos h, sin h) along the arc length
-    x = y = heading = 0.0
-    it = iter(theta)
-    for length, bent in zip(limb.lengths, limb.is_joint):
-        if not bent:
-            x += length * math.cos(heading)
-            y += length * math.sin(heading)
-            continue
-        th = next(it)
-        n = 20000
-        ds = length / n
-        s = (np.arange(n) + 0.5) * ds
-        h = heading + th * s / length
-        x += float(np.cos(h).sum()) * ds
-        y += float(np.sin(h).sum()) * ds
-        heading += th
-    assert abs(foot[0] - x) < 1e-9
-    assert abs(foot[1] - y) < 1e-9
+    cycle = sweep_cycle(limb, steps=5)
+    for theta, foot in zip(cycle.theta.tolist(), cycle.foot_path):
+        # midpoint-rule integration of (cos h, sin h) along the arc length
+        x = y = heading = 0.0
+        it = iter(theta)
+        for length, bent in zip(limb.lengths, limb.is_joint):
+            if not bent:
+                x += length * math.cos(heading)
+                y += length * math.sin(heading)
+                continue
+            th = next(it)
+            n = 20000
+            ds = length / n
+            s = (np.arange(n) + 0.5) * ds
+            h = heading + th * s / length
+            x += float(np.cos(h).sum()) * ds
+            y += float(np.sin(h).sum()) * ds
+            heading += th
+        assert abs(foot[0] - x) < 1e-9
+        assert abs(foot[1] - y) < 1e-9
 
 
 def test_curvature_profile_integrates_back_to_joint_angles():
+    # the top row of a one-joint limb capped at 0.5 rad over 10 mm
     limb = si_limb((0.01, 0.005), stiffness=(0.05,), joint_length=(0.01,),
-                   jam_angle=(3.0,), routing_offset=(0.002,))
-    profile = curvature_profile(limb, (0.5,))
-    assert profile == [(0.0, 0.01, 0.0), (0.01, 0.02, 50.0), (0.02, 0.025, 0.0)]
+                   jam_angle=(0.5,), routing_offset=(0.002,))
+    cycle = sweep_cycle(limb, steps=2)
+    assert cycle.kappa[-1].tolist() == pytest.approx([0.0, 50.0, 0.0],
+                                                     rel=1e-15)
     rng = np.random.default_rng(19)
     for _ in range(20):
         rl = random_limb(rng)
-        theta = [float(rng.uniform(-1.0, 1.0)) for _ in rl.stiffness]
-        spans = [(s1 - s0) * kappa
-                 for s0, s1, kappa in curvature_profile(rl, theta)
-                 if kappa != 0.0]
-        for got, want in zip(spans, [t for t in theta if t != 0.0]):
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
-def test_angle_count_mismatch_rejected():
-    limb = two_joint_limb()
-    with pytest.raises(DesignError):
-        forward_kinematics(limb, (0.1,))
-    with pytest.raises(DesignError):
-        curvature_profile(limb, (0.1, 0.2, 0.3))
+        cycle = sweep_cycle(rl, steps=7)
+        # 64 bins of at most 4 mm: every segment holds one, base to foot
+        assert cycle.kappa.shape == (7, len(rl.lengths))
+        bent = np.array(rl.is_joint)
+        assert not cycle.kappa[:, ~bent].any()
+        spans = cycle.kappa[:, bent] * np.array(rl.lengths)[bent]
+        np.testing.assert_allclose(spans, cycle.theta, rtol=1e-12,
+                                   atol=1e-15)
 
 
 # -------------------------------------------------------------- cycle sweeps
@@ -349,12 +348,11 @@ def test_cycle_rows_equal_single_pull_solves_exactly():
             assert tuple(cycle.jammed[i]) == state.jammed
             assert _scalar_equilibrium(limb, float(pull)) == (
                 state.theta, state.tension, state.jammed)
-            _, foot = forward_kinematics(limb, state.theta)
-            assert tuple(cycle.foot_path[i]) == foot
-            profile = curvature_profile(limb, state.theta)
-            for s, kappa in zip(cycle.arc_bins, cycle.curvature_map[i]):
-                assert kappa == next((k for s0, s1, k in profile
-                                      if s0 <= s < s1), profile[-1][2])
+            # math.sin and np.sin may differ in the last place
+            assert tuple(cycle.foot_path[i]) == pytest.approx(
+                foot_point(limb, state.theta), rel=1e-12, abs=1e-15)
+            assert cycle.curvature_map[i].tolist() == [
+                curvature_at(limb, state.theta, s) for s in cycle.arc_bins]
     assert most_jams >= 3 and senses == {-1, 1}
 
 
