@@ -309,7 +309,13 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 # Subcommands
 
 def _cmd_validate(args, stage) -> int:
+    from .limb_sim import limb_from_document
+    from .stiffness import check_rib_periods
     doc = _load_document(args.input)
+    for name in doc.limbs:
+        limb_from_document(doc, name)
+    for flex in doc.flexures.values():
+        check_rib_periods(flex)
     if doc.process is not None:
         report = validate_process(doc.process)
         entries, text = report.to_json(), report.to_text()
@@ -524,12 +530,17 @@ def _recipe_for_part(doc: DesignDoc, part):
         return flexure_recipe(flex), next(
             (thickness_mm for material, thickness_mm in flex.base.layers
              if material.kind == "base_film"), film_mm)
+    # a part holds only the options its kind reads; the recipe defaults
+    # those it leaves out
+    width = part.width_mm * MM if part.width_mm is not None else None
+    options = {key: value for key, value in (
+        ("count", part.count), ("facets", part.facets), ("width", width))
+        if value is not None}
     if part.kind == "flexional":
         return flexional_recipe(doc.flexional_limits[part.ref].spec,
-                                count=part.count, facets=part.facets), film_mm
-    width = part.width_mm * MM if part.width_mm is not None else None
+                                **options), film_mm
     return extensional_recipe(doc.extensional_limits[part.ref].spec,
-                              count=part.count, width=width), film_mm
+                              **options), film_mm
 
 
 def _cmd_export_geometry(args, stage) -> int:
@@ -539,16 +550,11 @@ def _cmd_export_geometry(args, stage) -> int:
     if not parts:
         print("no export parts declared; nothing to do")
         return 0
-    # Every recipe counts and bounds its triangles, so a rejected part
-    # stops the export before any directory or file is made.
-    recipes = []
+    process = to_document(doc.process) if doc.process is not None else None
     for i, part in enumerate(parts):
         with located(f"export.parts[{i}]"):
-            recipes.append(_recipe_for_part(doc, part))
-    process = to_document(doc.process) if doc.process is not None else None
-    for i, (part, (recipe, film_mm)) in enumerate(zip(parts, recipes)):
-        mesh = recipe.mesh()
-        with located(f"export.parts[{i}]"):
+            recipe, film_mm = _recipe_for_part(doc, part)
+            mesh = recipe.mesh()
             # validates the mesh first, and measures its volume
             byte_count = export_stl(mesh, stage(part.file))
             manifest = stage(part.manifest)
@@ -670,9 +676,10 @@ _SUBCOMMANDS = {
     "validate": _Subcommand(
         _cmd_validate,
         "check a design document and its print process settings",
-        "Reads a JSON design document (mm/GPa/degC units), checks the "
-        "print process settings, and writes validation_report.json to "
-        "--out-dir.", flags=_validate_flags),
+        "Reads a JSON design document (mm/GPa/degC units), resolves its "
+        "limbs, bounds its flexures' rib periods, checks the print process "
+        "settings, and writes validation_report.json to --out-dir.",
+        flags=_validate_flags),
     "predict-stiffness": _Subcommand(
         _cmd_predict_stiffness,
         "rib-patterned flexure stiffness table",

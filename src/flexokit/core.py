@@ -304,19 +304,30 @@ MIN_FACETS = 8
 
 @dataclass(frozen=True)
 class ExportPart:
-    """One geometry export request."""
+    """One geometry export request. A flexional part may set ``count`` and
+    ``facets``, an extensional one ``count`` and ``width_mm``, and a
+    flexure part none of them; the recipe defaults those left unset."""
 
     kind: str
     ref: str
     file: str
-    count: int = 2
-    facets: int = 16
+    count: Optional[int] = None
+    facets: Optional[int] = None
     width_mm: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in EXPORT_KINDS:
             raise DesignError(f"export kind must be one of {EXPORT_KINDS}")
-        if self.count < MIN_FEATURES or self.facets < MIN_FACETS:
+        unread = [key for key, read in (
+                      ("count", self.kind != "flexure"),
+                      ("facets", self.kind == "flexional"),
+                      ("width_mm", self.kind == "extensional"))
+                  if getattr(self, key) is not None and not read]
+        if unread:
+            raise DesignError(
+                f"{self.kind} parts read no {' or '.join(unread)}")
+        if (self.count is not None and self.count < MIN_FEATURES
+                or self.facets is not None and self.facets < MIN_FACETS):
             raise DesignError(f"export needs count >= {MIN_FEATURES} and "
                               f"facets >= {MIN_FACETS}")
         if self.width_mm is not None and not self.width_mm > 0:

@@ -25,7 +25,6 @@ class DanglingReferenceError(DesignError):
     """A document references a name that is not defined anywhere."""
 
     def __init__(self, name: str, path: str = ""):
-        self.name = name
         super().__init__(f"reference to undefined name {name!r}", path)
 
 
@@ -42,26 +41,12 @@ class UnreachableLimitError(GeometryError):
 
 
 class ContactAtRestError(GeometryError):
-    """Extensional features touch before any bending occurs.
-
-    ``min_diagonal`` is the smallest feasible diagonal length in meters.
-    """
-
-    def __init__(self, message: str, min_diagonal: float):
-        self.min_diagonal = min_diagonal
-        super().__init__(message)
+    """Extensional features touch before any bending occurs."""
 
 
 class TargetRangeError(FlexokitError):
-    """An inverse-design target lies outside the attainable range.
-
-    ``bounds`` holds the attainable (min, max); ``max`` may be a supremum
-    that is approached but never reached.
-    """
-
-    def __init__(self, message: str, bounds: tuple):
-        self.bounds = bounds
-        super().__init__(message)
+    """An inverse-design target lies outside the attainable range, which
+    the message states."""
 
 
 class OverPullError(FlexokitError):

@@ -180,7 +180,7 @@ def extensional_jam_angle(spec: ExtensionalLimitSpec) -> float:
     if gap <= 0:
         raise ContactAtRestError(
             f"standoff tips touch at rest (gap {gap:g} m); smallest feasible "
-            f"diagonal is {spec.min_diagonal:g} m", spec.min_diagonal)
+            f"diagonal is {spec.min_diagonal:g} m")
     angle = gap / (spec.tip_height + spec.mount_height)
     if not math.isfinite(math.degrees(angle)):
         raise GeometryError(

@@ -19,20 +19,24 @@ routing offset and sense of its pseudo-rigid body. A joint bends as a
 constant-curvature arc and a link stays straight, so a cycle computes, per
 pull step, only the foot (closed form, arc by arc) and the curvature of
 each segment (theta_i / joint_length_i over joint i, zero on links).
+
+Only the functions that compute arrays import numpy, so a document's limbs
+resolve (``limb_from_document``) and are checked without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import MM, DesignDoc
 from .errors import DesignError, EmptyLimbError, OverPullError, located
 from .joint_limits import extensional_jam_angle, flexional_jam_angle
 from .stiffness import torsional_stiffness
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
 _STRAIGHT = 1e-12   # rad; a joint bent less is taken as straight
@@ -81,19 +85,22 @@ class LimbSpec:
         # in the solver's order of operations. The foot path and stroke (in
         # mm) stay within twice the limb's length, a joint's arc radius
         # within its length / _STRAIGHT, its curvature within cap / length.
+        # Joint i turns at most pull / r_i, so the stroke ratio stays within
+        # the length times sum(1 / r).
         compliance = [ri * ri * (1.0 / ki) for ki, ri in zip(k, r)]
         tension = max(ki * ci / ri for ki, ci, ri in zip(k, cap, r))
         if not (min(compliance) > 0 and math.isfinite(sum(compliance))
                 and math.isfinite(tension)
                 and math.isfinite(self.pull_capacity)
                 and math.isfinite(2 * self.total_length / MM)
+                and math.isfinite(self.total_length * sum(1 / ri for ri in r))
                 and all(math.isfinite(si / _STRAIGHT)
                         and math.isfinite(ci / si)
                         for ci, si in zip(cap, joint_lengths))):
             raise DesignError(
                 "lengths, routing offsets and stiffnesses put the limb's "
                 "length in mm, arc radius, curvature, tendon compliance, jam "
-                "tension or full-jam pull out of float range")
+                "tension, full-jam pull or stroke ratio out of float range")
 
     @property
     def total_length(self) -> float:
@@ -152,6 +159,7 @@ def _solve(limb: LimbSpec, pulls):
     passes, and pulls sharing a jammed set share its two sums. Pulls come
     back clamped to the jam capacity.
     """
+    import numpy as np
     k = np.array(limb.stiffness)
     r = np.array(limb.routing_offset)
     cap = np.array(limb.jam_angle)
@@ -183,7 +191,9 @@ def _solve(limb: LimbSpec, pulls):
         t = ((pulls[at] - float(r[held] @ cap[held]))
              / float(r[free] ** 2 @ (1.0 / k[free])))
         tension[at] = t
-        phi[at] = np.where(held, cap, t[:, None] * r / k)
+        # a held joint's elastic angle is not formed: where its stiffness
+        # is small it can overflow
+        phi[at] = np.where(held, cap, t[:, None] * np.where(held, 0.0, r) / k)
         newly = free & (phi[at] > cap * (1 + _CAP_SLACK))
         jammed[at] |= newly
         moving[at] = newly.any(axis=1)
@@ -207,6 +217,7 @@ def _foot(limb: LimbSpec, theta: np.ndarray) -> np.ndarray:
     """The foot of each row of joint angles, (rows, 2): links advance along
     the heading, a joint along its constant-curvature arc (straight when
     bent less than _STRAIGHT)."""
+    import numpy as np
     x = y = heading = np.zeros(len(theta))
     angles = iter(theta.T)
     for length, bent in zip(limb.lengths, limb.is_joint):
@@ -228,6 +239,7 @@ def _foot(limb: LimbSpec, theta: np.ndarray) -> np.ndarray:
 def cycle_index(steps: int) -> np.ndarray:
     """The pull-grid row of each step of a cycle on a grid of ``steps``
     pulls: up the grid, then back down it, the top step once."""
+    import numpy as np
     return np.r_[:steps, steps - 2:-1:-1]
 
 
@@ -247,6 +259,7 @@ def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
     is never built unless ``curvature_map`` is read. A cycle whose
     2 * steps - 1 rows hold more than MAX_CYCLE_CELLS cells is rejected.
     """
+    import numpy as np
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
     if arc_bins < 1:

@@ -42,8 +42,8 @@ class PlateauUnreachableError(TargetRangeError):
 
     Raising the ribs cannot reach it: past a few times the base thickness
     the bare segments dominate the compliance, so k(height) saturates at
-    ``bounds[1]`` (this is exactly the regime where rib height stops being
-    a useful control knob).
+    ``plateau_stiffness`` (this is exactly the regime where rib height
+    stops being a useful control knob).
     """
 
 
@@ -124,6 +124,21 @@ def rib_periods(flex: FlexureSpec) -> float:
     return flex.length / flex.ribs.period - 1e-12
 
 
+def check_rib_periods(flex: FlexureSpec) -> None:
+    """Raise DesignError if the exact model would integrate more than
+    ``MAX_RIB_PERIODS`` rib periods: if the flexure spans more, and its ribs
+    change its rigidity (the model integrates only then). It imports no
+    numpy, and computes the section rigidities only past the bound, so a
+    flexure under it is never rejected for them."""
+    periods = 0.0 if flex.ribs is None else rib_periods(flex)
+    if periods > MAX_RIB_PERIODS:
+        ei_low, ei_high = _section_pair(flex)
+        if ei_high != ei_low:
+            raise DesignError(
+                f"exact stiffness of {flex.name!r} spans {periods:.6g} rib "
+                f"periods, more than {MAX_RIB_PERIODS}")
+
+
 def tip_stiffness_exact(flex: FlexureSpec) -> float:
     """Tip stiffness from quadrature over the periodic EI(x) profile.
 
@@ -131,27 +146,23 @@ def tip_stiffness_exact(flex: FlexureSpec) -> float:
     Composite midpoint rule at a fixed 256 samples per rib period, sampled
     segment-aligned (the integrand jumps at rib edges, so sample points
     never straddle a jump). Ribs sit centered within each period. Raises
-    DesignError past ``MAX_RIB_PERIODS`` periods.
+    DesignError past ``MAX_RIB_PERIODS`` periods (``check_rib_periods``).
 
     Each segment's samples are summed as one row of a C-contiguous block
     of segments with the same sample count, which rounds as ``np.sum`` of
     that segment alone, and the segments' terms are added left to right.
     """
-    import numpy as np
+    check_rib_periods(flex)
     ei_low, ei_high = _section_pair(flex)
     length = flex.length
-    if flex.ribs is None or ei_high == ei_low:
+    if ei_high == ei_low:
         return 3 * ei_low / length ** 3
+    import numpy as np
     period = flex.ribs.period
     w = flex.ribs.width_ratio
-    periods = rib_periods(flex)
-    if periods > MAX_RIB_PERIODS:
-        raise DesignError(
-            f"exact stiffness of {flex.name!r} spans {periods:.6g} rib "
-            f"periods, more than {MAX_RIB_PERIODS}")
     # Each period's bare, ribbed and bare segment, in x order, clipped to
     # the flexure.
-    p0 = np.arange(math.ceil(periods)) * period
+    p0 = np.arange(math.ceil(rib_periods(flex))) * period
     a = p0 + (1 - w) * period / 2
     b = p0 + (1 + w) * period / 2
     s0 = np.maximum(np.stack((p0, a, b), axis=1).ravel(), 0.0)
@@ -219,7 +230,7 @@ def solve_width_ratio(target_k: float, template: FlexureSpec) -> float:
     if not k0 <= target_k <= k1:
         raise TargetRangeError(
             f"target {target_k:g} N/m is outside the attainable range "
-            f"[{k0:g}, {k1:g}] N/m for this template", (k0, k1))
+            f"[{k0:g}, {k1:g}] N/m for this template")
     if target_k == k0:
         return 0.0
     if target_k == k1:
@@ -250,11 +261,11 @@ def solve_feature_height(target_k: float, template: FlexureSpec) -> float:
         raise PlateauUnreachableError(
             f"target {target_k:g} N/m is at or above the plateau supremum "
             f"{supremum:g} N/m for width_ratio {w:g}; rib height cannot "
-            "reach it", (k0, supremum))
+            "reach it")
     if target_k < k0:
         raise TargetRangeError(
             f"target {target_k:g} N/m is below the bare-flexure stiffness "
-            f"{k0:g} N/m; ribs only stiffen", (k0, supremum))
+            f"{k0:g} N/m; ribs only stiffen")
     if target_k == k0:
         return 0.0
     # The search stops at 1 m of rib. The plateau check above lets through
@@ -265,6 +276,5 @@ def solve_feature_height(target_k: float, template: FlexureSpec) -> float:
         hi *= 2
         if hi > 1.0:
             raise PlateauUnreachableError(
-                f"target {target_k:g} N/m is not reachable by rib height",
-                (k0, supremum))
+                f"target {target_k:g} N/m is not reachable by rib height")
     return _bisect_for_target(k_of, 0.0, hi, target_k)

@@ -156,6 +156,59 @@ MUTANTS = {
         (('    _plain_file_name(f"{name}_trajectory.csv", path)\n', ""),),
         ("tests/test_cli.py::test_limb_named_off_the_out_dir_exits_2_"
          "unwritten",)),
+    "validate resolves no limb": Mutant(
+        "src/flexokit/cli.py",
+        (("    for name in doc.limbs:\n"
+          "        limb_from_document(doc, name)\n", ""),),
+        ("tests/test_cli.py::test_out_of_range_documents_exit_2_with_a_"
+         "located_diagnostic[validate_joint_past_its_flexure]",)),
+    "validate bounds no rib periods": Mutant(
+        "src/flexokit/cli.py",
+        (("    for flex in doc.flexures.values():\n"
+          "        check_rib_periods(flex)\n", ""),),
+        ("tests/test_cli.py::test_out_of_range_documents_exit_2_with_a_"
+         "located_diagnostic[validate_too_many_rib_periods]",)),
+    "rib periods bounded after the numpy import": Mutant(
+        "src/flexokit/stiffness.py",
+        (("    check_rib_periods(flex)\n"
+          "    ei_low, ei_high = _section_pair(flex)\n",
+          "    ei_low, ei_high = _section_pair(flex)\n"),
+         ("    import numpy as np\n",
+          "    import numpy as np\n    check_rib_periods(flex)\n")),
+        ("tests/test_imports.py::test_too_many_rib_periods_are_rejected_"
+         "without_numpy[predict-stiffness]",)),
+    "export part keys its kind never reads accepted": Mutant(
+        "src/flexokit/core.py",
+        (("        if unread:\n", "        if False:\n"),),
+        ("tests/test_core.py::test_document_rejections_name_the_rule_and_"
+         "the_field[export_flexure_width]",)),
+    "stroke ratio not bounded": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("                and math.isfinite(self.total_length * "
+          "sum(1 / ri for ri in r))\n", ""),),
+        ("tests/test_cli.py::test_out_of_range_documents_exit_2_with_a_"
+         "located_diagnostic[overflowing_stroke_ratio]",)),
+    "held joints' angles formed too": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("t[:, None] * np.where(held, 0.0, r) / k", "t[:, None] * r / k"),),
+        ("tests/test_limb_sim.py::test_a_stiff_joint_jams_beside_a_limp_one_"
+         "without_overflow",)),
+    "peak band open at its low end": Mutant(
+        "src/flexokit/core.py",
+        (("lambda bed, m: _PEAK_LO <= bed <= _PEAK_HI",
+          "lambda bed, m: _PEAK_LO < bed <= _PEAK_HI"),),
+        ("tests/test_core.py::test_report_json_at_window_edges[bed=90.0]",)),
+    "Z-offset window open at its high end": Mutant(
+        "src/flexokit/core.py",
+        (("lambda z, m: _Z_LO <= z <= _Z_HI",
+          "lambda z, m: _Z_LO <= z < _Z_HI"),),
+        ("tests/test_core.py::test_report_json_at_window_edges[z=0.03]",)),
+    "nozzle mismatch reported without a declared temperature": Mutant(
+        "src/flexokit/core.py",
+        (("lambda t, m: m.nozzle_temp_c is not None",
+          "lambda t, m: True"),),
+        ("tests/test_core.py::test_report_json_at_window_edges"
+         "[material=PC]",)),
 }
 
 

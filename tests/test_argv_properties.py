@@ -6,7 +6,9 @@ behind, and no file written with exit 0 holds a NaN, nor an infinity in a
 table. A jam-angle solution written with exit 0 solves its defining
 relation to within the feature's own length scale. The same holds for the
 commands that read materials under any FLEXOKIT_MATERIALS file, whose
-rejections never report a NaN.
+rejections never report a NaN. On generated limb documents, ``validate``
+accepts exactly the documents every one of whose limbs ``simulate-limb``
+accepts.
 """
 
 import contextlib
@@ -258,3 +260,77 @@ def test_documents_keep_few_rib_periods():
         for flex in doc.flexures.values():
             if flex.ribs is not None:
                 assert flex.length_mm / flex.ribs.period_mm <= RIB_PERIODS
+
+
+# Positive magnitudes: log-uniform within four decades of 1, or anywhere
+# from 1e-300 to 1e300.
+DECADES = st.one_of(st.floats(-4.0, 4.0),
+                    st.floats(-300.0, 300.0)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def limb_documents(draw):
+    """Flexures, limits and limbs whose lengths, offsets, stiffnesses and
+    limit dimensions span many decades. Every flexure spans at most 100,000
+    rib periods, under the exact stiffness model's bound."""
+    flexures = {}
+    for name in ("f0", "f1")[:draw(st.integers(1, 2))]:
+        length = draw(DECADES)
+        flexures[name] = {"length_mm": length, "width_mm": draw(DECADES),
+                          "base_layers": [["PC", draw(DECADES)],
+                                          ["PLA", draw(DECADES)]]}
+        if draw(st.booleans()):
+            flexures[name]["ribs"] = {
+                "period_mm": length / draw(st.floats(1.0, 1e5)),
+                "width_ratio": draw(st.floats(0.0, 1.0)),
+                "feature_height_mm": draw(st.one_of(st.just(0), DECADES))}
+    flexional = {"mushrooms": {"spacing_mm": draw(DECADES),
+                               "head_radius_mm": draw(DECADES),
+                               "stem_height_mm": draw(
+                                   st.one_of(st.just(0), DECADES))}}
+    extensional = {"standoffs": {"diagonal_mm": draw(DECADES),
+                                 "base_width_mm": draw(DECADES),
+                                 "tip_radius_mm": draw(DECADES),
+                                 "mount_height_mm": draw(DECADES),
+                                 "incline_deg": draw(st.floats(0.5, 89.5))}}
+    limbs = {}
+    for name in ("a", "b", "c")[:draw(st.integers(1, 3))]:
+        segments = []
+        for _ in range(draw(st.integers(1, 3))):
+            flexure = draw(st.sampled_from(sorted(flexures)))
+            # within its flexure half the time, where its stiffness resolves
+            joint = {"flexure": flexure,
+                     "joint_length_mm": draw(st.one_of(
+                         st.floats(1e-3, 1.0).map(
+                             lambda f: f * flexures[flexure]["length_mm"]),
+                         DECADES)),
+                     "routing_offset_mm": draw(DECADES),
+                     "sense": draw(st.sampled_from([1, -1]))}
+            cap = draw(st.sampled_from(["jam_angle_deg", "flexional_limit",
+                                        "extensional_limit"]))
+            joint[cap] = {"jam_angle_deg": draw(st.floats(1e-3, 180.0)),
+                          "flexional_limit": "mushrooms",
+                          "extensional_limit": "standoffs"}[cap]
+            if draw(st.booleans()):
+                joint["torsional_stiffness_nm_per_rad"] = draw(DECADES)
+            segments.append({"joint": joint})
+        segments += [{"link_mm": draw(st.one_of(st.just(0), DECADES))}
+                     for _ in range(draw(st.integers(0, 3)))]
+        limbs[name] = {"segments": draw(st.permutations(segments))}
+    return {"schema_version": 1, "flexures": flexures,
+            "flexional_limits": flexional, "extensional_limits": extensional,
+            "limbs": limbs}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(document=limb_documents())
+def test_validate_accepts_exactly_the_limbs_simulate_limb_accepts(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "limbs.json"
+        path.write_text(json.dumps(document))
+        # a command exits 2 exactly when it writes a diagnostic
+        valid = check_command_line(["validate", "-i", str(path)]) == ""
+        simulated = [check_command_line(["simulate-limb", "-i", str(path),
+                                         "--limb", name]) == ""
+                     for name in document["limbs"]]
+    assert valid == all(simulated)

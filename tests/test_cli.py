@@ -409,7 +409,8 @@ _BAD_LIMB = ("a limb needs one positive stiffness, jam angle, routing offset "
              "and length per joint, senses of +1 or -1 and nonnegative links")
 _LIMB_OVERFLOW = ("lengths, routing offsets and stiffnesses put the limb's "
                   "length in mm, arc radius, curvature, tendon compliance, "
-                  "jam tension or full-jam pull out of float range")
+                  "jam tension, full-jam pull or stroke ratio out of float "
+                  "range")
 # Errors raised while a limb's joints resolve
 _LONG_JOINT = "joint_length must lie in (0, flexure length]"
 _JAMMED_AT_REST = ("heads touch at zero bend: spacing 0.003 m <= head "
@@ -418,6 +419,16 @@ _JAMMED_AT_REST = ("heads touch at zero bend: spacing 0.003 m <= head "
 
 def _jammed_at_rest(doc):
     doc["flexional_limits"]["flexion_90deg"].update(spacing_mm=3)
+
+
+def _too_many_rib_periods(doc):
+    doc["flexures"]["sample"]["ribs"].update(period_mm=30 / 200_000)
+
+
+def _overflowing_links(doc, length_mm=1e308):
+    for segment in doc["limbs"]["hind_leg"]["segments"]:
+        if "link_mm" in segment:
+            segment["link_mm"] = length_mm
 
 
 @pytest.mark.parametrize("document, subcommand, mutate, message, error", [
@@ -443,10 +454,12 @@ def _jammed_at_rest(doc):
      "limbs.hind_leg.segments[1].joint: torsional_stiffness_nm_per_rad must "
      "be positive", "DesignError"),
     # the foot path and the curvature header, in mm, would overflow
+    ("hind_leg.json", "simulate-limb", _overflowing_links,
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
+    # a 1e-154 m moment arm on a 1e157 m limb: the stroke ratio overflows
     ("hind_leg.json", "simulate-limb",
-     lambda doc: [s.update(link_mm=1e308)
-                  for s in doc["limbs"]["hind_leg"]["segments"]
-                  if "link_mm" in s],
+     lambda doc: [_first_joint(doc).update(routing_offset_mm=1e-151),
+                  _overflowing_links(doc, 1e160)],
      "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     # the jam angle over a subnormal joint length overflows as a curvature
     ("hind_leg.json", "simulate-limb",
@@ -496,15 +509,32 @@ def _jammed_at_rest(doc):
      "limbs.hind_leg: " + _JAMMED_AT_REST, "AlwaysJammedError"),
     ("quadruped.json", "simulate-gait", _jammed_at_rest,
      "limbs.front_left: " + _JAMMED_AT_REST, "AlwaysJammedError"),
+    # validate rejects each as the command that computes from it does
+    ("hind_leg.json", "validate",
+     lambda doc: _first_joint(doc).update(joint_length_mm=50),
+     "limbs.hind_leg: " + _LONG_JOINT, "DesignError"),
+    ("hind_leg.json", "validate", _jammed_at_rest,
+     "limbs.hind_leg: " + _JAMMED_AT_REST, "AlwaysJammedError"),
+    ("hind_leg.json", "validate", _overflowing_links,
+     "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
+    ("sample_flexure.json", "validate", _too_many_rib_periods,
+     "exact stiffness of 'sample' spans 200000 rib periods, more than "
+     "131072", "DesignError"),
+    ("sample_flexure.json", "predict-stiffness", _too_many_rib_periods,
+     "exact stiffness of 'sample' spans 200000 rib periods, more than "
+     "131072", "DesignError"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
         "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
-        "negative_stiffness", "overflowing_links", "subnormal_joint_length",
+        "negative_stiffness", "overflowing_links",
+        "overflowing_stroke_ratio", "subnormal_joint_length",
         "zero_joint_length", "zero_joint_length_in_a_gait",
         "overflowing_arc_radius",
         "infinite_layer", "overflowing_integer", "zero_spacing",
         "zero_diagonal", "joint_past_its_flexure",
         "joint_past_its_flexure_in_a_gait", "jammed_at_rest",
-        "jammed_at_rest_in_a_gait"])
+        "jammed_at_rest_in_a_gait", "validate_joint_past_its_flexure",
+        "validate_jammed_at_rest", "validate_overflowing_links",
+        "validate_too_many_rib_periods", "too_many_rib_periods"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
         tmp_path, capsys, document, subcommand, mutate, message, error):
     with open(bundled_path(document)) as f:

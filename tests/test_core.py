@@ -31,6 +31,12 @@ def test_bundled_documents_round_trip_identically(name):
     assert serialize_design(again) == text
 
 
+def test_serialized_export_parts_keep_only_the_keys_given():
+    parts = json.loads(bundled_text("sample_flexure.json"))["export"]["parts"]
+    text = serialize_design(parse_design(bundled_text("sample_flexure.json")))
+    assert json.loads(text)["export"]["parts"] == parts
+
+
 def test_parse_keeps_document_units(hind_leg_doc):
     flex = hind_leg_doc.flexures["extension_flexure"]
     assert flex.length_mm == 22.0 and flex.width_mm == 20.0
@@ -294,6 +300,22 @@ _RIBS = ("flexures", "sample", "ribs")
     pytest.param(SAMPLE, ("export", "parts", 3, "width_mm"), -1.5,
                  "export.parts[3]", "export width_mm must be positive",
                  id="export_width_negative"),
+    # a key the part's kind never reads
+    pytest.param(SAMPLE, ("export", "parts", 0, "width_mm"), 5,
+                 "export.parts[0]", "flexure parts read no width_mm",
+                 id="export_flexure_width"),
+    pytest.param(SAMPLE, ("export", "parts", 2, "width_mm"), 5,
+                 "export.parts[2]", "flexional parts read no width_mm",
+                 id="export_flexional_width"),
+    pytest.param(SAMPLE, ("export", "parts", 0, "count"), 2,
+                 "export.parts[0]", "flexure parts read no count",
+                 id="export_flexure_count"),
+    pytest.param(SAMPLE, ("export", "parts", 1, "facets"), 16,
+                 "export.parts[1]", "flexure parts read no facets",
+                 id="export_flexure_facets"),
+    pytest.param(SAMPLE, ("export", "parts", 3, "facets"), 16,
+                 "export.parts[3]", "extensional parts read no facets",
+                 id="export_extensional_facets"),
     pytest.param(SAMPLE, ("flexures",), [], "flexures",
                  "expected a JSON object", id="section_not_object"),
     pytest.param(SAMPLE, ("flexures", "sample"), 5, "flexures.sample",

@@ -144,9 +144,13 @@ def documents(draw):
             part = {"kind": kind,
                     "ref": draw(st.sampled_from(sorted(pools[kind]))),
                     "file": stem + ".stl"}
-            _optional(draw, part, "count", st.integers(2, 9))
-            _optional(draw, part, "facets", st.integers(8, 64))
-            _optional(draw, part, "width_mm", POSITIVE)
+            # each kind takes only the options it reads
+            if kind != "flexure":
+                _optional(draw, part, "count", st.integers(2, 9))
+            if kind == "flexional":
+                _optional(draw, part, "facets", st.integers(8, 64))
+            if kind == "extensional":
+                _optional(draw, part, "width_mm", POSITIVE)
             parts.append(part)
         if parts:
             doc["export"] = {"parts": parts}

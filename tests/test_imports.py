@@ -1,5 +1,6 @@
 """The import graph: the package namespace resolves every public name, the
-scalar subcommands run without loading numpy, and only a CSV table of
+scalar subcommands run without loading numpy (``validate`` resolving each
+limb and bounding each flexure's rib periods), and only a CSV table of
 ``cli._ORJSON_CELLS`` cells or more loads orjson, on both of the writer's
 paths: a sweep is written row by row, and a cycle's curvature map, handed
 over as one column per segment that holds a bin with the number of bins
@@ -21,6 +22,7 @@ from flexokit import cli
 SRC = str(Path(flexokit.__file__).resolve().parent.parent)
 SAMPLE = str(resources.files("flexokit") / "data" / "sample_flexure.json")
 HIND = str(resources.files("flexokit") / "data" / "hind_leg.json")
+QUADRUPED = str(resources.files("flexokit") / "data" / "quadruped.json")
 
 # Runs cli.main on argv in a fresh interpreter, then reports its exit code
 # and whether numpy and orjson were imported.
@@ -49,16 +51,29 @@ def run_child(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["validate", "-i", SAMPLE],
+    ["validate", "-i", HIND],
+    ["validate", "-i", QUADRUPED],
     ["solve-limit", "--flexional"],
     ["design", "--target", "stem_height", "--angle-deg", "90"],
     ["design", "--target", "width_ratio", "--stiffness-n-per-m", "50",
      "-i", SAMPLE],
-], ids=["version", "validate", "solve_limit", "design_stem_height",
-        "design_width_ratio"])
+], ids=["version", "validate", "validate_hind_leg", "validate_quadruped",
+        "solve_limit", "design_stem_height", "design_width_ratio"])
 def test_scalar_subcommands_never_import_numpy(tmp_path, argv):
     # nor orjson
     assert run_child(tmp_path, argv) == {"rc": 0, "numpy": False,
                                          "orjson": False}
+
+
+# The rib-period bound is checked before the exact stiffness imports numpy.
+@pytest.mark.parametrize("command", ["validate", "predict-stiffness"])
+def test_too_many_rib_periods_are_rejected_without_numpy(tmp_path, command):
+    doc = json.loads(Path(SAMPLE).read_text("utf-8"))
+    doc["flexures"]["sample"]["ribs"]["period_mm"] = 30 / 200_000
+    path = tmp_path / "periods.json"
+    path.write_text(json.dumps(doc))
+    assert run_child(tmp_path, [command, "-i", str(path)]) == {
+        "rc": 2, "numpy": False, "orjson": False}
 
 
 def written_cells(path):

@@ -93,6 +93,20 @@ def test_full_capacity_puts_every_joint_on_its_stop():
         max(0.06 * 10.0, 0.03 * 0.5) / 0.002, rel=1e-12)
 
 
+def test_a_stiff_joint_jams_beside_a_limp_one_without_overflow():
+    # Once the limp joint is held, the tension that bends the stiff one
+    # (about 3e245 N) would turn the limp joint past float range; a held
+    # joint's elastic angle is not formed, so no overflow warning is raised.
+    cap = math.radians(1.0)
+    limb = si_limb((0.0, 0.0), stiffness=(2e240, 2e-67),
+                   joint_length=(1e-243, 1e-3), jam_angle=(cap, cap),
+                   routing_offset=(1e-7, 1e-3))
+    cycle = sweep_cycle(limb)
+    assert cycle.jammed[-1].tolist() == [False, True]
+    assert cycle.theta[-1] == pytest.approx([cap, cap], rel=1e-12)
+    assert np.isfinite(cycle.tension).all()
+
+
 def test_grid_oracle_agrees_on_two_joint_instances():
     rng = np.random.default_rng(20260815)
     for _ in range(25):

@@ -169,9 +169,8 @@ def test_inverse_solver_floats_are_pinned(ribbed_template, solve, target,
 def test_width_ratio_solver_range_errors(ribbed_template):
     with pytest.raises(TargetRangeError) as info:
         solve_width_ratio(5000.0, ribbed_template)
-    lo, hi = info.value.bounds
-    assert lo == pytest.approx(K_BARE, rel=1e-12)
-    assert hi == pytest.approx(K_FULL, rel=1e-12)
+    # the message states the attainable range
+    assert f"range [{K_BARE:g}, {K_FULL:g}] N/m" in str(info.value)
     with pytest.raises(TargetRangeError):
         solve_width_ratio(1.0, ribbed_template)
     with pytest.raises(DesignError):
@@ -193,7 +192,7 @@ def test_feature_height_solver_hits_target(ribbed_template):
 def test_feature_height_solver_plateau_guard(ribbed_template):
     with pytest.raises(PlateauUnreachableError) as info:
         solve_feature_height(200.0, ribbed_template)
-    assert info.value.bounds[1] == pytest.approx(K_PLATEAU_HALF, rel=1e-12)
+    assert f"plateau supremum {K_PLATEAU_HALF:g} N/m" in str(info.value)
     with pytest.raises(PlateauUnreachableError):
         solve_feature_height(K_PLATEAU_HALF, ribbed_template)
     # Just below the supremum, yet above what the tallest rib the height
