@@ -19,7 +19,6 @@ overflows included (a single-line JSON diagnostic goes to stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import functools
 import json
@@ -27,12 +26,12 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from datetime import datetime, timezone
 from itertools import takewhile
 from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
+from ._record import Record
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
                    Material, parse_design, parse_materials, to_document,
                    validate_process)
@@ -73,7 +72,9 @@ MAX_SWEEP_ROWS = 10_000
 _CHUNK_CELLS = 1 << 16
 
 # A CSV table of fewer cells than this takes repr alone: importing orjson
-# (about 2 ms and under 1 MB) costs more than its faster digits save there.
+# costs more than its faster digits save there. orjson 3.8.3 also imports
+# uuid, zoneinfo and sysconfig; its import took 3.4-9.5 ms and under 1 MB
+# (2-vCPU Xeon, Python 3.11).
 _ORJSON_CELLS = 2_000
 
 
@@ -314,8 +315,9 @@ def _cmd_validate(args, stage) -> int:
     doc = _load_document(args.input)
     for name in doc.limbs:
         limb_from_document(doc, name)
-    for flex in doc.flexures.values():
-        check_rib_periods(flex)
+    for name, flex in doc.flexures.items():
+        with located(f"flexures.{name}"):
+            check_rib_periods(flex)
     if doc.process is not None:
         report = validate_process(doc.process)
         entries, text = report.to_json(), report.to_text()
@@ -366,13 +368,12 @@ def _cmd_predict_stiffness(args, stage) -> int:
                 f"bad --sweep {args.sweep!r}: {len(values)} rows of "
                 f"{periods} rib periods, more than {MAX_SWEEP_PERIODS} "
                 "periods in all")
-        flexures = [dataclasses.replace(
-                        flex, ribs=dataclasses.replace(flex.ribs,
-                                                       **{param: value}))
+        flexures = [flex.replace(ribs=flex.ribs.replace(**{param: value}))
                     for value in values]
     header = ["width_ratio", "feature_height_mm", "EI_eff_Nmm2",
               "k_tip_N_per_m", "k_exact_N_per_m"]
-    rows = [_stiffness_row(f) for f in flexures]
+    with located(f"flexures.{name}"):
+        rows = [_stiffness_row(f) for f in flexures]
     _write_table(stage, "stiffness", header, rows, args.format)
     return 0
 
@@ -446,8 +447,8 @@ def _cmd_design(args, stage) -> int:
         else:
             field = "feature_height_mm"
             solved = solve_feature_height(target_k, flex) / MM
-        ribs = dataclasses.replace(flex.ribs, **{field: solved})
-        achieved = homogenized_EI(dataclasses.replace(flex, ribs=ribs)).k_tip
+        ribs = flex.ribs.replace(**{field: solved})
+        achieved = homogenized_EI(flex.replace(ribs=ribs)).k_tip
         payload = {"target": args.target, "template_flexure": name,
                    "stiffness_n_per_m": target_k, field: solved,
                    "achieved_n_per_m": achieved}
@@ -544,6 +545,7 @@ def _recipe_for_part(doc: DesignDoc, part):
 
 
 def _cmd_export_geometry(args, stage) -> int:
+    from datetime import datetime, timezone
     from .geometry import export_stl
     doc = _load_document(args.input)
     parts = doc.export.parts
@@ -655,8 +657,7 @@ def _simulate_gait_flags(p):
                    help="pull steps per limb cycle; default 101")
 
 
-@dataclasses.dataclass(frozen=True)
-class _Subcommand:
+class _Subcommand(Record):
     """One subcommand: its handler, help texts, whether it reads --input
     ("required", "optional" or None), whether it takes --format, and the
     function that adds its own flags. The handler takes the parsed

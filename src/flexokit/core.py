@@ -13,10 +13,10 @@ import json
 import math
 import operator
 from collections import ChainMap
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import PurePath
 from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
+from ._record import MISSING, Record, field
 from .errors import DanglingReferenceError, DesignError, GeometryError
 from .joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
@@ -38,8 +38,7 @@ Z_OFFSET_RANGE_MM = (0.01, 0.03)
 ADHESIVE_BASELINE_N_PER_CM = 11.2
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(Record):
     """One printable filament or the flexible base film."""
 
     name: str
@@ -76,8 +75,7 @@ DEFAULT_MATERIALS: dict[str, Material] = {
 }
 
 
-@dataclass(frozen=True)
-class LaminateStack:
+class LaminateStack(Record):
     """Ordered laminate layers, bottom-first: (material, thickness_mm)."""
 
     layers: tuple[tuple[Material, float], ...]
@@ -99,8 +97,7 @@ class LaminateStack:
         return sum(t for m, t in self.layers if m.kind == "filament")
 
 
-@dataclass(frozen=True)
-class RibPattern:
+class RibPattern(Record):
     """Periodic raised-rib pattern on the printed face of a flexure."""
 
     period_mm: float
@@ -120,14 +117,13 @@ class RibPattern:
         return self.period_mm * MM
 
 
-@dataclass(frozen=True)
-class FlexureSpec:
+class FlexureSpec(Record):
     """A rectangular laminate flexure, optionally ribbed."""
 
     name: str
     length_mm: float
     width_mm: float
-    base: LaminateStack = field(metadata={"key": "base_layers"})
+    base: LaminateStack = field(key="base_layers")
     ribs: Optional[RibPattern] = None
     rib_material: Optional[Material] = None
 
@@ -159,8 +155,7 @@ class FlexureSpec:
         return None
 
 
-@dataclass(frozen=True)
-class PrintProcessConfig:
+class PrintProcessConfig(Record):
     """Printer setup checked by validate_process."""
 
     bed_temp_c: float
@@ -177,8 +172,7 @@ class PrintProcessConfig:
             raise DesignError("process parameters must be finite and positive")
 
 
-@dataclass(frozen=True)
-class FlexionalLimitEntry:
+class FlexionalLimitEntry(Record):
     """Document form of a flexional limit; ``spec`` is its SI geometry,
     checked on construction."""
 
@@ -186,7 +180,7 @@ class FlexionalLimitEntry:
     head_radius_mm: float
     stem_height_mm: float
     comment: str = ""
-    spec: FlexionalLimitSpec = field(init=False, repr=False, compare=False)
+    spec: FlexionalLimitSpec = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spec", FlexionalLimitSpec(
@@ -195,8 +189,7 @@ class FlexionalLimitEntry:
             stem_height=self.stem_height_mm * MM))
 
 
-@dataclass(frozen=True)
-class ExtensionalLimitEntry:
+class ExtensionalLimitEntry(Record):
     """Document form of an extensional limit."""
 
     diagonal_mm: float
@@ -205,7 +198,7 @@ class ExtensionalLimitEntry:
     mount_height_mm: float
     incline_deg: float
     comment: str = ""
-    spec: ExtensionalLimitSpec = field(init=False, repr=False, compare=False)
+    spec: ExtensionalLimitSpec = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spec", ExtensionalLimitSpec(
@@ -216,11 +209,10 @@ class ExtensionalLimitEntry:
             incline=math.radians(self.incline_deg)))
 
 
-@dataclass(frozen=True)
-class LinkEntry:
+class LinkEntry(Record):
     """Rigid link between joints of a limb."""
 
-    length_mm: float = field(metadata={"key": "link_mm"})
+    length_mm: float = field(key="link_mm")
     is_joint = False  # a class constant, not a document key
 
     def __post_init__(self):
@@ -228,8 +220,7 @@ class LinkEntry:
             raise DesignError("link length must be nonnegative")
 
 
-@dataclass(frozen=True)
-class JointEntry:
+class JointEntry(Record):
     """Document form of one flexure joint inside a limb.
 
     The torsional stiffness is derived from the referenced flexure unless
@@ -268,8 +259,7 @@ class JointEntry:
             raise DesignError("jam_angle_deg must lie in (0, 180]")
 
 
-@dataclass(frozen=True)
-class LimbEntry:
+class LimbEntry(Record):
     """Document form of a tendon-driven limb: alternating links and joints."""
 
     segments: tuple[Union[LinkEntry, JointEntry], ...]
@@ -280,8 +270,7 @@ class LimbEntry:
             raise DesignError("a limb needs at least one joint")
 
 
-@dataclass(frozen=True)
-class GaitEntry:
+class GaitEntry(Record):
     """Trot assignment: two diagonal limb pairs, half a cycle apart."""
 
     pair_a: tuple[str, str]
@@ -302,8 +291,7 @@ MIN_FEATURES = 2
 MIN_FACETS = 8
 
 
-@dataclass(frozen=True)
-class ExportPart:
+class ExportPart(Record):
     """One geometry export request. A flexional part may set ``count`` and
     ``facets``, an extensional one ``count`` and ``width_mm``, and a
     flexure part none of them; the recipe defaults those left unset."""
@@ -339,21 +327,19 @@ class ExportPart:
         return PurePath(self.file).stem + ".manifest.json"
 
 
-@dataclass(frozen=True)
-class ExportOptions:
+class ExportOptions(Record):
     parts: tuple[ExportPart, ...] = ()
 
 
-@dataclass(frozen=True)
-class DesignDoc:
+class DesignDoc(Record):
     """A fully cross-linked, validated design document."""
 
     schema_version: int
     materials: dict[str, Material]
-    flexures: dict[str, FlexureSpec] = field(default_factory=dict)
-    flexional_limits: dict[str, FlexionalLimitEntry] = field(default_factory=dict)
-    extensional_limits: dict[str, ExtensionalLimitEntry] = field(default_factory=dict)
-    limbs: dict[str, LimbEntry] = field(default_factory=dict)
+    flexures: dict[str, FlexureSpec] = field(factory=dict)
+    flexional_limits: dict[str, FlexionalLimitEntry] = field(factory=dict)
+    extensional_limits: dict[str, ExtensionalLimitEntry] = field(factory=dict)
+    limbs: dict[str, LimbEntry] = field(factory=dict)
     gait: Optional[GaitEntry] = None
     process: Optional[PrintProcessConfig] = None
     export: ExportOptions = ExportOptions()
@@ -363,13 +349,14 @@ class DesignDoc:
 # --------------------------------------------------------------------------
 # The document schema
 #
-# The dataclasses above are the schema. A field is a document key (its own
-# name, or the "key" in its metadata); float, int, str and Material fields,
+# The records above are the schema. A field is a document key (its own
+# name, or the ``key`` it declares); float, int, str and Material fields,
 # optionally Optional, are scalars read and written generically, and a field
 # without a default is required. A field called ``name`` holds the key its
-# entry is filed under, so it is never a document key. Other fields are
-# structural: the code below builds them by hand. This module does not
-# postpone annotations, so a field's type is the annotated object itself.
+# entry is filed under, and an ``init=False`` one is derived, so neither is
+# a document key. Other fields are structural: the code below builds them
+# by hand. This module does not postpone annotations, so a field's type is
+# the annotated object itself.
 
 # annotation -> (accepted JSON value types, diagnostic noun and article)
 _SCALAR_TYPES = {float: (frozenset((int, float)), "number", "a"),
@@ -389,18 +376,18 @@ class _Schema(NamedTuple):
 @functools.cache
 def _schema(cls) -> _Schema:
     scalars, order = [], []
-    for f in fields(cls):
+    for f in cls._fields:
         if f.name == "name" or not f.init:
             continue
-        key = f.metadata.get("key", f.name)
-        tp = f.type
+        key, tp = f.key, f.type
         args = get_args(tp)
         if type(None) in args:
             tp = args[0]
         if tp is Material:
             write = operator.attrgetter("name")
         else:
-            write = to_document if is_dataclass(tp) else None
+            write = (to_document if isinstance(tp, type)
+                     and issubclass(tp, Record) else None)
         order.append((f.name, key, write))
         if tp in _SCALAR_TYPES:
             accepts, noun, article = _SCALAR_TYPES[tp]
@@ -472,7 +459,7 @@ def _scalars(cls, raw: Any, path: str,
 
 
 def _build(cls, path: str, values: dict):
-    # Re-anchor invariant violations from dataclass constructors, the
+    # Re-anchor invariant violations from record constructors, the
     # geometry a limit entry builds included, at the document field that
     # caused them.
     try:
@@ -490,7 +477,7 @@ def _read(cls, raw: Any, path: str,
 
 
 def to_document(entry, **given) -> dict:
-    """Document object of a schema dataclass, the inverse of reading it.
+    """Document object of a schema record, the inverse of reading it.
 
     Fields come out in declaration order, ``None`` and ``""`` are left out,
     materials are written by name and nested entries recursively; ``given``
@@ -718,16 +705,14 @@ def serialize_design(doc: DesignDoc) -> str:
 # --------------------------------------------------------------------------
 # Process validation
 
-@dataclass(frozen=True)
-class ValidationEntry:
+class ValidationEntry(Record):
     level: str  # "ok" | "warning"
     code: str
     message: str
     value: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     entries: tuple[ValidationEntry, ...]
 
     @property

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
+from ._record import Record
 from .core import MIN_FACETS, MIN_FEATURES, FlexureSpec
 from .errors import AlwaysJammedError, GeometryError
 from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
@@ -200,8 +200,7 @@ def _shoelace(polygons: np.ndarray) -> np.ndarray:
             - nxt[..., 0] * polygons[..., 1]).sum(axis=1) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class Primitive:
+class Primitive(Record):
     """A batch of P polygons of n vertices, each extruded along one axis.
 
     ``polygons`` is shaped (P, n, 2), each polygon counterclockwise in the
@@ -217,6 +216,9 @@ class Primitive:
     axis: str
     lo: np.ndarray
     hi: np.ndarray
+
+    # arrays have no single truth value: compare and hash by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         polygons = np.array(self.polygons, dtype=np.float64)
@@ -271,8 +273,7 @@ def _extrude(batch: Primitive) -> np.ndarray:
     return pts.reshape(count, 2 * n, 3)
 
 
-@dataclass(frozen=True)
-class SolidRecipe:
+class SolidRecipe(Record):
     """Disjoint batches of prisms forming one printable part."""
 
     primitives: tuple[Primitive, ...]

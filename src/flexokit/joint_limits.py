@@ -15,8 +15,8 @@ code, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import (
     AlwaysJammedError,
     ContactAtRestError,
@@ -47,8 +47,7 @@ def _bisect(side, lo: float, hi: float) -> float:
     return mid
 
 
-@dataclass(frozen=True)
-class FlexionalLimitSpec:
+class FlexionalLimitSpec(Record):
     """Geometry of one mushroom-pillar pair limiting flexion.
 
     spacing: arc distance between adjacent feature stems along the flexure.
@@ -74,8 +73,7 @@ class FlexionalLimitSpec:
                         + self.head_radius / math.sin(alpha / 2)) - self.spacing
 
 
-@dataclass(frozen=True)
-class ExtensionalLimitSpec:
+class ExtensionalLimitSpec(Record):
     """Geometry of one inclined-standoff pair limiting extension.
 
     diagonal: slant length of the standoff member.

@@ -27,9 +27,9 @@ resolve (``limb_from_document``) and are checked without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ._record import Record
 from .core import MM, DesignDoc
 from .errors import DesignError, EmptyLimbError, OverPullError, located
 from .joint_limits import extensional_jam_angle, flexional_jam_angle
@@ -49,8 +49,7 @@ _STRAIGHT = 1e-12   # rad; a joint bent less is taken as straight
 MAX_CYCLE_CELLS = 2 ** 22
 
 
-@dataclass(frozen=True)
-class LimbSpec:
+class LimbSpec(Record):
     """A limb as columns, base to foot, in SI units (caps in radians); the
     base sits at the origin, heading along +x. Per segment: ``lengths`` and
     ``is_joint`` (False for a rigid link). Per joint: ``stiffness``
@@ -112,8 +111,7 @@ class LimbSpec:
         return sum(r * c for r, c in zip(self.routing_offset, self.jam_angle))
 
 
-@dataclass(frozen=True)
-class LimbState:
+class LimbState(Record):
     """Solved equilibrium at one tendon pull."""
 
     theta: tuple[float, ...]    # signed joint angles, radians
@@ -122,14 +120,12 @@ class LimbState:
     jammed: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class StrokeMetrics:
+class StrokeMetrics(Record):
     stroke_distance: float  # m, horizontal extent of the foot path
     stroke_ratio: float     # stroke_distance / max pull
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(Record):
     """One pull-and-release cycle of a limb, one row per pull step."""
 
     pulls: np.ndarray           # (n_steps,)

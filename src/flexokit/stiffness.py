@@ -20,8 +20,8 @@ All inputs and outputs are SI (meters, pascals, newtons).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .core import MM, FlexureSpec, LaminateStack
 from .errors import DesignError, TargetRangeError
 from .joint_limits import _bisect
@@ -47,8 +47,7 @@ class PlateauUnreachableError(TargetRangeError):
     """
 
 
-@dataclass(frozen=True)
-class FlexureStiffnessResult:
+class FlexureStiffnessResult(Record):
     EI_low: float       # bare-section rigidity, N*m^2
     EI_high: float      # ribbed-section rigidity, N*m^2
     EI_eff: float       # homogenized rigidity, N*m^2
@@ -66,22 +65,31 @@ def section_EI(stack: LaminateStack, width: float) -> float:
 
     ybar = sum(E_i A_i y_i) / sum(E_i A_i);
     EI   = sum(E_i (I_i + A_i (y_i - ybar)^2)).
+
+    Raises DesignError when the rigidity is not a positive finite float.
     """
     if not width > 0:
         raise DesignError("section width must be positive")
     y0 = 0.0
     ea = eay = 0.0
     rows = []  # (E, A, y_center, I_own)
-    for material, t_mm in stack.layers:
-        e, t = material.youngs_modulus, t_mm * MM
-        a = width * t
-        yc = y0 + t / 2
-        rows.append((e, a, yc, width * t ** 3 / 12))
-        ea += e * a
-        eay += e * a * yc
-        y0 += t
-    ybar = eay / ea
-    return sum(e * (i_own + a * (yc - ybar) ** 2) for e, a, yc, i_own in rows)
+    try:
+        for material, t_mm in stack.layers:
+            e, t = material.youngs_modulus, t_mm * MM
+            a = width * t
+            yc = y0 + t / 2
+            rows.append((e, a, yc, width * t ** 3 / 12))
+            ea += e * a
+            eay += e * a * yc
+            y0 += t
+        ybar = eay / ea
+        ei = sum(e * (i_own + a * (yc - ybar) ** 2)
+                 for e, a, yc, i_own in rows)
+    except (OverflowError, ZeroDivisionError):
+        ei = math.nan
+    if not 0 < ei < math.inf:
+        raise DesignError("the section rigidity is out of float range")
+    return ei
 
 
 def _ribbed_EI(flex: FlexureSpec, height_mm: float) -> float:
@@ -124,19 +132,18 @@ def rib_periods(flex: FlexureSpec) -> float:
     return flex.length / flex.ribs.period - 1e-12
 
 
-def check_rib_periods(flex: FlexureSpec) -> None:
-    """Raise DesignError if the exact model would integrate more than
-    ``MAX_RIB_PERIODS`` rib periods: if the flexure spans more, and its ribs
-    change its rigidity (the model integrates only then). It imports no
-    numpy, and computes the section rigidities only past the bound, so a
-    flexure under it is never rejected for them."""
-    periods = 0.0 if flex.ribs is None else rib_periods(flex)
-    if periods > MAX_RIB_PERIODS:
-        ei_low, ei_high = _section_pair(flex)
-        if ei_high != ei_low:
-            raise DesignError(
-                f"exact stiffness of {flex.name!r} spans {periods:.6g} rib "
-                f"periods, more than {MAX_RIB_PERIODS}")
+def check_rib_periods(flex: FlexureSpec) -> tuple[float, float]:
+    """(EI_low, EI_high) of ``_section_pair``, which raises DesignError for
+    a rigidity out of float range. Also raise DesignError if the exact
+    model would integrate more than ``MAX_RIB_PERIODS`` rib periods: if the
+    flexure spans more, and its ribs change its rigidity (the model
+    integrates only then). It imports no numpy."""
+    ei_low, ei_high = _section_pair(flex)
+    if ei_high != ei_low and (periods := rib_periods(flex)) > MAX_RIB_PERIODS:
+        raise DesignError(
+            f"exact stiffness spans {periods:.6g} rib periods, more than "
+            f"{MAX_RIB_PERIODS}")
+    return ei_low, ei_high
 
 
 def tip_stiffness_exact(flex: FlexureSpec) -> float:
@@ -152,8 +159,7 @@ def tip_stiffness_exact(flex: FlexureSpec) -> float:
     of segments with the same sample count, which rounds as ``np.sum`` of
     that segment alone, and the segments' terms are added left to right.
     """
-    check_rib_periods(flex)
-    ei_low, ei_high = _section_pair(flex)
+    ei_low, ei_high = check_rib_periods(flex)
     length = flex.length
     if ei_high == ei_low:
         return 3 * ei_low / length ** 3

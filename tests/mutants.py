@@ -164,14 +164,14 @@ MUTANTS = {
          "located_diagnostic[validate_joint_past_its_flexure]",)),
     "validate bounds no rib periods": Mutant(
         "src/flexokit/cli.py",
-        (("    for flex in doc.flexures.values():\n"
-          "        check_rib_periods(flex)\n", ""),),
+        (("    for name, flex in doc.flexures.items():\n"
+          '        with located(f"flexures.{name}"):\n'
+          "            check_rib_periods(flex)\n", ""),),
         ("tests/test_cli.py::test_out_of_range_documents_exit_2_with_a_"
          "located_diagnostic[validate_too_many_rib_periods]",)),
     "rib periods bounded after the numpy import": Mutant(
         "src/flexokit/stiffness.py",
-        (("    check_rib_periods(flex)\n"
-          "    ei_low, ei_high = _section_pair(flex)\n",
+        (("    ei_low, ei_high = check_rib_periods(flex)\n",
           "    ei_low, ei_high = _section_pair(flex)\n"),
          ("    import numpy as np\n",
           "    import numpy as np\n    check_rib_periods(flex)\n")),
@@ -209,6 +209,28 @@ MUTANTS = {
           "lambda t, m: True"),),
         ("tests/test_core.py::test_report_json_at_window_edges"
          "[material=PC]",)),
+    "section rigidity out of float range accepted": Mutant(
+        "src/flexokit/stiffness.py",
+        (("    if not 0 < ei < math.inf:\n", "    if False:\n"),),
+        ("tests/test_cli.py::test_out_of_range_documents_exit_2_with_a_"
+         "located_diagnostic[validate_overflowing_section]",)),
+    "records assignable": Mutant(
+        "src/flexokit/_record.py",
+        (('        raise AttributeError(f"cannot assign to field {name!r}")',
+          "        object.__setattr__(self, name, value)"),),
+        ("tests/test_records.py::test_fields_cannot_be_assigned_or_deleted"
+         "[core]",)),
+    "record equality and hash skip the last field": Mutant(
+        "src/flexokit/_record.py",
+        (("cls._key = attrgetter(*names)",
+          "cls._key = attrgetter(*names[:-1] or names)"),),
+        ("tests/test_records.py::test_records_differing_in_one_field_differ"
+         "[last]",)),
+    "core imports dataclasses again": Mutant(
+        "src/flexokit/core.py",
+        (("import functools\n", "import dataclasses\nimport functools\n"),),
+        ("tests/test_imports.py::test_scalar_subcommands_never_import_numpy"
+         "[version]",)),
 }
 
 

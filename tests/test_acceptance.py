@@ -9,7 +9,6 @@ speed law, watertight byte-exact geometry export, and process validation
 with byte-stable command-line outputs.
 """
 
-import dataclasses
 import json
 import math
 from importlib import resources
@@ -63,9 +62,7 @@ def doc_path(name: str) -> str:
 
 
 def with_ribs(template, **changes):
-    return dataclasses.replace(template,
-                               ribs=dataclasses.replace(template.ribs,
-                                                        **changes))
+    return template.replace(ribs=template.ribs.replace(**changes))
 
 
 def random_template(rng) -> FlexureSpec:
@@ -187,7 +184,7 @@ def test_tendon_equilibrium_matches_brute_force_energy_minimization():
     assert state.theta[0] == pytest.approx(1 / 3, abs=1e-15)
     assert state.theta[1] == pytest.approx(2 / 3, abs=1e-15)
 
-    capped = dataclasses.replace(limb, jam_angle=(10.0, 0.5))
+    capped = limb.replace(jam_angle=(10.0, 0.5))
     state = equilibrium_solve(capped, 0.002)
     assert state.tension == 15.0
     assert state.theta == (0.5, 0.5)
@@ -262,8 +259,7 @@ def test_soft_joints_lead_and_stroke_grows_with_the_extension_cap(
                        2.2803357911702906]
     strokes, ratios = [], []
     for beta in betas:
-        variant = dataclasses.replace(
-            limb, jam_angle=(beta, *limb.jam_angle[1:]))
+        variant = limb.replace(jam_angle=(beta, *limb.jam_angle[1:]))
         metrics = sweep_cycle(variant, steps=201).metrics
         strokes.append(metrics.stroke_distance / MM)
         ratios.append(metrics.stroke_ratio)

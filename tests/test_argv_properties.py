@@ -8,7 +8,7 @@ relation to within the feature's own length scale. The same holds for the
 commands that read materials under any FLEXOKIT_MATERIALS file, whose
 rejections never report a NaN. On generated limb documents, ``validate``
 accepts exactly the documents every one of whose limbs ``simulate-limb``
-accepts.
+accepts and whose flexures' section rigidities are in float range.
 """
 
 import contextlib
@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from helpers import read_stl
 from flexokit.cli import _SUBCOMMANDS, build_parser, main
 from flexokit.core import parse_design
+from flexokit.errors import DesignError
+from flexokit.stiffness import _section_pair
 
 DOCUMENTS = [str(resources.files("flexokit") / "data" / name)
              for name in ("sample_flexure.json", "hind_leg.json",
@@ -325,6 +327,14 @@ def limb_documents(draw):
 @settings(max_examples=100, deadline=None, database=None)
 @given(document=limb_documents())
 def test_validate_accepts_exactly_the_limbs_simulate_limb_accepts(document):
+    # validate also rejects a section rigidity out of float range, which
+    # simulate-limb meets only on a flexure whose stiffness a joint derives
+    sections_ok = True
+    for flex in parse_design(json.dumps(document)).flexures.values():
+        try:
+            _section_pair(flex)
+        except DesignError:
+            sections_ok = False
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "limbs.json"
         path.write_text(json.dumps(document))
@@ -333,4 +343,4 @@ def test_validate_accepts_exactly_the_limbs_simulate_limb_accepts(document):
         simulated = [check_command_line(["simulate-limb", "-i", str(path),
                                          "--limb", name]) == ""
                      for name in document["limbs"]]
-    assert valid == all(simulated)
+    assert valid == (all(simulated) and sections_ok)

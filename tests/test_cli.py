@@ -140,10 +140,11 @@ def test_predict_stiffness_json_format(tmp_path):
 @pytest.mark.parametrize("mutate, flags, error", [
     (lambda doc: doc["flexures"]["sample"].update(length_mm=1e300), [],
      "OverflowError"),
+    # a section rigidity out of float range is a located DesignError
     (lambda doc: doc["flexures"]["sample"]["base_layers"][1].__setitem__(
-        1, 1e300), [], "OverflowError"),
+        1, 1e300), [], "DesignError"),
     (lambda doc: None, ["--sweep", "feature_height_mm=0:1e300:1e297"],
-     "OverflowError"),
+     "DesignError"),
     # L**3 underflows to 0
     (lambda doc: doc["flexures"]["plain_plate"].update(length_mm=1e-300),
      ["--flexure", "plain_plate"], "ZeroDivisionError"),
@@ -411,6 +412,7 @@ _LIMB_OVERFLOW = ("lengths, routing offsets and stiffnesses put the limb's "
                   "length in mm, arc radius, curvature, tendon compliance, "
                   "jam tension, full-jam pull or stroke ratio out of float "
                   "range")
+_SECTION_RANGE = "the section rigidity is out of float range"
 # Errors raised while a limb's joints resolve
 _LONG_JOINT = "joint_length must lie in (0, flexure length]"
 _JAMMED_AT_REST = ("heads touch at zero bend: spacing 0.003 m <= head "
@@ -423,6 +425,12 @@ def _jammed_at_rest(doc):
 
 def _too_many_rib_periods(doc):
     doc["flexures"]["sample"]["ribs"].update(period_mm=30 / 200_000)
+
+
+def _one_layer(thickness_mm):
+    def mutate(doc):
+        doc["flexures"]["sample"]["base_layers"] = [["PLA", thickness_mm]]
+    return mutate
 
 
 def _overflowing_links(doc, length_mm=1e308):
@@ -518,11 +526,22 @@ def _overflowing_links(doc, length_mm=1e308):
     ("hind_leg.json", "validate", _overflowing_links,
      "limbs.hind_leg: " + _LIMB_OVERFLOW, "DesignError"),
     ("sample_flexure.json", "validate", _too_many_rib_periods,
-     "exact stiffness of 'sample' spans 200000 rib periods, more than "
+     "flexures.sample: exact stiffness spans 200000 rib periods, more than "
      "131072", "DesignError"),
     ("sample_flexure.json", "predict-stiffness", _too_many_rib_periods,
-     "exact stiffness of 'sample' spans 200000 rib periods, more than "
+     "flexures.sample: exact stiffness spans 200000 rib periods, more than "
      "131072", "DesignError"),
+    # a lone layer whose t^3 (1e103 m) overflows the section rigidity, or
+    # which is 0 m thick (5e-324 mm): validate, which computes no stiffness,
+    # rejects it as predict-stiffness does
+    ("sample_flexure.json", "validate", _one_layer(1e106),
+     "flexures.sample: " + _SECTION_RANGE, "DesignError"),
+    ("sample_flexure.json", "predict-stiffness", _one_layer(1e106),
+     "flexures.sample: " + _SECTION_RANGE, "DesignError"),
+    ("sample_flexure.json", "validate", _one_layer(5e-324),
+     "flexures.sample: " + _SECTION_RANGE, "DesignError"),
+    ("sample_flexure.json", "predict-stiffness", _one_layer(5e-324),
+     "flexures.sample: " + _SECTION_RANGE, "DesignError"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
         "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
         "negative_stiffness", "overflowing_links",
@@ -534,7 +553,9 @@ def _overflowing_links(doc, length_mm=1e308):
         "joint_past_its_flexure_in_a_gait", "jammed_at_rest",
         "jammed_at_rest_in_a_gait", "validate_joint_past_its_flexure",
         "validate_jammed_at_rest", "validate_overflowing_links",
-        "validate_too_many_rib_periods", "too_many_rib_periods"])
+        "validate_too_many_rib_periods", "too_many_rib_periods",
+        "validate_overflowing_section", "overflowing_section",
+        "validate_zero_section", "zero_section"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
         tmp_path, capsys, document, subcommand, mutate, message, error):
     with open(bundled_path(document)) as f:

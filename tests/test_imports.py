@@ -1,6 +1,7 @@
-"""The import graph: the package namespace resolves every public name, the
-scalar subcommands run without loading numpy (``validate`` resolving each
-limb and bounding each flexure's rib periods), and only a CSV table of
+"""The import graph: the package namespace resolves every public name, no
+subcommand loads ``dataclasses``, the scalar subcommands run without loading
+numpy or ``inspect`` (``validate`` resolving each limb and bounding each
+flexure's rib periods), and only a CSV table of
 ``cli._ORJSON_CELLS`` cells or more loads orjson, on both of the writer's
 paths: a sweep is written row by row, and a cycle's curvature map, handed
 over as one column per segment that holds a bin with the number of bins
@@ -25,7 +26,7 @@ HIND = str(resources.files("flexokit") / "data" / "hind_leg.json")
 QUADRUPED = str(resources.files("flexokit") / "data" / "quadruped.json")
 
 # Runs cli.main on argv in a fresh interpreter, then reports its exit code
-# and whether numpy and orjson were imported.
+# and whether numpy, orjson, dataclasses and inspect were imported.
 CHILD = """
 import json, sys
 from flexokit.cli import main
@@ -33,8 +34,8 @@ try:
     rc = main(sys.argv[1:])
 except SystemExit as exit_:  # --version
     rc = exit_.code
-print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules,
-                  "orjson": "orjson" in sys.modules}))
+print(json.dumps({name: name in sys.modules for name in (
+    "numpy", "orjson", "dataclasses", "inspect")} | {"rc": rc}))
 """
 
 
@@ -45,7 +46,12 @@ def run_child(tmp_path, argv):
     result = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    report = json.loads(result.stdout.splitlines()[-1])
+    # no command builds its records with dataclasses, and only numpy,
+    # which imports it, loads inspect
+    assert not report.pop("dataclasses")
+    assert report.pop("inspect") <= report["numpy"]
+    return report
 
 
 @pytest.mark.parametrize("argv", [

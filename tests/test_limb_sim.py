@@ -1,6 +1,5 @@
 """Limb equilibrium, kinematics, and cycle sweeps."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -53,7 +52,7 @@ def test_zero_pull_is_identity():
 
 def test_negative_sense_flips_sign_only():
     limb = two_joint_limb()
-    flipped = dataclasses.replace(limb, sense=(-1, -1))
+    flipped = limb.replace(sense=(-1, -1))
     state = equilibrium_solve(flipped, 0.002)
     assert state.tension == 10.0
     assert state.theta[0] == pytest.approx(-1 / 3, abs=1e-15)
@@ -80,7 +79,7 @@ def test_overpull_and_empty_limb_rejected():
         "negative_link", "nan_link", "zero_joint_length", "missing_stiffness"])
 def test_limb_columns_are_checked(columns):
     with pytest.raises(DesignError, match="needs one positive stiffness"):
-        dataclasses.replace(two_joint_limb(), **columns)
+        two_joint_limb().replace(**columns)
 
 
 def test_full_capacity_puts_every_joint_on_its_stop():

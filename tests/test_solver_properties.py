@@ -6,7 +6,6 @@ solvers gives the target tip stiffness. Every pull row of a limb cycle is
 the single-pull equilibrium of its pull, bit for bit.
 """
 
-import dataclasses
 import math
 import sys
 
@@ -67,8 +66,7 @@ def templates(draw):
 
 
 def _with_ribs(flex, **changes):
-    return dataclasses.replace(flex,
-                               ribs=dataclasses.replace(flex.ribs, **changes))
+    return flex.replace(ribs=flex.ribs.replace(**changes))
 
 
 # Away from the range ends: the bisection meets _REL_TOL long before its

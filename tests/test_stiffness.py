@@ -6,7 +6,6 @@ PLA 3.5 GPa x 0.2 mm, 1 mm ribs at half coverage) and frozen below in
 N*m^2 and N/m.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -33,9 +32,7 @@ K_EXACT_HALF = 63.07566428580689    # closed-form profile integral
 
 
 def with_ribs(template, **changes):
-    return dataclasses.replace(template,
-                               ribs=dataclasses.replace(template.ribs,
-                                                        **changes))
+    return template.replace(ribs=template.ribs.replace(**changes))
 
 
 def test_single_layer_section_matches_hand_formula():
@@ -61,7 +58,7 @@ def test_tip_stiffness_across_width_ratios(ribbed_template):
         .k_tip == pytest.approx(K_BARE, rel=1e-12)
     assert homogenized_EI(with_ribs(ribbed_template, width_ratio=1.0)) \
         .k_tip == pytest.approx(K_FULL, rel=1e-12)
-    bare = dataclasses.replace(ribbed_template, ribs=None)
+    bare = ribbed_template.replace(ribs=None)
     assert homogenized_EI(bare).k_tip == pytest.approx(K_BARE, rel=1e-12)
 
 
@@ -123,7 +120,7 @@ def test_plateau_bounds_rib_height_gains(ribbed_template):
     assert plateau_stiffness(with_ribs(ribbed_template, width_ratio=1.0)) \
         == math.inf
     with pytest.raises(DesignError):
-        plateau_stiffness(dataclasses.replace(ribbed_template, ribs=None))
+        plateau_stiffness(ribbed_template.replace(ribs=None))
 
 
 # ------------------------------------------------------------------ inverses
@@ -174,8 +171,7 @@ def test_width_ratio_solver_range_errors(ribbed_template):
     with pytest.raises(TargetRangeError):
         solve_width_ratio(1.0, ribbed_template)
     with pytest.raises(DesignError):
-        solve_width_ratio(50.0,
-                          dataclasses.replace(ribbed_template, ribs=None))
+        solve_width_ratio(50.0, ribbed_template.replace(ribs=None))
 
 
 def test_feature_height_solver_hits_target(ribbed_template):
