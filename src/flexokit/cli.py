@@ -33,8 +33,8 @@ from typing import Callable, Optional
 from . import __version__
 from ._record import Record
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
-                   Material, parse_design, parse_materials, to_document,
-                   validate_process)
+                   Material, check_part_triangles, parse_design,
+                   parse_materials, to_document, validate_process)
 from .errors import DesignError, FlexokitError, located
 from .joint_limits import (extensional_inverse, extensional_jam_angle,
                            flexional_inverse, flexional_jam_angle)
@@ -318,6 +318,10 @@ def _cmd_validate(args, stage) -> int:
     for name, flex in doc.flexures.items():
         with located(f"flexures.{name}"):
             check_rib_periods(flex)
+    for i, part in enumerate(doc.export.parts):
+        with located(f"export.parts[{i}]"):
+            check_part_triangles(part.kind, _part_source(doc, part),
+                                 part.count, part.facets)
     if doc.process is not None:
         report = validate_process(doc.process)
         entries, text = report.to_json(), report.to_text()
@@ -430,8 +434,8 @@ def _cmd_solve_limit(args, stage) -> int:
 
 def _cmd_design(args, stage) -> int:
     if args.target in ("width_ratio", "feature_height"):
-        from .stiffness import (homogenized_EI, solve_feature_height,
-                                solve_width_ratio)
+        from .stiffness import (_section_pair, homogenized_EI,
+                                solve_feature_height, solve_width_ratio)
         if args.stiffness_n_per_m is None:
             raise DesignError(
                 f"--target {args.target} needs --stiffness-n-per-m")
@@ -441,6 +445,10 @@ def _cmd_design(args, stage) -> int:
                 "with the template flexure")
         doc = _load_document(args.input)
         name, flex = _pick(doc.flexures, args.flexure, "flexures")
+        # located as validate and predict-stiffness locate it; a target
+        # out of range keeps its own message
+        with located(f"flexures.{name}"):
+            _section_pair(flex)
         target_k = args.stiffness_n_per_m
         if args.target == "width_ratio":
             field, solved = "width_ratio", solve_width_ratio(target_k, flex)
@@ -521,15 +529,24 @@ def _cmd_simulate_gait(args, stage) -> int:
     return 0
 
 
+def _part_source(doc: DesignDoc, part):
+    """The FlexureSpec or limit spec an export part is built from."""
+    if part.kind == "flexure":
+        return doc.flexures[part.ref]
+    limits = (doc.flexional_limits if part.kind == "flexional"
+              else doc.extensional_limits)
+    return limits[part.ref].spec
+
+
 def _recipe_for_part(doc: DesignDoc, part):
     """(recipe, base film thickness in mm or None) of one export part: a
     flexure's own film layer, else the process setting."""
     from .geometry import extensional_recipe, flexional_recipe, flexure_recipe
     film_mm = doc.process.pc_thickness_mm if doc.process is not None else None
+    source = _part_source(doc, part)
     if part.kind == "flexure":
-        flex = doc.flexures[part.ref]
-        return flexure_recipe(flex), next(
-            (thickness_mm for material, thickness_mm in flex.base.layers
+        return flexure_recipe(source), next(
+            (thickness_mm for material, thickness_mm in source.base.layers
              if material.kind == "base_film"), film_mm)
     # a part holds only the options its kind reads; the recipe defaults
     # those it leaves out
@@ -538,10 +555,8 @@ def _recipe_for_part(doc: DesignDoc, part):
         ("count", part.count), ("facets", part.facets), ("width", width))
         if value is not None}
     if part.kind == "flexional":
-        return flexional_recipe(doc.flexional_limits[part.ref].spec,
-                                **options), film_mm
-    return extensional_recipe(doc.extensional_limits[part.ref].spec,
-                              **options), film_mm
+        return flexional_recipe(source, **options), film_mm
+    return extensional_recipe(source, **options), film_mm
 
 
 def _cmd_export_geometry(args, stage) -> int:

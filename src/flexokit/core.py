@@ -145,6 +145,12 @@ class FlexureSpec(Record):
         return self.width_mm * MM
 
     @property
+    def rib_count(self) -> int:
+        """Complete rib periods along a ribbed flexure's length, one rib
+        each; a period short of it by rounding alone counts."""
+        return math.floor(self.length_mm / self.ribs.period_mm + 1e-9)
+
+    @property
     def resolved_rib_material(self) -> Optional[Material]:
         """Explicit rib material, else the topmost printed base layer's."""
         if self.rib_material is not None:
@@ -289,6 +295,44 @@ EXPORT_KINDS = ("flexure", "flexional", "extensional")
 # Fewest features a jamming limit part has, and fewest facets per round one.
 MIN_FEATURES = 2
 MIN_FACETS = 8
+# Features and facets of a jamming limit part that leaves them unset.
+DEFAULT_FEATURES = 2
+DEFAULT_FACETS = 16
+# The most triangles one part may have, counted before anything is built:
+# 83x the benchmark's largest part. An export at the bound peaks near
+# 110 MB, and near 210 MB if validation falls back to checking every corner.
+MAX_PART_TRIANGLES = 2 ** 20
+
+
+def check_part_triangles(kind: str, source, count: Optional[int] = None,
+                         facets: Optional[int] = None) -> None:
+    """Raise GeometryError if the mesh of an export part of ``kind`` would
+    have more than MAX_PART_TRIANGLES triangles, counted before anything
+    is built from ``source`` (its FlexureSpec or limit spec), ``count`` and
+    ``facets`` (None takes the default).
+
+    An n-gon prism has 4n - 4 triangles. A flexure with separate ribs is
+    its plate and one box per complete rib period; mushrooms are ``count``
+    features of one ``facets``-gon prism, two with a stem; standoffs are
+    ``count`` boxes. A flexure whose ribs are absent, flat or fused into
+    one slab has at most 20 and is not counted.
+    """
+    count = DEFAULT_FEATURES if count is None else count
+    facets = DEFAULT_FACETS if facets is None else facets
+    if kind == "flexional":
+        triangles = count * (4 * facets - 4) * (
+            2 if source.stem_height > 0 else 1)
+    elif kind == "extensional":
+        triangles = 12 * count
+    else:
+        ribs = source.ribs
+        if not (ribs is not None and ribs.feature_height_mm > 0
+                and 0 < ribs.width_ratio < 1):
+            return
+        triangles = 12 * (1 + source.rib_count)
+    if triangles > MAX_PART_TRIANGLES:
+        raise GeometryError(f"the part would have {triangles} triangles, "
+                            f"more than {MAX_PART_TRIANGLES}")
 
 
 class ExportPart(Record):

@@ -22,6 +22,7 @@ required thickness in the sidecar manifest.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Optional
 
@@ -29,21 +30,26 @@ import numpy as np
 
 from . import __version__
 from ._record import Record
-from .core import MIN_FACETS, MIN_FEATURES, FlexureSpec
+from .core import (DEFAULT_FACETS, DEFAULT_FEATURES, MIN_FACETS,
+                   MIN_FEATURES, FlexureSpec, check_part_triangles)
 from .errors import AlwaysJammedError, GeometryError
 from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
                            extensional_jam_angle)
 
 _MIN_TRIANGLE_AREA_MM2 = 1e-12
 M_TO_MM = 1000.0
-# The most triangles one part may have, counted before anything is built:
-# 83x the benchmark's largest part. An export at the bound peaks near 265 MB,
-# and near 360 MB if validation falls back to checking every corner.
-MAX_PART_TRIANGLES = 2 ** 20
 # STL stores float32 vertices: a larger coordinate would be written as inf.
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("vertices", "<f4", (3, 3)),
                         ("attribute", "<u2")])
+# Most triangles validation and STL encoding gather at a time, as whole
+# prisms; a prism with more spans several blocks. Of 1024-8192, 2048 kept a
+# mesh-export round's peak memory lowest but for 1024, which was slower on
+# parts of 10^4 triangles (2-vCPU Xeon, numpy 2.4).
+_BLOCK_TRIANGLES = 2048
+# The template of a bare triangle: not closed, so a mesh of bare triangles
+# is always checked corner by corner.
+_CORNERS = np.array([[0, 1, 2]])
 
 
 def _require_float32(*arrays: np.ndarray) -> None:
@@ -56,21 +62,22 @@ def _require_float32(*arrays: np.ndarray) -> None:
                 "float32 range of STL")
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (n, 3) arrays, bit for bit ``np.cross(a, b)``: each
-    component is the difference of two separately rounded products."""
-    out, tmp = np.empty(a.shape), np.empty(len(a))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[:, j], b[:, k], out=out[:, i])
-        np.multiply(a[:, k], b[:, j], out=tmp)
-        out[:, i] -= tmp
-    return out
+def _cross(a, b) -> tuple:
+    """Components of a x b from the components (x, y, z) of a and of b,
+    bit for bit ``np.cross``: each is the difference of two separately
+    rounded products."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
 
 
-def _signed_volume(tri: np.ndarray) -> float:
-    """Signed enclosed volume of (n, 3, 3) triangles (divergence theorem)."""
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    return float(np.einsum("ij,ij->i", v0, _cross(v1, v2)).sum() / 6.0)
+def _volume_terms(v0, v1, v2) -> np.ndarray:
+    """Each triangle's term v0 . (v1 x v2) of six times the signed volume
+    (divergence theorem), from the components of its corners. The products
+    are added x, z, then y, as ``np.einsum("ij,ij->i")`` adds them on
+    numpy 2, so that every ``volume_mm3`` keeps its recorded bits."""
+    cx, cy, cz = _cross(v1, v2)
+    x0, y0, z0 = v0
+    return (x0 * cx + z0 * cz) + y0 * cy
 
 
 def _vertex_ids(points: np.ndarray) -> np.ndarray:
@@ -112,49 +119,111 @@ def _shell_error(ids: np.ndarray) -> Optional[str]:
 
 
 class TriangleMesh:
-    """Immutable triangle soup: vertices shaped (n_triangles, 3, 3), mm.
+    """Immutable triangle mesh in mm, held as batches of prisms: each batch
+    is points shaped (P, m, 3) float64 and a face template shaped (F, 3)
+    whose rows index a prism's points, one row per triangle. Triangles are
+    ordered prism by prism, each prism's in template order.
 
-    A float64 array is held without a copy, through a read-only view; the
-    caller's array stays writable, and must not be written while the mesh
-    is in use.
-
-    ``prism_points``, shaped (N, 3), are the points of the prisms that
-    ``SolidRecipe.mesh`` gathered the triangles from, each prism by its
-    closed face template; validation welds them instead of the corners.
+    ``TriangleMesh(triangles)``, shaped (n, 3, 3), is one batch of n
+    3-point prisms with the template [[0, 1, 2]]. A float64 array is held
+    without a copy, through a read-only view; the caller's array stays
+    writable, and must not be written while the mesh is in use.
+    ``SolidRecipe.mesh`` hands over its batches' points and closed
+    templates instead (``_of_prisms``). Validation, measuring and STL
+    encoding gather triangles block by block (``_blocks``), so no array
+    holds the whole part's triangles.
     """
 
-    def __init__(self, triangles: np.ndarray, *,
-                 prism_points: Optional[np.ndarray] = None):
+    def __init__(self, triangles: np.ndarray):
         tri = np.asarray(triangles, dtype=np.float64)
         if tri.ndim != 3 or tri.shape[1:] != (3, 3):
             raise GeometryError("triangles must be shaped (n, 3, 3)")
-        self._tri = tri.view()
-        self._tri.setflags(write=False)
+        view = tri.view()
+        view.setflags(write=False)
+        self._hold([(view, _CORNERS)], closed=False)
+
+    @classmethod
+    def _of_prisms(cls, batches: list) -> "TriangleMesh":
+        """A mesh of (points, template) batches whose every template is a
+        closed shell in which every point is a corner."""
+        mesh = cls.__new__(cls)
+        mesh._hold(batches, closed=True)
+        return mesh
+
+    def _hold(self, batches: list, closed: bool) -> None:
+        self._batches = batches
+        self._closed = closed
+        self._count = sum(len(pts) * len(faces) for pts, faces in batches)
         self._volume: Optional[float] = None
-        self._prism_points = prism_points
 
     @property
     def triangles(self) -> np.ndarray:
-        return self._tri
+        """Every triangle, shaped (n, 3, 3): a bare mesh's own view, or an
+        array gathered anew on each call."""
+        if not self._closed:
+            return self._batches[0][0]
+        tri = np.concatenate([np.take(pts, faces, axis=1).reshape(-1, 3, 3)
+                              for pts, faces in self._batches])
+        tri.setflags(write=False)
+        return tri
 
     def __len__(self) -> int:
-        return len(self._tri)
+        return self._count
+
+    def _blocks(self):
+        """(index of its first triangle, triangles shaped (B, 3, 3)) of each
+        block, in mesh order, each gathered into an array of its own: whole
+        prisms, across batches, of at most ``_BLOCK_TRIANGLES`` triangles,
+        or runs of the template rows of one prism that has more."""
+        start = size = 0
+        block = np.empty((min(self._count, _BLOCK_TRIANGLES), 3, 3))
+        for pts, faces in self._batches:
+            rows, p = len(faces), 0
+            while p < len(pts):
+                k = min(len(pts) - p, (len(block) - size) // rows)
+                if k:
+                    # mode "raise" would buffer ``out``; no index is out of
+                    # range to clip
+                    np.take(pts[p:p + k], faces, axis=1, mode="clip",
+                            out=block[size:size + k * rows].reshape(
+                                k, rows, 3, 3))
+                    size, p = size + k * rows, p + k
+                elif size:
+                    yield start, block[:size]
+                    start, size = start + size, 0
+                    block = np.empty((min(self._count - start,
+                                          _BLOCK_TRIANGLES), 3, 3))
+                else:
+                    for f in range(0, rows, _BLOCK_TRIANGLES):
+                        tri = np.take(pts[p], faces[f:f + _BLOCK_TRIANGLES],
+                                      axis=0)
+                        yield start, tri
+                        start += len(tri)
+                    p += 1
+        if size:
+            yield start, block[:size]
 
     def volume(self) -> float:
         """Signed enclosed volume (divergence theorem), mm^3. ``validate``
         measures it; other callers measure it on first use."""
         if self._volume is None:
-            self._volume = _signed_volume(self._tri)
+            terms = np.empty(self._count)
+            for start, tri in self._blocks():
+                terms[start:start + len(tri)] = _volume_terms(
+                    *(tri[:, i].T for i in range(3)))
+            self._volume = float(terms.sum() / 6.0)
         return self._volume
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        pts = self._tri.reshape(-1, 3)
-        columns = [pts[:, c] for c in range(3)]
-        return (np.array([c.min() for c in columns]),
-                np.array([c.max() for c in columns]))
+        """(lowest, highest) coordinates. Every point is a corner of its
+        template, so the points span the triangles' box."""
+        columns = [[pts[..., c] for pts, _ in self._batches] for c in range(3)]
+        return (np.array([min(col.min() for col in cols) for cols in columns]),
+                np.array([max(col.max() for col in cols) for cols in columns]))
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raise GeometryError unless the mesh is a closed, outward shell.
+    def validate(self, stl=None) -> None:
+        """Raise GeometryError unless the mesh is a closed, outward shell;
+        with ``stl``, a binary file, also append each triangle's STL record.
 
         In order: every coordinate lies within float32 range; no triangle's
         float64 area is at or below 1e-12 mm^2; with vertices welded as STL
@@ -162,34 +231,59 @@ class TriangleMesh:
         each directed edge occurs once, and so does its reverse; the
         float64 signed volume is positive. Only the weld reads float32.
 
-        Returns the float64 edge cross product of each triangle, twice its
-        area along its normal, and its norm, which ``export_stl`` turns
-        into the normals.
+        One pass over ``_blocks`` takes each triangle's edge cross product
+        (its normal and twice its area), counts the degenerate ones, keeps
+        its volume term, and writes its record, until a block holds a
+        degenerate triangle: a refused mesh's file is not to be kept. Then
+        the points are welded once. When no two weld, the prisms share no
+        point and each template is closed, so the edge check cannot fail
+        and is skipped; otherwise it runs on every corner's weld id.
         """
-        tri = self._tri
-        if len(tri) == 0:
-            return np.empty((0, 3)), np.empty(0)
-        points = self._prism_points
-        # A recipe mesh's corners are copies of its prisms' points.
-        _require_float32(tri if points is None else points)
-        v0 = tri[:, 0]
-        cross = _cross(tri[:, 1] - v0, tri[:, 2] - v0)
-        norm = np.linalg.norm(cross, axis=1)
-        small = 0.5 * norm <= _MIN_TRIANGLE_AREA_MM2
-        if small.any():
+        if not self._count:
+            return
+        batches = self._batches
+        _require_float32(*(pts for pts, _ in batches))
+        terms = np.empty(self._count)
+        degenerate = 0
+        if stl is not None:
+            records = np.zeros(min(self._count, _BLOCK_TRIANGLES),
+                               dtype=_STL_RECORD)
+        for start, tri in self._blocks():
+            # each corner's x, y and z over the block, as strided views
+            v0, v1, v2 = (tri[:, i].T for i in range(3))
+            cross = _cross([c - c0 for c, c0 in zip(v1, v0)],
+                           [c - c0 for c, c0 in zip(v2, v0)])
+            # np.linalg.norm(axis=1) of the rows: (x^2 + y^2) + z^2
+            norm = np.sqrt(cross[0] * cross[0] + cross[1] * cross[1]
+                           + cross[2] * cross[2])
+            degenerate += int(np.count_nonzero(
+                0.5 * norm <= _MIN_TRIANGLE_AREA_MM2))
+            terms[start:start + len(tri)] = _volume_terms(v0, v1, v2)
+            if stl is not None and not degenerate:
+                block = records[:len(tri)]
+                for axis, c in enumerate(cross):
+                    block["normal"][:, axis] = c / norm
+                block["vertices"] = tri
+                stl.write(block)
+        if degenerate:
             raise GeometryError(
-                f"{int(small.sum())} degenerate triangle(s) below "
+                f"{degenerate} degenerate triangle(s) below "
                 f"{_MIN_TRIANGLE_AREA_MM2} mm^2")
-        # When no two prism points weld, prisms share no point and each is
-        # closed, so the corner check cannot fail.
-        if points is None or _vertex_ids(points).max() < len(points):
-            error = _shell_error(_vertex_ids(tri).reshape(-1, 3))
+        ids = _vertex_ids(np.concatenate(
+            [pts.reshape(-1, 3) for pts, _ in batches], dtype=np.float32))
+        if not self._closed or ids.max() < len(ids):
+            corners, at = [], 0
+            for pts, faces in batches:
+                size = pts.shape[0] * pts.shape[1]
+                corners.append(ids[at:at + size].reshape(pts.shape[:2])
+                               [:, faces].reshape(-1, 3))
+                at += size
+            error = _shell_error(np.concatenate(corners))
             if error is not None:
                 raise GeometryError(error)
-        self._volume = _signed_volume(tri)
+        self._volume = float(terms.sum() / 6.0)
         if not self._volume > 0:
             raise GeometryError("mesh volume is not positive (inside out?)")
-        return cross, norm
 
 
 def _shoelace(polygons: np.ndarray) -> np.ndarray:
@@ -284,23 +378,12 @@ class SolidRecipe(Record):
         return sum(p.volume_mm3 for p in self.primitives)
 
     def mesh(self) -> TriangleMesh:
-        """One array pass per batch; triangles keep the prisms' order."""
+        """Each batch's prism points with its face template, in order."""
         if not self.primitives:
             return TriangleMesh(np.empty((0, 3, 3)))
-        points = [_extrude(p) for p in self.primitives]
-        blocks = [np.take(pts, _prism_faces(pts.shape[1] // 2, p.axis),
-                          axis=1).reshape(-1, 3, 3)
-                  for pts, p in zip(points, self.primitives)]
-        return TriangleMesh(
-            blocks[0] if len(blocks) == 1 else np.concatenate(blocks),
-            prism_points=np.concatenate([pts.reshape(-1, 3)
-                                         for pts in points]))
-
-
-def _check_size(triangles: int) -> None:
-    if triangles > MAX_PART_TRIANGLES:
-        raise GeometryError(f"the part would have {triangles} triangles, "
-                            f"more than {MAX_PART_TRIANGLES}")
+        return TriangleMesh._of_prisms([
+            (_extrude(p), _prism_faces(p.polygons.shape[1], p.axis))
+            for p in self.primitives])
 
 
 def _rects(x0, x1, y0: float, y1: float) -> np.ndarray:
@@ -322,6 +405,7 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
     The plate is the printed base only (film excluded). Ribs sit centered
     within each period; at width_ratio 1 the ribs fuse into a single slab.
     """
+    check_part_triangles("flexure", flex)
     length, width = flex.length_mm, flex.width_mm
     t_base = flex.base.printed_thickness_mm
     if t_base <= 0:
@@ -332,7 +416,7 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
     prims = [Primitive(plate, "z", 0.0, t_base)]
     if ribs is not None and ribs.feature_height_mm > 0 and ribs.width_ratio > 0:
         period = ribs.period_mm
-        n = int(math.floor(length / period + 1e-9))
+        n = flex.rib_count
         z1 = t_base + ribs.feature_height_mm
         if ribs.width_ratio >= 1.0:
             # Ribs fuse into a slab flush with the plate edges. Touching
@@ -347,7 +431,6 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
                         (length, 0.0), (length, t_base))
                 prims = [Primitive([step], "y", 0.0, width)]
         else:
-            _check_size(12 * (1 + n))
             rib_w = ribs.width_ratio * period
             x0 = np.arange(n) * period + (period - rib_w) / 2
             prims.append(Primitive(_rects(x0, x0 + rib_w, 0.0, width), "z",
@@ -355,8 +438,8 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
     return SolidRecipe(tuple(prims))
 
 
-def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
-                     facets: int = 16) -> SolidRecipe:
+def flexional_recipe(spec: FlexionalLimitSpec, count: int = DEFAULT_FEATURES,
+                     facets: int = DEFAULT_FACETS) -> SolidRecipe:
     """Mushroom pillars: faceted stem plus wider faceted disk head.
 
     Feature axes sit ``spacing`` apart along x. Head thickness and stem
@@ -370,6 +453,7 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
             f"a jamming limit needs at least {MIN_FEATURES} features")
     if facets < MIN_FACETS:
         raise GeometryError(f"facets must be at least {MIN_FACETS}")
+    check_part_triangles("flexional", spec, count, facets)
     if spec.spacing <= 2 * spec.head_radius:
         raise AlwaysJammedError(
             "adjacent heads intersect at rest: spacing must exceed the "
@@ -378,7 +462,6 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     h = spec.stem_height * M_TO_MM
     spacing = spec.spacing * M_TO_MM
     t_head = r_stem = r / 2
-    _check_size(count * (4 * facets - 4) * (2 if h > 0 else 1))
     # (radius, lo, hi) of each feature's prisms, bottom up
     layers = np.array([(r_stem, 0.0, h), (r, h, h + t_head)] if h > 0
                       else [(r, h, h + t_head)])
@@ -394,7 +477,8 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = 2,
     return SolidRecipe((Primitive(polygons, "z", lo, hi),))
 
 
-def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
+def extensional_recipe(spec: ExtensionalLimitSpec,
+                       count: int = DEFAULT_FEATURES,
                        width: Optional[float] = None) -> SolidRecipe:
     """Inclined standoffs, alternating orientation, facing in pairs.
 
@@ -410,7 +494,7 @@ def extensional_recipe(spec: ExtensionalLimitSpec, count: int = 2,
     if count < MIN_FEATURES:
         raise GeometryError(
             f"a jamming limit needs at least {MIN_FEATURES} features")
-    _check_size(12 * count)
+    check_part_triangles("extensional", spec, count)
     extensional_jam_angle(spec)  # raises ContactAtRestError when infeasible
     L = spec.diagonal * M_TO_MM
     b = spec.base_width * M_TO_MM
@@ -443,14 +527,16 @@ def export_stl(mesh: TriangleMesh, destination) -> int:
 
     80-byte header, little-endian uint32 triangle count, then per triangle
     12 float32 values (normal, 3 vertices) and a zero attribute word:
-    exactly 84 + 50 * count bytes. Refuses invariant-violating meshes.
+    exactly 84 + 50 * count bytes. The records are written as the mesh is
+    validated, in one pass; an invariant-violating mesh is refused and
+    leaves no file at ``destination``.
     """
-    cross, norm = mesh.validate()
     header = f"flexokit {__version__} binary STL".encode("ascii")[:80]
-    records = np.zeros(len(mesh), dtype=_STL_RECORD)
-    records["normal"] = cross / norm[:, None]
-    records["vertices"] = mesh.triangles
-    with open(destination, "wb") as fh:
-        fh.write(header.ljust(80, b" ") + struct.pack("<I", len(mesh)))
-        fh.write(records)
-    return 84 + records.nbytes
+    try:
+        with open(destination, "wb") as fh:
+            fh.write(header.ljust(80, b" ") + struct.pack("<I", len(mesh)))
+            mesh.validate(fh)
+    except GeometryError:
+        os.remove(destination)
+        raise
+    return 84 + 50 * len(mesh)

@@ -85,16 +85,44 @@ MUTANTS = {
          "[64-2-hind_leg.json-hind_leg]",)),
     "corner check always skipped": Mutant(
         "src/flexokit/geometry.py",
-        (("if points is None or _vertex_ids(points).max() < len(points):",
-          "if points is None:"),),
+        (("if not self._closed or ids.max() < len(ids):",
+          "if not self._closed:"),),
         ("tests/test_geometry_reference.py::test_prisms_that_weld_fall_"
          "back_to_the_corner_check",)),
     "corner check never skipped": Mutant(
         "src/flexokit/geometry.py",
-        (("if points is None or _vertex_ids(points).max() < len(points):",
-          "if True:"),),
+        (("if not self._closed or ids.max() < len(ids):", "if True:"),),
         ("tests/test_geometry.py::test_export_parts_validate_on_one_weld_"
          "of_their_prism_points",)),
+    "volume terms summed per block": Mutant(
+        "src/flexokit/geometry.py",
+        (("            terms[start:start + len(tri)] = _volume_terms(v0, v1, "
+          "v2)\n",
+          "            terms[start:start + len(tri)] = 0.0\n"
+          "            terms[start] = _volume_terms(v0, v1, v2).sum()\n"),),
+        ("tests/test_geometry_reference.py::test_parts_of_several_blocks_"
+         "match_the_references",)),
+    "degenerate count keeps only the first block's": Mutant(
+        "src/flexokit/geometry.py",
+        (("            degenerate += int(np.count_nonzero(",
+          "            degenerate = degenerate if start else int("
+          "np.count_nonzero("),),
+        ("tests/test_geometry_reference.py::test_degenerate_triangles_of_"
+         "the_last_block_refuse_the_part",)),
+    "one block's records not written": Mutant(
+        "src/flexokit/geometry.py",
+        (("            if stl is not None and not degenerate:",
+          "            if stl is not None and not degenerate and start:"),),
+        ("tests/test_geometry_reference.py::test_parts_of_several_blocks_"
+         "match_the_references",)),
+    "validate counts no export triangles": Mutant(
+        "src/flexokit/cli.py",
+        (("            check_part_triangles(part.kind, _part_source(doc, "
+          "part),\n                                 part.count, "
+          "part.facets)\n",
+          "            pass\n"),),
+        ("tests/test_cli.py::test_validate_refuses_parts_past_the_triangle_"
+         "bound_as_export_does",)),
     ">= for the sweep period bound": Mutant(
         "src/flexokit/cli.py",
         (("if len(values) * periods > MAX_SWEEP_PERIODS:",

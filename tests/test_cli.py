@@ -269,7 +269,11 @@ def test_design_flag_requirements(tmp_path, capsys):
                 "--stiffness-n-per-m", "5000",
                 "-i", bundled_path("sample_flexure.json"),
                 "-o", tmp_path]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "TargetRangeError"
+    # the flexure's sections are located; a target out of range is not
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "TargetRangeError"
+    assert diagnostic["message"].startswith(
+        "target 5000 N/m is outside the attainable range")
 
 
 # ------------------------------------------------------------- simulate-limb
@@ -542,6 +546,13 @@ def _overflowing_links(doc, length_mm=1e308):
      "flexures.sample: " + _SECTION_RANGE, "DesignError"),
     ("sample_flexure.json", "predict-stiffness", _one_layer(5e-324),
      "flexures.sample: " + _SECTION_RANGE, "DesignError"),
+    # design's stiffness targets locate it too
+    ("sample_flexure.json",
+     "design --target width_ratio --stiffness-n-per-m 50", _one_layer(1e106),
+     "flexures.sample: " + _SECTION_RANGE, "DesignError"),
+    ("sample_flexure.json",
+     "design --target feature_height --stiffness-n-per-m 50",
+     _one_layer(1e106), "flexures.sample: " + _SECTION_RANGE, "DesignError"),
 ], ids=["infinite_jam_angle", "jam_angle_past_half_turn", "nan_frequency",
         "overflowing_speed", "overflowing_routing_offset", "zero_stiffness",
         "negative_stiffness", "overflowing_links",
@@ -555,7 +566,9 @@ def _overflowing_links(doc, length_mm=1e308):
         "validate_jammed_at_rest", "validate_overflowing_links",
         "validate_too_many_rib_periods", "too_many_rib_periods",
         "validate_overflowing_section", "overflowing_section",
-        "validate_zero_section", "zero_section"])
+        "validate_zero_section", "zero_section",
+        "design_width_ratio_overflowing_section",
+        "design_feature_height_overflowing_section"])
 def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
         tmp_path, capsys, document, subcommand, mutate, message, error):
     with open(bundled_path(document)) as f:
@@ -563,7 +576,8 @@ def test_out_of_range_documents_exit_2_with_a_located_diagnostic(
     mutate(doc)
     path = tmp_path / document
     path.write_text(json.dumps(doc))
-    assert run([subcommand, "-i", path, "-o", tmp_path / "out"]) == 2
+    assert run([*subcommand.split(), "-i", path,
+                "-o", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     diagnostic = json.loads(err)
@@ -608,11 +622,16 @@ def test_export_geometry_without_parts_is_a_no_op(tmp_path, capsys):
     assert "nothing to do" in capsys.readouterr().out
 
 
-def _oversized_ribs(doc):
-    doc["flexures"]["sample"]["length_mm"] = 1e9
-    doc["flexures"]["sample"]["ribs"]["period_mm"] = 1.0
-    doc["export"]["parts"] = [{"kind": "flexure", "ref": "sample",
-                               "file": "ribs.stl"}]
+def _oversized_ribs_at(length_mm):
+    def mutate(doc):
+        doc["flexures"]["sample"]["length_mm"] = length_mm
+        doc["flexures"]["sample"]["ribs"]["period_mm"] = 1.0
+        doc["export"]["parts"] = [{"kind": "flexure", "ref": "sample",
+                                   "file": "ribs.stl"}]
+    return mutate
+
+
+_oversized_ribs = _oversized_ribs_at(1e9)
 
 
 def _oversized_part(kind, ref, **size):
@@ -643,6 +662,32 @@ def test_export_parts_past_the_triangle_bound_exit_2_unbuilt(
     assert diagnostic["error"] == "GeometryError"
     assert diagnostic["message"].endswith("triangles, more than 1048576")
     assert not list(tmp_path.rglob("*.stl"))
+
+
+@pytest.mark.parametrize("mutate", [
+    # 100,000 periods: within the exact stiffness's rib-period bound
+    _oversized_ribs_at(1e5),
+    _oversized_part("flexional", "sample_flexional", count=10 ** 12),
+    _oversized_part("flexional", "sample_flexional", facets=10 ** 12),
+    _oversized_part("extensional", "sample_extensional", count=10 ** 12),
+], ids=["ribs", "mushroom_count", "mushroom_facets", "standoff_count"])
+def test_validate_refuses_parts_past_the_triangle_bound_as_export_does(
+        tmp_path, capsys, mutate):
+    with open(bundled_path("sample_flexure.json")) as f:
+        doc = json.load(f)
+    mutate(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    lines = []
+    for subcommand in ("validate", "export-geometry"):
+        assert run([subcommand, "-i", path, "-o", tmp_path / "out"]) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "GeometryError"
+    assert diagnostic["message"].startswith(
+        "export.parts[0]: the part would have ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_export_with_a_rejected_late_part_writes_nothing(tmp_path, capsys):

@@ -222,28 +222,31 @@ def assert_same_export(tri, tmp_path):
 
 
 def outcome(mesh, path):
-    """(message, None) if ``mesh`` is refused, else (None, (cross bytes,
-    norm bytes, volume, STL bytes))."""
+    """(message, None) if ``mesh`` is refused, else (None, (volume, STL
+    bytes)). Exporting a refused mesh raises the same message and leaves
+    no file."""
     try:
-        cross, norm = mesh.validate()
+        mesh.validate()
     except GeometryError as exc:
+        with pytest.raises(GeometryError, match=re.escape(str(exc))):
+            export_stl(mesh, path)
+        assert not path.exists()
         return str(exc), None
     export_stl(mesh, path)
-    return None, (cross.tobytes(), norm.tobytes(), mesh.volume(),
-                  path.read_bytes())
+    return None, (mesh.volume(), path.read_bytes())
 
 
 def assert_same_recipe_export(recipe, tmp_path):
     """A recipe's mesh, checked on its prism points, gives the verdict and
-    message, cross products and norms, volume and bytes that its triangles
-    give checked corner by corner, and the dict reference's verdict."""
+    message, volume and bytes that its triangles give checked corner by
+    corner, and the dict reference's verdict and bytes."""
     tri = recipe.mesh().triangles
     verdict, result = outcome(recipe.mesh(), tmp_path / "recipe.stl")
     assert (verdict, result) == outcome(TriangleMesh(tri),
                                         tmp_path / "soup.stl")
     assert verdict == dict_validate(tri)
     if verdict is None:
-        assert result[3] == struct_stl(tri)
+        assert result[1] == struct_stl(tri)
 
 
 # ------------------------------------------------------------ primitives
@@ -463,6 +466,85 @@ def test_prism_face_templates_are_closed():
             assert geometry._shell_error(faces) is None
 
 
+# ------------------------------------------------------------ block pass
+
+def reference_volume(tri):
+    """Signed volume of (n, 3, 3) triangles, over six: one float64 sum of
+    every triangle's v0 . (v1 x v2), its products added x, z, then y."""
+    terms = []
+    for v0, v1, v2 in tri.tolist():
+        c = np.cross(v1, v2).tolist()
+        terms.append((v0[0] * c[0] + v0[2] * c[2]) + v0[1] * c[1])
+    return float(np.array(terms).sum() / 6.0)
+
+
+def assert_blocks_match_the_references(recipe, tmp_path, blocks):
+    """The recipe's mesh spans at least ``blocks`` blocks of at most
+    ``_BLOCK_TRIANGLES`` triangles, in order, and its export gives the
+    loop references' verdict, volume and bytes."""
+    mesh = recipe.mesh()
+    starts, parts = zip(*mesh._blocks())
+    assert len(parts) >= blocks
+    assert max(map(len, parts)) <= geometry._BLOCK_TRIANGLES
+    assert list(starts) == np.cumsum([0, *map(len, parts[:-1])]).tolist()
+    tri = mesh.triangles
+    assert np.array_equal(np.concatenate(parts), tri)
+    assert_same_recipe_export(recipe, tmp_path)
+    verdict, result = outcome(mesh, tmp_path / "blocks.stl")
+    assert verdict is None
+    assert result == (reference_volume(tri), struct_stl(tri))
+
+
+def test_parts_of_several_blocks_match_the_references(tmp_path):
+    # 20 mushrooms of 64 facets: 10,080 triangles, 16 prisms a block.
+    mushrooms = flexional_recipe(FlexionalLimitSpec(6 * MM, 2 * MM, 4 * MM),
+                                 count=20, facets=64)
+    assert_blocks_match_the_references(mushrooms, tmp_path, 3)
+
+
+@pytest.mark.parametrize("kind", sorted(recipes()))
+def test_small_blocks_match_the_references(kind, monkeypatch, tmp_path):
+    # Blocks of 30 triangles: a batch's prisms span several, batches end
+    # inside them, and a prism of more triangles spans runs of its faces.
+    monkeypatch.setattr(geometry, "_BLOCK_TRIANGLES", 30)
+    recipe = recipes()[kind]
+    assert_blocks_match_the_references(recipe, tmp_path,
+                                       math.ceil(len(recipe.mesh()) / 30))
+
+
+def tiny_box_last(count):
+    """``count`` boxes of 0.5 x 1 x 1 mm in a row, then one whose sides
+    across z are 1e-7 mm, so that its four cap triangles fall below the
+    area floor."""
+    corners = np.arange(count + 1, dtype=float)
+    polygons = np.array([((x, 0.0), (x + 0.5, 0.0), (x + 0.5, 1.0),
+                          (x, 1.0)) for x in corners])
+    polygons[-1, 1:3, 0] = polygons[-1, 0, 0] + 1e-7
+    polygons[-1, 2:, 1] = 1e-7
+    return SolidRecipe((Primitive(polygons, "z", 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("block", [30, geometry._BLOCK_TRIANGLES])
+def test_degenerate_triangles_of_the_last_block_refuse_the_part(
+        block, monkeypatch, tmp_path):
+    monkeypatch.setattr(geometry, "_BLOCK_TRIANGLES", block)
+    recipe = tiny_box_last(500)
+    mesh = recipe.mesh()
+    blocks = list(mesh._blocks())
+    assert len(blocks) == math.ceil(501 / (block // 12)) > 1
+    # only the last block holds the tiny box
+    assert all(triangle_areas(tri).min() > 1e-12 for _, tri in blocks[:-1])
+    message = "4 degenerate triangle(s) below 1e-12 mm^2"
+    assert dict_validate(mesh.triangles) == message
+    assert_same_recipe_export(recipe, tmp_path)
+    # a degenerate triangle in the first block too: every block counts
+    tri = mesh.triangles.copy()
+    tri[0, 2] = tri[0, 1]
+    assert dict_validate(tri) == "5 degenerate triangle(s) below 1e-12 mm^2"
+    assert_same_export(tri, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 # Infinite and NaN products make numpy warn in both implementations.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cross_is_bytewise_np_cross():
@@ -473,8 +555,9 @@ def test_cross_is_bytewise_np_cross():
     for arr in (a, b):
         hit = rng.random(arr.shape) < 0.2
         arr[hit] = rng.choice(special, int(hit.sum()))
-    assert geometry._cross(a, b).tobytes() == np.cross(a, b).tobytes()
-    assert geometry._cross(b, a).tobytes() == np.cross(b, a).tobytes()
+    cross = lambda u, v: np.stack(geometry._cross(u.T, v.T), axis=1)
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert cross(b, a).tobytes() == np.cross(b, a).tobytes()
 
 
 # ------------------------------------------------------- corrupted meshes

@@ -3,6 +3,7 @@ and the console examples with their shown output."""
 
 import ast
 import itertools
+import json
 import os
 import re
 import shlex
@@ -155,6 +156,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _peak_mb(command: list[str]) -> float:
+    """Peak resident memory of ``command``, started by a fresh, small
+    Python process that reports it; the command must exit 0."""
+    # A child's ru_maxrss also counts the memory of the process that
+    # started it (on Linux it carries that process's peak across exec),
+    # and this test process can itself peak above the bound.
+    report = subprocess.run([sys.executable, "-c", _REPORT_PEAK, *command],
+                            stdout=subprocess.PIPE, text=True, check=True)
+    returncode, maxrss = map(int, report.stdout.split())
+    assert returncode == 0
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_cycle_at_the_cell_bound_peaks_near_the_quoted_memory(tmp_path):
     # The bounds paragraph quotes the peak resident memory of a 1-bin
@@ -166,17 +181,33 @@ def test_cycle_at_the_cell_bound_peaks_near_the_quoted_memory(tmp_path):
                       README.read_text("utf-8"))
     steps, quoted_mb = found.group(1).replace(",", ""), int(found.group(2))
     document = resources.files("flexokit") / "data" / "hind_leg.json"
-    # A child's ru_maxrss also counts the memory of the process that
-    # started it (on Linux it carries that process's peak across exec),
-    # and this test process can itself peak above the bound. So a fresh,
-    # small Python process starts the case and reports the case's peak.
-    report = subprocess.run(
-        [sys.executable, "-c", _REPORT_PEAK, sys.executable, "-m",
-         "flexokit.cli", "simulate-limb", "-i", str(document), "--steps",
-         steps, "--arc-bins", "1", "-o", str(tmp_path)],
-        stdout=subprocess.PIPE, text=True, check=True)
-    returncode, maxrss = map(int, report.stdout.split())
-    assert returncode == 0
-    # ru_maxrss counts KiB on Linux and bytes on macOS
-    peak_mb = maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+    peak_mb = _peak_mb([sys.executable, "-m", "flexokit.cli",
+                        "simulate-limb", "-i", str(document), "--steps",
+                        steps, "--arc-bins", "1", "-o", str(tmp_path)])
+    assert peak_mb <= 1.5 * quoted_mb, (peak_mb, quoted_mb)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_export_at_the_part_bound_peaks_near_the_quoted_memory(tmp_path):
+    # The bounds paragraph quotes the peak resident memory of one ribbed
+    # flexure export at the triangle bound; the quote leaves room for
+    # other hosts and numpy builds, not for an array of the part's
+    # triangles.
+    quoted_mb = int(re.search(
+        r"one export of a ribbed flexure peaks at\s+(\d+) MB",
+        README.read_text("utf-8")).group(1))
+    sample = resources.files("flexokit") / "data" / "sample_flexure.json"
+    doc = json.loads(sample.read_text("utf-8"))
+    # 87,380 rib periods of 1 mm: 12 x 87,381 = 1,048,572 triangles
+    doc["flexures"]["sample"]["length_mm"] = 87380.0
+    doc["flexures"]["sample"]["ribs"]["period_mm"] = 1.0
+    doc["export"]["parts"] = [{"kind": "flexure", "ref": "sample",
+                               "file": "ribs.stl"}]
+    document = tmp_path / "bound.json"
+    document.write_text(json.dumps(doc), "utf-8")
+    out = tmp_path / "out"
+    peak_mb = _peak_mb([sys.executable, "-m", "flexokit.cli",
+                        "export-geometry", "-i", str(document),
+                        "-o", str(out)])
+    assert (out / "ribs.stl").stat().st_size == 84 + 50 * 1_048_572
     assert peak_mb <= 1.5 * quoted_mb, (peak_mb, quoted_mb)
