@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from . import __version__
 from ._record import Record
 from .core import (MM, DesignDoc, ExtensionalLimitEntry, FlexionalLimitEntry,
-                   Material, check_part_triangles, parse_design,
+                   Material, check_part, parse_design,
                    parse_materials, to_document, validate_process)
 from .errors import DesignError, FlexokitError, located
 from .joint_limits import (extensional_inverse, extensional_jam_angle,
@@ -320,8 +320,8 @@ def _cmd_validate(args, stage) -> int:
             check_rib_periods(flex)
     for i, part in enumerate(doc.export.parts):
         with located(f"export.parts[{i}]"):
-            check_part_triangles(part.kind, _part_source(doc, part),
-                                 part.count, part.facets)
+            check_part(part.kind, _part_source(doc, part), part.count,
+                       part.facets)
     if doc.process is not None:
         report = validate_process(doc.process)
         entries, text = report.to_json(), report.to_text()
@@ -487,13 +487,15 @@ def _cmd_design(args, stage) -> int:
 
 def _cmd_simulate_limb(args, stage) -> int:
     import numpy as np
-    from .limb_sim import cycle_index, limb_from_document, sweep_cycle
+    from .limb_sim import (check_cycle, curvature_columns, cycle_index,
+                           limb_from_document, sweep_cycle)
     doc = _load_document(args.input)
     name, _ = _pick(doc.limbs, args.limb, "limbs")
     limb = limb_from_document(doc, name)
+    # both tables are bounded before anything is solved
+    check_cycle(limb, args.steps, args.arc_bins)
     max_pull = args.max_pull_mm * MM if args.max_pull_mm is not None else None
-    cycle = sweep_cycle(limb, max_pull=max_pull, steps=args.steps,
-                        arc_bins=args.arc_bins)
+    cycle = sweep_cycle(limb, max_pull=max_pull, steps=args.steps)
     # The release rows mirror the pull rows the cycle holds: each table
     # writes those rows in cycle order.
     order = cycle_index(args.steps)
@@ -507,11 +509,11 @@ def _cmd_simulate_limb(args, stage) -> int:
                  order=order)
     # The bins within one segment share its curvature: the writer takes
     # each segment's column once, with the number of bins it fills.
+    bins, kappa, counts = curvature_columns(limb, cycle.theta, args.arc_bins)
     _write_table(stage, f"{name}_curvature",
-                 ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-                 np.column_stack([pulls_mm, cycle.kappa]),
-                 order=order,
-                 counts=[1, *np.bincount(cycle.segment).tolist()])
+                 ["pull_mm"] + [repr(s / MM) for s in bins],
+                 np.column_stack([pulls_mm, kappa]),
+                 order=order, counts=[1, *counts])
     _write_json(stage(f"{name}_metrics.json"), {
         "stroke_distance_mm": cycle.metrics.stroke_distance / MM,
         "stroke_ratio": cycle.metrics.stroke_ratio,

@@ -17,8 +17,10 @@ from pathlib import PurePath
 from typing import Any, Mapping, NamedTuple, Optional, Union, get_args
 
 from ._record import MISSING, Record, field
-from .errors import DanglingReferenceError, DesignError, GeometryError
-from .joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
+from .errors import (AlwaysJammedError, DanglingReferenceError, DesignError,
+                     GeometryError)
+from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
+                           extensional_jam_angle)
 
 MM = 1e-3
 GPA = 1e9
@@ -299,40 +301,48 @@ MIN_FACETS = 8
 DEFAULT_FEATURES = 2
 DEFAULT_FACETS = 16
 # The most triangles one part may have, counted before anything is built:
-# 83x the benchmark's largest part. An export at the bound peaks near
-# 110 MB, and near 210 MB if validation falls back to checking every corner.
+# 83x the benchmark's largest part; README quotes the peak memory.
 MAX_PART_TRIANGLES = 2 ** 20
 
 
-def check_part_triangles(kind: str, source, count: Optional[int] = None,
-                         facets: Optional[int] = None) -> None:
-    """Raise GeometryError if the mesh of an export part of ``kind`` would
-    have more than MAX_PART_TRIANGLES triangles, counted before anything
-    is built from ``source`` (its FlexureSpec or limit spec), ``count`` and
-    ``facets`` (None takes the default).
-
-    An n-gon prism has 4n - 4 triangles. A flexure with separate ribs is
-    its plate and one box per complete rib period; mushrooms are ``count``
-    features of one ``facets``-gon prism, two with a stem; standoffs are
-    ``count`` boxes. A flexure whose ribs are absent, flat or fused into
-    one slab has at most 20 and is not counted.
-    """
+def check_part(kind: str, source, count: Optional[int] = None,
+               facets: Optional[int] = None) -> None:
+    """Raise GeometryError (AlwaysJammedError, ContactAtRestError) unless
+    an export part of ``kind`` can be built from ``source`` (its FlexureSpec
+    or limit spec), ``count`` and ``facets`` (None: the default). Checked
+    in order, without building it: the feature and facet minimums; at most
+    MAX_PART_TRIANGLES triangles, 4n - 4 per n-gon prism (a flexure's plate
+    and a box per complete rib period, uncounted if its ribs are absent,
+    flat or fused; a prism per mushroom, two with a stem; a box per
+    standoff); a flexure's printed layer, or heads or tips apart at rest."""
     count = DEFAULT_FEATURES if count is None else count
     facets = DEFAULT_FACETS if facets is None else facets
+    if kind != "flexure" and count < MIN_FEATURES:
+        raise GeometryError(
+            f"a jamming limit needs at least {MIN_FEATURES} features")
+    if kind == "flexional" and facets < MIN_FACETS:
+        raise GeometryError(f"facets must be at least {MIN_FACETS}")
+    triangles = 0
     if kind == "flexional":
         triangles = count * (4 * facets - 4) * (
             2 if source.stem_height > 0 else 1)
     elif kind == "extensional":
         triangles = 12 * count
-    else:
-        ribs = source.ribs
-        if not (ribs is not None and ribs.feature_height_mm > 0
-                and 0 < ribs.width_ratio < 1):
-            return
+    elif (source.ribs is not None and source.ribs.feature_height_mm > 0
+          and 0 < source.ribs.width_ratio < 1):
         triangles = 12 * (1 + source.rib_count)
     if triangles > MAX_PART_TRIANGLES:
         raise GeometryError(f"the part would have {triangles} triangles, "
                             f"more than {MAX_PART_TRIANGLES}")
+    if kind == "flexure" and source.base.printed_thickness_mm <= 0:
+        raise GeometryError(
+            "nothing to print: the laminate has no extruded layers")
+    if kind == "flexional" and source.spacing <= 2 * source.head_radius:
+        raise AlwaysJammedError(
+            "adjacent heads intersect at rest: spacing must exceed the "
+            "head diameter")
+    if kind == "extensional":
+        extensional_jam_angle(source)  # ContactAtRestError when infeasible
 
 
 class ExportPart(Record):

@@ -30,11 +30,9 @@ import numpy as np
 
 from . import __version__
 from ._record import Record
-from .core import (DEFAULT_FACETS, DEFAULT_FEATURES, MIN_FACETS,
-                   MIN_FEATURES, FlexureSpec, check_part_triangles)
-from .errors import AlwaysJammedError, GeometryError
-from .joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
-                           extensional_jam_angle)
+from .core import DEFAULT_FACETS, DEFAULT_FEATURES, FlexureSpec, check_part
+from .errors import GeometryError
+from .joint_limits import ExtensionalLimitSpec, FlexionalLimitSpec
 
 _MIN_TRIANGLE_AREA_MM2 = 1e-12
 M_TO_MM = 1000.0
@@ -105,14 +103,20 @@ def _vertex_ids(points: np.ndarray) -> np.ndarray:
 def _shell_error(ids: np.ndarray) -> Optional[str]:
     """Why triangles of vertex ids ``ids``, shaped (n, 3), are not a closed
     shell, or None: no triangle repeats a vertex, and each directed edge
-    occurs once, and so does its reverse."""
+    occurs once, and so does its reverse. Besides ``ids`` it holds the edge
+    keys and their reverse, each sorted in place."""
     nxt = np.roll(ids, -1, axis=1)
     if (ids == nxt).any():
         return "triangle with repeated vertices"
     m = ids.size + 1
-    keys = np.sort((ids * m + nxt).ravel())
-    if ((keys[1:] == keys[:-1]).any()
-            or not np.array_equal(keys, np.sort((nxt * m + ids).ravel()))):
+    keys = ids * m
+    keys += nxt
+    nxt *= m
+    nxt += ids
+    keys, reverse = keys.ravel(), nxt.ravel()
+    keys.sort()
+    reverse.sort()
+    if (keys[1:] == keys[:-1]).any() or not np.array_equal(keys, reverse):
         return ("mesh is not watertight: an edge is not shared by exactly "
                 "two consistently wound triangles")
     return None
@@ -405,12 +409,9 @@ def flexure_recipe(flex: FlexureSpec) -> SolidRecipe:
     The plate is the printed base only (film excluded). Ribs sit centered
     within each period; at width_ratio 1 the ribs fuse into a single slab.
     """
-    check_part_triangles("flexure", flex)
+    check_part("flexure", flex)
     length, width = flex.length_mm, flex.width_mm
     t_base = flex.base.printed_thickness_mm
-    if t_base <= 0:
-        raise GeometryError(
-            "nothing to print: the laminate has no extruded layers")
     ribs = flex.ribs
     plate = _rects([0.0], [length], 0.0, width)
     prims = [Primitive(plate, "z", 0.0, t_base)]
@@ -448,16 +449,7 @@ def flexional_recipe(spec: FlexionalLimitSpec, count: int = DEFAULT_FEATURES,
     recipe is meshed in mm. One batch holds the features in order, each
     stem before its head.
     """
-    if count < MIN_FEATURES:
-        raise GeometryError(
-            f"a jamming limit needs at least {MIN_FEATURES} features")
-    if facets < MIN_FACETS:
-        raise GeometryError(f"facets must be at least {MIN_FACETS}")
-    check_part_triangles("flexional", spec, count, facets)
-    if spec.spacing <= 2 * spec.head_radius:
-        raise AlwaysJammedError(
-            "adjacent heads intersect at rest: spacing must exceed the "
-            "head diameter")
+    check_part("flexional", spec, count, facets)
     r = spec.head_radius * M_TO_MM
     h = spec.stem_height * M_TO_MM
     spacing = spec.spacing * M_TO_MM
@@ -491,11 +483,7 @@ def extensional_recipe(spec: ExtensionalLimitSpec,
     sides). ``width`` is the extrusion depth across the flexure, defaulting
     to the base width.
     """
-    if count < MIN_FEATURES:
-        raise GeometryError(
-            f"a jamming limit needs at least {MIN_FEATURES} features")
-    check_part_triangles("extensional", spec, count)
-    extensional_jam_angle(spec)  # raises ContactAtRestError when infeasible
+    check_part("extensional", spec, count)
     L = spec.diagonal * M_TO_MM
     b = spec.base_width * M_TO_MM
     r = spec.tip_radius * M_TO_MM

@@ -17,8 +17,8 @@ A limb (``LimbSpec``) is a set of columns: per segment, base to foot, its
 length and whether it is a joint; per joint, the stiffness, jam angle,
 routing offset and sense of its pseudo-rigid body. A joint bends as a
 constant-curvature arc and a link stays straight, so a cycle computes, per
-pull step, only the foot (closed form, arc by arc) and the curvature of
-each segment (theta_i / joint_length_i over joint i, zero on links).
+pull step, only the foot (closed form, arc by arc); ``curvature_columns``
+gives each segment's curvature (theta_i / joint_length_i over a joint).
 
 Only the functions that compute arrays import numpy, so a document's limbs
 resolve (``limb_from_document``) and are checked without it.
@@ -40,12 +40,10 @@ if TYPE_CHECKING:
 
 _CAP_SLACK = 1e-12  # relative; absorbs roundoff at exact jam events
 _STRAIGHT = 1e-12   # rad; a joint bent less is taken as straight
-# The most cells one cycle may hold, counted as the rows its tables write
-# (2 * steps - 1, pull and release) times the arc bins of its curvature map
-# plus the segments whose curvature that map repeats. That is 16x the
-# 3999 x 64 curvature cells of the benchmark's largest cycle. At the bound
-# a hind-leg call peaks at 48 MB resident with 64 bins and 88 MB with 1
-# bin (2-vCPU Xeon, numpy 2.4).
+# The most cells one cycle may hold: its 2 * steps - 1 rows (pull and
+# release) of one column per segment, plus the arc bins of a curvature map
+# written with it (``check_cycle``). That is 16x the 3999 x 64 curvature
+# cells of the benchmark's largest cycle; README quotes the peak memory.
 MAX_CYCLE_CELLS = 2 ** 22
 
 
@@ -131,19 +129,8 @@ class CycleResult(Record):
     pulls: np.ndarray           # (n_steps,)
     theta: np.ndarray           # (n_steps, n_joints) signed joint angles, rad
     tension: np.ndarray         # (n_steps,) N
-    jammed: np.ndarray          # (n_steps, n_joints) bool
     foot_path: np.ndarray       # (n_steps, 2)
     metrics: StrokeMetrics
-    kappa: np.ndarray           # (n_steps, n_held) curvature, 1/m, of
-                                # each segment that holds a bin
-    segment: np.ndarray         # (n_bins,) the kappa column of each bin
-    arc_bins: np.ndarray        # (n_bins,) bin-center arc lengths, m
-
-    @property
-    def curvature_map(self) -> np.ndarray:
-        """(n_steps, n_bins) curvature at each arc bin, 1/m: that of the
-        segment holding the bin."""
-        return self.kappa[:, self.segment]
 
 
 def _solve(limb: LimbSpec, pulls):
@@ -239,53 +226,64 @@ def cycle_index(steps: int) -> np.ndarray:
     return np.r_[:steps, steps - 2:-1:-1]
 
 
-def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
-                steps: int = 101, arc_bins: int = 64) -> CycleResult:
-    """Simulate one tendon pull-and-release cycle on a uniform pull grid.
-
-    Each row's solve, foot and curvature read only its own pull, so the
-    release is the pull in reverse and the result holds only the ``steps``
-    pull rows: ``np.concatenate([a, a[-2::-1]])`` of a per-step array
-    ``a`` gives the whole cycle. max_pull defaults to the limb's jam
-    capacity (the tendon throw that brings every joint to its stop).
-    stroke_distance is the horizontal extent of the foot path over the
-    whole cycle; stroke_ratio divides it by max_pull. ``kappa`` holds one
-    curvature per pull step and segment that holds an arc-length bin, base
-    to foot, and ``segment`` the column of each bin, so the curvature map
-    is never built unless ``curvature_map`` is read. A cycle whose
-    2 * steps - 1 rows hold more than MAX_CYCLE_CELLS cells is rejected.
-    """
-    import numpy as np
+def check_cycle(limb: LimbSpec, steps: int, arc_bins: Optional[int] = None):
+    """Refuse a cycle of fewer than 2 steps, ``arc_bins`` below 1, or a
+    cycle whose 2 * steps - 1 rows hold more than MAX_CYCLE_CELLS cells:
+    one per segment, and ``arc_bins`` more if a map is written with it."""
     if steps < 2:
         raise DesignError("a sweep needs at least 2 steps")
-    if arc_bins < 1:
+    if arc_bins is not None and arc_bins < 1:
         raise DesignError("a curvature map needs at least 1 arc bin")
-    cells = (2 * steps - 1) * (arc_bins + len(limb.lengths))
+    cells = (2 * steps - 1) * (len(limb.lengths) + (arc_bins or 0))
     if cells > MAX_CYCLE_CELLS:
-        raise DesignError(f"a cycle of {steps} steps and {arc_bins} arc bins "
-                          f"holds {cells} cells, more than {MAX_CYCLE_CELLS}")
+        bins = "" if arc_bins is None else f" and {arc_bins} arc bins"
+        raise DesignError(f"a cycle of {steps} steps{bins} holds {cells} "
+                          f"cells, more than {MAX_CYCLE_CELLS}")
+
+
+def sweep_cycle(limb: LimbSpec, max_pull: Optional[float] = None,
+                steps: int = 101) -> CycleResult:
+    """Simulate one tendon pull-and-release cycle on a uniform pull grid.
+
+    Each row's solve and foot read only its own pull, so the release is
+    the pull in reverse and the result holds only the ``steps`` pull rows:
+    ``np.concatenate([a, a[-2::-1]])`` of a per-step array ``a`` gives the
+    whole cycle. max_pull defaults to the limb's jam capacity (the tendon
+    throw that brings every joint to its stop). stroke_distance is the
+    horizontal extent of the foot path over the whole cycle; stroke_ratio
+    divides it by max_pull."""
+    import numpy as np
+    check_cycle(limb, steps)
     if max_pull is None:
         max_pull = limb.pull_capacity
     if not max_pull >= 0:
         raise DesignError("max_pull must be nonnegative")
     up = np.linspace(0.0, max_pull, steps)
-    theta, tension, jammed, _ = _solve(limb, up)
+    theta, tension, _, _ = _solve(limb, up)
     foot_path = _foot(limb, theta)
     distance = float(foot_path[:, 0].max() - foot_path[:, 0].min())
     ratio = distance / max_pull if max_pull > 0 else 0.0
+    return CycleResult(pulls=up, theta=theta, tension=tension,
+                       foot_path=foot_path,
+                       metrics=StrokeMetrics(distance, ratio))
+
+
+def curvature_columns(limb: LimbSpec, theta: np.ndarray, arc_bins: int):
+    """The curvature map of rows of joint angles over ``arc_bins`` equal
+    arc-length bins, as (bin centres in m, ``kappa``: the curvature in 1/m
+    of each segment that holds a bin centre, base to foot, and ``counts``:
+    the bins each fills). ``np.repeat(kappa, counts, axis=1)`` is the map."""
+    import numpy as np
     bins = (np.arange(arc_bins) + 0.5) * (limb.total_length / arc_bins)
     lengths, bent = np.array(limb.lengths), np.array(limb.is_joint)
-    kappa = np.zeros((steps, len(lengths)))
+    kappa = np.zeros((len(theta), len(lengths)))
     kappa[:, bent] = theta / lengths[bent]
     ends = np.cumsum(lengths)
     segment = np.minimum(np.searchsorted(ends, bins, side="right"),
                          len(ends) - 1)
     # only the segments that hold a bin keep their column
     used, segment = np.unique(segment, return_inverse=True)
-    kappa = kappa[:, used]
-    return CycleResult(pulls=up, theta=theta, tension=tension, jammed=jammed,
-                       foot_path=foot_path, kappa=kappa, segment=segment,
-                       metrics=StrokeMetrics(distance, ratio), arc_bins=bins)
+    return bins, kappa[:, used], np.bincount(segment).tolist()
 
 
 def limb_from_document(doc: DesignDoc, name: str) -> LimbSpec:

@@ -1,6 +1,7 @@
 """Test-local oracles: STL decoding, polygon and triangle measures, random
 limbs, the foot and curvature of a limb at given joint angles, energy
-bookkeeping, the per-period exact stiffness quadrature.
+bookkeeping, the per-period exact stiffness quadrature; and a stand-in
+for the limb solve that checks a call's bounds without running it.
 
 Everything here is independent of the package internals on purpose; the
 STL reader, the measures, the limb shape and the energy helpers only use
@@ -182,6 +183,21 @@ def grid_search_two_joint(limb: LimbSpec, pull: float, points: int = 200001):
     energy = 0.5 * k1 * phi1 ** 2 + 0.5 * k2 * phi2 ** 2
     i = int(np.argmin(energy))
     return float(phi1[i]), float(phi2[i]), float(energy[i])
+
+
+class Solved(Exception):
+    """Raised in place of a limb solve: the call passed its bounds."""
+
+
+def solve_raises(monkeypatch):
+    """Make every limb solve raise Solved, so a call at a bound is checked
+    without running its cycle."""
+    from flexokit import limb_sim
+
+    def solve(limb, pulls):
+        raise Solved
+
+    monkeypatch.setattr(limb_sim, "_solve", solve)
 
 
 def tip_stiffness_per_period(flex) -> float:

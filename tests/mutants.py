@@ -56,7 +56,9 @@ MUTANTS = {
     "every segment kept, a binless one with zero count": Mutant(
         "src/flexokit/limb_sim.py",
         (("    used, segment = np.unique(segment, return_inverse=True)\n"
-          "    kappa = kappa[:, used]\n", ""),),
+          "    return bins, kappa[:, used], np.bincount(segment).tolist()\n",
+          "    counts = np.bincount(segment, minlength=len(lengths))\n"
+          "    return bins, kappa, counts.tolist()\n"),),
         ("tests/test_tables.py::test_cycle_tables_with_binless_and_zero_"
          "links_match_the_per_row_writer[16-2-binless-link]",)),
     "no e guard in _texts": Mutant(
@@ -117,9 +119,8 @@ MUTANTS = {
          "match_the_references",)),
     "validate counts no export triangles": Mutant(
         "src/flexokit/cli.py",
-        (("            check_part_triangles(part.kind, _part_source(doc, "
-          "part),\n                                 part.count, "
-          "part.facets)\n",
+        (("            check_part(part.kind, _part_source(doc, part), "
+          "part.count,\n                       part.facets)\n",
           "            pass\n"),),
         ("tests/test_cli.py::test_validate_refuses_parts_past_the_triangle_"
          "bound_as_export_does",)),
@@ -254,6 +255,57 @@ MUTANTS = {
           "cls._key = attrgetter(*names[:-1] or names)"),),
         ("tests/test_records.py::test_records_differing_in_one_field_differ"
          "[last]",)),
+    "bin centres at i": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("(np.arange(arc_bins) + 0.5)", "np.arange(arc_bins)"),),
+        ("tests/test_limb_sim.py::test_curvature_map_rows_match_states",)),
+    "simulate-limb bounds its tables after solving": Mutant(
+        "src/flexokit/cli.py",
+        (("    # both tables are bounded before anything is solved\n"
+          "    check_cycle(limb, args.steps, args.arc_bins)\n", ""),
+         ("    cycle = sweep_cycle(limb, max_pull=max_pull, "
+          "steps=args.steps)\n",
+          "    cycle = sweep_cycle(limb, max_pull=max_pull, "
+          "steps=args.steps)\n"
+          "    check_cycle(limb, args.steps, args.arc_bins)\n")),
+        ("tests/test_cli.py::test_cycle_bounds_are_checked_before_the_solve"
+         "[simulate-limb]",)),
+    "sweep_cycle counts arc bins again": Mutant(
+        "src/flexokit/limb_sim.py",
+        (("    check_cycle(limb, steps)\n",
+          "    check_cycle(limb, steps, 64)\n"),),
+        ("tests/test_limb_sim.py::test_cycle_bound_counts_one_column_per_"
+         "segment",
+         "tests/test_cli.py::test_cycle_bounds_are_checked_before_the_solve"
+         "[simulate-gait]")),
+    "flexure part needs no printed layer": Mutant(
+        "src/flexokit/core.py",
+        (('    if kind == "flexure" and source.base.printed_thickness_mm '
+          "<= 0:\n", "    if False:\n"),),
+        ("tests/test_cli.py::test_validate_refuses_parts_export_cannot_"
+         "build[film_only_laminate]",)),
+    "mushroom heads may touch at rest": Mutant(
+        "src/flexokit/core.py",
+        (('    if kind == "flexional" and source.spacing <= 2 * '
+          "source.head_radius:\n", "    if False:\n"),),
+        ("tests/test_cli.py::test_validate_refuses_parts_export_cannot_"
+         "build[heads_touching]",)),
+    "standoff tips may touch at rest": Mutant(
+        "src/flexokit/core.py",
+        (("        extensional_jam_angle(source)  # ContactAtRestError when "
+          "infeasible\n", "        pass\n"),),
+        ("tests/test_cli.py::test_validate_refuses_parts_export_cannot_"
+         "build[tips_touching]",)),
+    "edge keys sorted into a copy": Mutant(
+        "src/flexokit/geometry.py",
+        (("    keys.sort()\n", "    keys = np.sort(keys)\n"),),
+        ("tests/test_geometry.py::test_corner_check_holds_two_arrays_of_the_"
+         "corner_ids_size",)),
+    "reversed keys in a new array": Mutant(
+        "src/flexokit/geometry.py",
+        (("    nxt *= m\n    nxt += ids\n", "    nxt = nxt * m + ids\n"),),
+        ("tests/test_geometry.py::test_corner_check_holds_two_arrays_of_the_"
+         "corner_ids_size",)),
     "core imports dataclasses again": Mutant(
         "src/flexokit/core.py",
         (("import functools\n", "import dataclasses\nimport functools\n"),),

@@ -29,8 +29,8 @@ from flexokit.geometry import (export_stl, extensional_recipe,
 from flexokit.joint_limits import (ExtensionalLimitSpec, FlexionalLimitSpec,
                                    extensional_inverse, extensional_jam_angle,
                                    flexional_inverse, flexional_jam_angle)
-from flexokit.limb_sim import (equilibrium_solve, limb_from_document,
-                               sweep_cycle)
+from flexokit.limb_sim import (curvature_columns, equilibrium_solve,
+                               limb_from_document, sweep_cycle)
 from flexokit.stiffness import (homogenized_EI, plateau_stiffness,
                                 solve_feature_height, solve_width_ratio,
                                 tip_stiffness_exact)
@@ -241,9 +241,10 @@ def test_soft_joints_lead_and_stroke_grows_with_the_extension_cap(
         state = equilibrium_solve(limb, pull)
         # the top row's curvature over every segment, each holding a bin
         cycle = sweep_cycle(limb, max_pull=pull, steps=2)
-        assert cycle.kappa.shape == (2, len(limb.lengths))
+        _, kappa, _ = curvature_columns(limb, cycle.theta, 64)
+        assert kappa.shape == (2, len(limb.lengths))
         bent = sum(length * kappa for length, kappa in zip(
-            limb.lengths, cycle.kappa[-1].tolist()))
+            limb.lengths, kappa[-1].tolist()))
         assert bent == pytest.approx(sum(state.theta), rel=1e-12, abs=1e-15)
 
     # widening the extension cap (the hind leg's first joint) stretches the

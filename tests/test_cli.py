@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from helpers import read_stl
+from helpers import Solved, read_stl, solve_raises
 from flexokit.cli import main
 
 def bundled_path(name: str) -> str:
@@ -690,6 +690,29 @@ def test_validate_refuses_parts_past_the_triangle_bound_as_export_does(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mutate, error, message", [
+    (lambda doc: doc["flexures"]["plain_plate"].update(
+        base_layers=[["PC", 0.3]]), "GeometryError",
+     "export.parts[1]: nothing to print: the laminate has no extruded "
+     "layers"),
+    (lambda doc: doc["flexional_limits"]["sample_flexional"].update(
+        spacing_mm=3), "AlwaysJammedError",
+     "export.parts[2]: adjacent heads intersect at rest: spacing must "
+     "exceed the head diameter"),
+    (lambda doc: doc["extensional_limits"]["sample_extensional"].update(
+        diagonal_mm=4), "ContactAtRestError",
+     "export.parts[3]: standoff tips touch at rest (gap -0.00334315 m); "
+     "smallest feasible diagonal is 0.00636396 m"),
+], ids=["film_only_laminate", "heads_touching", "tips_touching"])
+def test_validate_refuses_parts_export_cannot_build(tmp_path, capsys, mutate,
+                                                    error, message):
+    path = mutated_sample(tmp_path, mutate)
+    for subcommand in ("validate", "export-geometry"):
+        assert run([subcommand, "-i", path, "-o", tmp_path / "out"]) == 2
+        assert rejected_unwritten(capsys, tmp_path / "out") == {
+            "error": error, "message": message}
+
+
 def test_export_with_a_rejected_late_part_writes_nothing(tmp_path, capsys):
     with open(bundled_path("sample_flexure.json")) as f:
         doc = json.load(f)
@@ -1070,6 +1093,45 @@ def test_unbounded_sweeps_and_cycles_exit_2(tmp_path, capsys, argv,
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert message in _diagnostic_message(capsys)
     assert not (tmp_path / "out").exists()
+
+
+# Both bundled documents' legs have 5 segments. simulate-limb bounds its
+# two tables, of the segments and of 64 arc bins, before it solves;
+# simulate-gait bounds only the cycle's rows of one column per segment.
+@pytest.mark.parametrize("argv, columns, largest, message", [
+    (["simulate-limb", "-i", bundled_path("hind_leg.json")], 69, 30_394,
+     "a cycle of 30395 steps and 64 arc bins holds 4194441 cells, more "
+     "than 4194304"),
+    (["simulate-gait", "-i", bundled_path("quadruped.json")], 5, 419_430,
+     "a cycle of 419431 steps holds 4194305 cells, more than 4194304"),
+], ids=["simulate-limb", "simulate-gait"])
+def test_cycle_bounds_are_checked_before_the_solve(
+        tmp_path, capsys, monkeypatch, argv, columns, largest, message):
+    from flexokit.limb_sim import MAX_CYCLE_CELLS
+    assert (2 * largest - 1) * columns <= MAX_CYCLE_CELLS \
+        < (2 * largest + 1) * columns
+    solve_raises(monkeypatch)
+    with pytest.raises(Solved):
+        run([*argv, "--steps", str(largest), "-o", tmp_path / "out"])
+    assert run([*argv, "--steps", str(largest + 1),
+                "-o", tmp_path / "out"]) == 2
+    assert rejected_unwritten(capsys, tmp_path / "out") == {
+        "error": "DesignError", "message": message}
+
+
+def test_simulate_gait_builds_no_curvature_map(tmp_path, monkeypatch):
+    from flexokit import limb_sim
+
+    def curvature_columns(*args):
+        raise AssertionError("simulate-gait built a curvature map")
+
+    monkeypatch.setattr(limb_sim, "curvature_columns", curvature_columns)
+    assert run(["simulate-gait", "-i", bundled_path("quadruped.json"),
+                "-o", tmp_path / "gait"]) == 0
+    # simulate-limb reads it from the module, where the test replaced it
+    with pytest.raises(AssertionError, match="built a curvature map"):
+        run(["simulate-limb", "-i", bundled_path("hind_leg.json"),
+             "-o", tmp_path / "limb"])
 
 
 @pytest.mark.parametrize("bound, rc", [(54, 0), (53, 2)])

@@ -275,6 +275,23 @@ def test_mesh_holds_a_float64_array_read_only_without_freezing_it():
     tri[0, 0, 0] = 1.0  # the caller's array is still its own to write
 
 
+def test_corner_check_holds_two_arrays_of_the_corner_ids_size():
+    # 8,192 closed triangular prisms of 8 triangles: 2^16 triangles that
+    # pass the whole check, both edge-key sorts included. Besides the ids
+    # it may hold two int64 arrays of their size and a few boolean ones.
+    faces = geometry._prism_faces(3, "z")
+    ids = (faces[None] + 6 * np.arange(8192)[:, None, None]).reshape(-1, 3)
+    assert len(ids) == 2 ** 16
+    tracemalloc.start()
+    try:
+        verdict = geometry._shell_error(ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict is None
+    assert peak <= 2.25 * ids.nbytes, peak / ids.nbytes
+
+
 def test_mesh_normals_are_unit_and_outward():
     mesh = flexure_recipe(plate_flexure()).mesh()
     mesh.validate()

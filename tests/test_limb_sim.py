@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (curvature_at, elastic_energy, foot_point,
+from helpers import (Solved, curvature_at, elastic_energy, foot_point,
                      grid_search_two_joint, jam_event_pulls, random_limb,
-                     si_limb, tendon_work)
+                     si_limb, solve_raises, tendon_work)
 from flexokit.errors import DesignError, EmptyLimbError, OverPullError
-from flexokit.limb_sim import (equilibrium_solve, limb_from_document,
+from flexokit.limb_sim import (MAX_CYCLE_CELLS, curvature_columns,
+                               equilibrium_solve, limb_from_document,
                                sweep_cycle)
 
 MM = 1e-3
@@ -101,7 +102,7 @@ def test_a_stiff_joint_jams_beside_a_limp_one_without_overflow():
                    joint_length=(1e-243, 1e-3), jam_angle=(cap, cap),
                    routing_offset=(1e-7, 1e-3))
     cycle = sweep_cycle(limb)
-    assert cycle.jammed[-1].tolist() == [False, True]
+    assert equilibrium_solve(limb, cycle.pulls[-1]).jammed == (False, True)
     assert cycle.theta[-1] == pytest.approx([cap, cap], rel=1e-12)
     assert np.isfinite(cycle.tension).all()
 
@@ -252,17 +253,20 @@ def test_curvature_profile_integrates_back_to_joint_angles():
     limb = si_limb((0.01, 0.005), stiffness=(0.05,), joint_length=(0.01,),
                    jam_angle=(0.5,), routing_offset=(0.002,))
     cycle = sweep_cycle(limb, steps=2)
-    assert cycle.kappa[-1].tolist() == pytest.approx([0.0, 50.0, 0.0],
-                                                     rel=1e-15)
+    _, kappa, counts = curvature_columns(limb, cycle.theta, 64)
+    assert kappa[-1].tolist() == pytest.approx([0.0, 50.0, 0.0], rel=1e-15)
+    assert counts == [26, 25, 13]  # bins of 0.390625 mm
     rng = np.random.default_rng(19)
     for _ in range(20):
         rl = random_limb(rng)
         cycle = sweep_cycle(rl, steps=7)
         # 64 bins of at most 4 mm: every segment holds one, base to foot
-        assert cycle.kappa.shape == (7, len(rl.lengths))
+        _, kappa, counts = curvature_columns(rl, cycle.theta, 64)
+        assert kappa.shape == (7, len(rl.lengths))
+        assert sum(counts) == 64 and min(counts) >= 1
         bent = np.array(rl.is_joint)
-        assert not cycle.kappa[:, ~bent].any()
-        spans = cycle.kappa[:, bent] * np.array(rl.lengths)[bent]
+        assert not kappa[:, ~bent].any()
+        spans = kappa[:, bent] * np.array(rl.lengths)[bent]
         np.testing.assert_allclose(spans, cycle.theta, rtol=1e-12,
                                    atol=1e-15)
 
@@ -272,11 +276,10 @@ def test_curvature_profile_integrates_back_to_joint_angles():
 def test_cycle_shapes_and_mirrored_pulls():
     limb = two_joint_limb(cap2=0.5)
     # the cycle holds its pull rows; the release rows mirror them
-    cycle = sweep_cycle(limb, steps=51, arc_bins=32)
+    cycle = sweep_cycle(limb, steps=51)
     assert cycle.pulls.shape == (51,)
     assert cycle.foot_path.shape == (51, 2)
-    assert cycle.curvature_map.shape == (51, 32)
-    assert cycle.arc_bins.shape == (32,)
+    assert cycle.theta.shape == (51, 2) and cycle.tension.shape == (51,)
     np.testing.assert_array_equal(
         cycle.pulls, np.linspace(0.0, limb.pull_capacity, 51))
     assert cycle.pulls[50] == pytest.approx(limb.pull_capacity)
@@ -297,18 +300,47 @@ def test_degenerate_zero_pull_cycle():
     cycle = sweep_cycle(two_joint_limb(), max_pull=0.0, steps=5)
     assert cycle.metrics.stroke_distance == 0.0
     assert cycle.metrics.stroke_ratio == 0.0
-    assert np.all(cycle.curvature_map == 0.0)
+    _, kappa, _ = curvature_columns(two_joint_limb(), cycle.theta, 64)
+    assert np.all(kappa == 0.0)
     with pytest.raises(DesignError):
         sweep_cycle(two_joint_limb(), steps=1)
 
 
+def curvature_map(limb, theta, arc_bins):
+    """(bin centres, the (rows, arc_bins) curvature map) of
+    ``curvature_columns``."""
+    bins, kappa, counts = curvature_columns(limb, theta, arc_bins)
+    return bins, np.repeat(kappa, counts, axis=1)
+
+
+def test_cycle_bound_counts_one_column_per_segment(monkeypatch):
+    # the cycle holds its rows of one column per segment; a curvature map
+    # is bounded by the command that writes one. The bound is checked
+    # before the solve, which is never run at the limit here.
+    solve_raises(monkeypatch)
+    limb = two_joint_limb()
+    # the most steps whose 2 * steps - 1 rows of 5 columns fit the bound
+    steps = (MAX_CYCLE_CELLS // len(limb.lengths) + 1) // 2
+    assert steps == 419_430
+    with pytest.raises(Solved):
+        sweep_cycle(limb, steps=steps)
+    with pytest.raises(DesignError, match=r"^a cycle of 419431 steps holds "
+                       r"4194305 cells, more than 4194304$"):
+        sweep_cycle(limb, steps=steps + 1)
+
+
 def test_curvature_map_rows_match_states():
     limb = two_joint_limb(cap2=0.5)  # joints span [30,40] and [70,80] mm
-    cycle = sweep_cycle(limb, steps=21, arc_bins=16)
+    cycle = sweep_cycle(limb, steps=21)
+    bins, curvature = curvature_map(limb, cycle.theta, 16)
+    # bin i centres on (i + 1/2) of the limb's length over 16
+    assert bins.tolist() == [(i + 0.5) * (limb.total_length / 16)
+                             for i in range(16)]
+    assert curvature.shape == (21, 16)
     mid = 10
     theta = cycle.theta[mid]
     hits = 0
-    for s, kappa in zip(cycle.arc_bins, cycle.curvature_map[mid]):
+    for s, kappa in zip(bins, curvature[mid]):
         if 0.03 < s < 0.04:
             assert kappa == pytest.approx(theta[0] / 0.01, rel=1e-12)
             hits += 1
@@ -351,21 +383,21 @@ def test_cycle_rows_equal_single_pull_solves_exactly():
         limb = random_limb(rng, n_joints=int(rng.integers(2, 6)))
         fraction = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 1.0))
         cycle = sweep_cycle(limb, max_pull=fraction * limb.pull_capacity,
-                            steps=int(rng.integers(3, 40)), arc_bins=9)
-        most_jams = max(most_jams, int(cycle.jammed.sum(axis=1).max()))
+                            steps=int(rng.integers(3, 40)))
+        bins, curvature = curvature_map(limb, cycle.theta, 9)
         senses.update(limb.sense)
         for i, pull in enumerate(cycle.pulls):
             state = equilibrium_solve(limb, float(pull))
+            most_jams = max(most_jams, sum(state.jammed))
             assert tuple(cycle.theta[i]) == state.theta
             assert cycle.tension[i] == state.tension
-            assert tuple(cycle.jammed[i]) == state.jammed
             assert _scalar_equilibrium(limb, float(pull)) == (
                 state.theta, state.tension, state.jammed)
             # math.sin and np.sin may differ in the last place
             assert tuple(cycle.foot_path[i]) == pytest.approx(
                 foot_point(limb, state.theta), rel=1e-12, abs=1e-15)
-            assert cycle.curvature_map[i].tolist() == [
-                curvature_at(limb, state.theta, s) for s in cycle.arc_bins]
+            assert curvature[i].tolist() == [
+                curvature_at(limb, state.theta, s) for s in bins]
     assert most_jams >= 3 and senses == {-1, 1}
 
 
@@ -404,7 +436,8 @@ def test_hind_leg_flexion_jams_before_extension(hind_leg_doc):
         limb.stiffness, limb.jam_angle, limb.routing_offset))
     assert t_flx < t_ext
     cycle = sweep_cycle(limb, steps=201)
-    theta, jammed = cycle.theta, cycle.jammed
+    theta = cycle.theta
+    jammed = [equilibrium_solve(limb, pull).jammed for pull in cycle.pulls]
     first_flx = next(i for i, row in enumerate(jammed) if row[1])
     # flexion hits its stop while extension still has angle in reserve;
     # extension only reaches its cap at the very top of the pull

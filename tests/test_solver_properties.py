@@ -17,11 +17,12 @@ from flexokit.core import (MM, DEFAULT_MATERIALS, FlexureSpec, LaminateStack,
                            RibPattern)
 from flexokit.joint_limits import (FlexionalLimitSpec, flexional_inverse,
                                    flexional_jam_angle)
-from flexokit.limb_sim import equilibrium_solve, sweep_cycle
+from flexokit.limb_sim import (curvature_columns, equilibrium_solve,
+                               sweep_cycle)
 from flexokit.stiffness import (_REL_TOL, homogenized_EI, plateau_stiffness,
                                 solve_feature_height, solve_width_ratio,
                                 tip_stiffness_exact)
-from helpers import si_limb, tip_stiffness_per_period
+from helpers import curvature_at, si_limb, tip_stiffness_per_period
 
 EPS = sys.float_info.epsilon
 
@@ -160,11 +161,14 @@ def _bits(values):
 def test_cycle_rows_are_single_pull_solves_mirrored(limb, steps, share,
                                                     arc_bins):
     cycle = sweep_cycle(limb, max_pull=share * limb.pull_capacity,
-                        steps=steps, arc_bins=arc_bins)
+                        steps=steps)
+    bins, kappa, counts = curvature_columns(limb, cycle.theta, arc_bins)
+    curvature = np.repeat(kappa, counts, axis=1)
     # the cycle holds its pull rows; the release rows mirror them
     assert len(cycle.pulls) == steps
     for r in range(steps):
         state = equilibrium_solve(limb, float(cycle.pulls[r]))
         assert (_bits(cycle.theta[r]) == _bits(state.theta)).all()
         assert _bits(cycle.tension[r]) == _bits(state.tension)
-        assert tuple(cycle.jammed[r].tolist()) == state.jammed
+        assert (_bits(curvature[r]) == _bits(
+            [curvature_at(limb, state.theta, s) for s in bins])).all()

@@ -305,10 +305,12 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
     # and whole rows (release mirrors pull); the second run's small chunks
     # put a release row in another chunk than the pull row it mirrors
     from flexokit.core import MM, parse_design
-    from flexokit.limb_sim import limb_from_document, sweep_cycle
+    from flexokit.limb_sim import (curvature_columns, limb_from_document,
+                                   sweep_cycle)
     doc = parse_design(Path(bundled_path(document)).read_text("utf-8"))
     spec = limb_from_document(doc, limb)
-    cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
+    cycle = sweep_cycle(spec, steps=steps)
+    bins, kappa, counts = curvature_columns(spec, cycle.theta, arc_bins)
     joints = [f"theta_{i}_rad" for i in range(len(spec.stiffness))]
 
     def up_and_down(table):
@@ -321,9 +323,9 @@ def test_cycle_tables_match_the_per_row_writer(tmp_path, document, limb,
         up_and_down(np.column_stack([cycle.pulls / MM, cycle.foot_path / MM,
                                      cycle.theta, cycle.tension])))
     curvature = reference_csv(
-        ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
+        ["pull_mm"] + [repr(s / MM) for s in bins],
         up_and_down(np.column_stack([cycle.pulls / MM,
-                                     cycle.curvature_map])))
+                                     np.repeat(kappa, counts, axis=1)])))
     for chunk_cells in (cli._CHUNK_CELLS, 2 ** 9):
         out = tmp_path / str(chunk_cells)
         with mock.patch.object(cli, "_CHUNK_CELLS", chunk_cells), \
@@ -368,26 +370,31 @@ def test_cycle_tables_with_binless_and_zero_links_match_the_per_row_writer(
     # number of bins it holds: a segment holding none writes no column,
     # and two adjacent segments of the same curvature write two runs
     from flexokit.core import MM, parse_design
-    from flexokit.limb_sim import limb_from_document, sweep_cycle
+    from flexokit.limb_sim import (curvature_columns, limb_from_document,
+                                   sweep_cycle)
     document = hind_leg_with_links(tmp_path, links)
     spec = limb_from_document(
         parse_design(Path(document).read_text("utf-8")), "hind_leg")
-    cycle = sweep_cycle(spec, steps=steps, arc_bins=arc_bins)
-    np.testing.assert_array_equal(cycle.curvature_map,
-                                  cycle.kappa[:, cycle.segment])
+    cycle = sweep_cycle(spec, steps=steps)
+    bins, kappa, counts = curvature_columns(spec, cycle.theta, arc_bins)
     # each bin reads the segment whose span holds its center, and kappa
-    # keeps one column per segment that holds a bin, base to foot
+    # keeps one column per segment that holds a bin, base to foot, with
+    # the number of bins it holds
     ends = np.cumsum(spec.lengths).tolist()
     held = [next(i for i, end in enumerate(ends) if s < end)
-            for s in cycle.arc_bins.tolist()]
+            for s in bins.tolist()]
     used = sorted(set(held))
-    assert cycle.segment.tolist() == [used.index(i) for i in held]
+    assert counts == [held.count(i) for i in used]
+    assert kappa.shape == (steps, len(used))
     assert not set(binless) & set(used)
     assert set(zero) <= set(used)
-    assert (cycle.kappa[:, [used.index(i) for i in zero]] == 0).all()
+    assert (kappa[:, [used.index(i) for i in zero]] == 0).all()
+    bent = [i for i in used if spec.is_joint[i]]
+    assert all((kappa[:, used.index(i)] != 0).any() for i in bent)
     curvature = reference_csv(
-        ["pull_mm"] + [repr(s / MM) for s in cycle.arc_bins],
-        np.column_stack([cycle.pulls / MM, cycle.curvature_map])[
+        ["pull_mm"] + [repr(s / MM) for s in bins],
+        np.column_stack([cycle.pulls / MM,
+                         kappa[:, [used.index(i) for i in held]]])[
             cycle_index(steps)])
     for chunk_cells in (cli._CHUNK_CELLS, 2 ** 9):
         out = tmp_path / str(chunk_cells)
